@@ -11,22 +11,16 @@ from .analytic import (
     AgePair,
     AtWill,
     Exogenous,
-    InfiniteAge,
     Moments2,
     Scenario,
     ScenarioApprox,
     StarvedStreamError,
     Stream,
     StreamMix,
-    age_atwill_approx,
-    age_atwill_exact,
-    age_atwill_expanded,
-    age_exogenous_approx,
-    age_exogenous_exact,
+    age,
     age_pair,
     geometric_moments,
-    s_moments_atwill,
-    s_moments_exogenous,
+    s_moments,
     ybar_moments,
 )
 from .optimize import (

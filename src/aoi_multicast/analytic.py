@@ -1,16 +1,24 @@
 """Closed-form average age of both update streams at an individual receiver.
 
-The production path assembles the renewal decomposition
-``age = mean_first_k + E[S^2] / (2 E[S])`` from the interarrival moments;
-the fully expanded at-will expression is retained as an independent
-cross-check (``age_atwill_expanded``) and is exercised by the test suite.
+Every age, exact or large-n and in either generation mode, comes from one
+broadcastable renewal kernel: age = mean delivered delay + E[S^2] / (2 E[S]),
+where S is the tagged receiver's inter-delivery time of the stream. The
+kernel reads the order-statistic moments of both streams from
+``orderstats``: harmonic sums at thresholds k, or their large-n limits at
+ratios alpha = k / n, where the completion time has zero variance. At-will
+generation is the Poisson-arrival case with a zero idle gap. Scalar calls
+and the optimizer's threshold grids run the same kernel, so a grid entry
+equals the scalar age bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .orderstats import (
     ShiftedExp,
@@ -18,13 +26,12 @@ from .orderstats import (
     mean_first_k,
     mean_first_k_approx,
     os_mean,
-    os_second_moment,
+    os_var,
 )
 
 __all__ = [
     "Stream",
     "StarvedStreamError",
-    "InfiniteAge",
     "INFINITE_AGE",
     "AtWill",
     "Exogenous",
@@ -35,13 +42,8 @@ __all__ = [
     "Moments2",
     "geometric_moments",
     "ybar_moments",
-    "s_moments_atwill",
-    "s_moments_exogenous",
-    "age_atwill_exact",
-    "age_atwill_expanded",
-    "age_atwill_approx",
-    "age_exogenous_exact",
-    "age_exogenous_approx",
+    "s_moments",
+    "age",
     "age_pair",
 ]
 
@@ -59,48 +61,8 @@ class StarvedStreamError(ValueError):
     """The requested stream has zero delivery probability; its age diverges."""
 
 
-class InfiniteAge:
-    """Sentinel for the diverging age of a starved stream.
-
-    Compares greater than every finite value and equal only to itself, so it
-    flows through argmin-style comparisons without special cases.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __float__(self) -> float:
-        return math.inf
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InfiniteAge)
-
-    def __hash__(self) -> int:
-        return hash("InfiniteAge")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, InfiniteAge)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, InfiniteAge)
-
-    def __repr__(self) -> str:
-        return "INFINITE_AGE"
-
-
-INFINITE_AGE = InfiniteAge()
-
-Age = "float | InfiniteAge"
+# Age of a starved stream.
+INFINITE_AGE = math.inf
 
 
 @dataclass(frozen=True)
@@ -144,6 +106,14 @@ class StreamMix:
         return self.p1 if stream is Stream.TYPE_I else self.p2
 
 
+def _check_integer(name: str, v) -> int:
+    """v as an int; bools and non-integral numbers are rejected."""
+    integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full experiment description with integer stopping thresholds."""
@@ -157,6 +127,8 @@ class Scenario:
     mode: Mode = AtWill()
 
     def __post_init__(self) -> None:
+        for name in ("n", "k1", "k2"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for name, k in (("k1", self.k1), ("k2", self.k2)):
@@ -195,10 +167,12 @@ class ScenarioApprox:
 
 @dataclass(frozen=True)
 class AgePair:
-    age_I: "float | InfiniteAge"
-    age_II: "float | InfiniteAge"
+    """Both stream ages; a starved stream's age is INFINITE_AGE."""
 
-    def age(self, stream: Stream) -> "float | InfiniteAge":
+    age_I: float
+    age_II: float
+
+    def age(self, stream: Stream) -> float:
         return self.age_I if stream is Stream.TYPE_I else self.age_II
 
 
@@ -229,173 +203,147 @@ def geometric_moments(p: float) -> Moments2:
     return Moments2(1.0 / p, (2.0 - p) / (p * p))
 
 
-def ybar_moments(s: Scenario, target: Stream) -> Moments2:
+# -- the renewal kernel ------------------------------------------------------
+
+
+def _threshold_moments(d: ShiftedExp, x, n):
+    """(q, mean, variance, mean delivered delay) of one stream's cycle.
+
+    x is the threshold k (an int or an int array) of n receivers, or the
+    ratio alpha (a float or a float array) when n is None, where the
+    large-n completion time concentrates at delta(alpha).
+    """
+    if n is None:
+        return x, delta_threshold(d, x), 0.0, mean_first_k_approx(d, x)
+    return x / n, os_mean(d, x, n), os_var(d, x, n), mean_first_k(d, x, n)
+
+
+def _missed_cycle(p, po, own, other):
+    """(r, mean, variance) of a cycle that misses the target at the tagged receiver.
+
+    r = po + p (1 - q) is the miss probability 1 - pq without its
+    cancellation. The missed cycle carries the target with weight
+    p (1 - q) / r and the other stream with po / r; both weights are 0 when
+    r = 0. The variance is the mixture's, free of E[Y^2] - E[Y]^2.
+    """
+    q, e_t, v_t, _ = own
+    _, e_o, v_o, _ = other
+    w_t = p * (1.0 - q)
+    r = po + w_t
+    r_pos = np.where(r > 0.0, r, 1.0)
+    b_t, b_o = w_t / r_pos, po / r_pos
+    gap = e_t - e_o
+    return r, b_t * e_t + b_o * e_o, b_t * v_t + b_o * v_o + b_t * b_o * (gap * gap)
+
+
+def _renewal(p, po, own, other, ez, vz):
+    """(age, E[S], E[S^2]) of the target stream; every input broadcasts.
+
+    p and po are the target's and the other stream's shares, own and other
+    their ``_threshold_moments``, ez and vz the mean and variance of the
+    idle gap Z before each cycle (both 0 at will). The tagged receiver gets
+    the target in a cycle with probability pq, so S spans M ~ Geometric(pq)
+    cycles: M - 1 missed cycles Y, the delivering cycle X and M idle gaps.
+    """
+    q, e_t, v_t, delivered = own
+    r, y1, yvar = _missed_cycle(p, po, own, other)
+    pq = p * q
+    pq2 = pq * pq
+    em = 1.0 / pq  # E[M]
+    em1 = r / pq  # E[M - 1]
+    em1sq = r * (1.0 + r) / pq2  # E[(M - 1)^2]
+    emm = 2.0 * r / pq2  # E[M (M - 1)]
+    em2 = (1.0 + r) / pq2  # E[M^2]
+    m1 = e_t + em1 * y1 + em * ez
+    m2 = (
+        v_t
+        + e_t * e_t
+        + 2.0 * em1 * e_t * y1
+        + 2.0 * em * e_t * ez
+        + em * vz
+        + em1 * yvar
+        + em1sq * (y1 * y1)
+        + 2.0 * emm * y1 * ez
+        + em2 * ez * ez
+    )
+    return delivered + m2 / (2.0 * m1), m1, m2
+
+
+def _idle_gap(mode: Mode) -> tuple[float, float]:
+    """Mean and variance of the idle gap before a cycle."""
+    if isinstance(mode, Exogenous):
+        return 1.0 / mode.mu, 1.0 / (mode.mu * mode.mu)
+    return 0.0, 0.0
+
+
+def _pair_ages(s, n, x1, x2):
+    """Ages of streams I and II at thresholds x1 and x2, broadcast together.
+
+    s supplies delay_I, delay_II, mix and mode (a Scenario, ScenarioApprox
+    or optimizer template); x1 and x2 are thresholds k, or ratios alpha when
+    n is None. A starved stream's ages are +inf.
+    """
+    m_I = _threshold_moments(s.delay_I, x1, n)
+    m_II = _threshold_moments(s.delay_II, x2, n)
+    ez, vz = _idle_gap(s.mode)
+    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    p1, p2 = s.mix.p1, s.mix.p2
+    age_I = _renewal(p1, p2, m_I, m_II, ez, vz)[0] if p1 > 0 else np.full(shape, np.inf)
+    age_II = _renewal(p2, p1, m_II, m_I, ez, vz)[0] if p2 > 0 else np.full(shape, np.inf)
+    return age_I, age_II
+
+
+def _inputs(s: "Scenario | ScenarioApprox", target: Stream):
+    """Kernel inputs (p, po, own, other) of the target stream; raises when it is starved."""
+    p = s.mix.prob(target)
+    if p <= 0:
+        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
+    if isinstance(s, ScenarioApprox):
+        n, x_t, x_o = None, s.alpha(target), s.alpha(target.other)
+    else:
+        n, x_t, x_o = s.n, s.threshold(target), s.threshold(target.other)
+    own = _threshold_moments(s.delay(target), x_t, n)
+    other = _threshold_moments(s.delay(target.other), x_o, n)
+    return p, s.mix.prob(target.other), own, other
+
+
+# -- public API --------------------------------------------------------------
+
+
+def ybar_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:
     """Moments of a cycle conditioned on the tagged node missing the target stream.
 
     In exogenous mode these are the moments of the busy part of the cycle
     only (the idle gap is accounted for separately).
     """
-    p = s.mix.prob(target)
-    if p <= 0:
-        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    k = s.threshold(target)
-    q = k / s.n
-    pq = p * q
-    e1 = os_mean(s.delay(target), k, s.n)
-    e2 = os_second_moment(s.delay(target), k, s.n)
-    if pq >= 1.0:
+    p, po, own, other = _inputs(s, target)
+    r, m1, var = _missed_cycle(p, po, own, other)
+    if r == 0:
         # Failure has probability zero; the conditioning is vacuous.
-        return Moments2(e1, e2, degenerate=True)
-    po = s.mix.prob(target.other)
-    ko = s.threshold(target.other)
-    pb_t = p * (1.0 - q) / (1.0 - pq)
-    pb_o = po / (1.0 - pq)
-    f1 = os_mean(s.delay(target.other), ko, s.n)
-    f2 = os_second_moment(s.delay(target.other), ko, s.n)
-    return Moments2(pb_t * e1 + pb_o * f1, pb_t * e2 + pb_o * f2)
+        _, e, v, _ = own
+        return Moments2(float(e), float(v + e * e), degenerate=True)
+    return Moments2(float(m1), float(var + m1 * m1))
 
 
-def _retry_terms(s: Scenario, target: Stream):
-    """Geometric retry moments and derived combinations for the target stream."""
-    p = s.mix.prob(target)
-    q = s.threshold(target) / s.n
-    gm = geometric_moments(p * q)
-    em, em2 = gm.m1, gm.m2
-    em1 = em - 1.0                 # E[M - 1]
-    em1sq = em2 - 2.0 * em + 1.0   # E[(M - 1)^2]
-    return em, em2, em1, em1sq
+def s_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:
+    """Moments of the tagged-node inter-delivery time of the target stream."""
+    _, m1, m2 = _renewal(*_inputs(s, target), *_idle_gap(s.mode))
+    return Moments2(float(m1), float(m2))
 
 
-def s_moments_atwill(s: Scenario, target: Stream) -> Moments2:
-    """Moments of the tagged-node interarrival time under at-will generation."""
-    if not isinstance(s.mode, AtWill):
-        raise ValueError("s_moments_atwill requires at-will mode")
-    _, _, em1, em1sq = _retry_terms(s, target)
-    yb = ybar_moments(s, target)
-    k = s.threshold(target)
-    e1 = os_mean(s.delay(target), k, s.n)
-    e2 = os_second_moment(s.delay(target), k, s.n)
-    m1 = e1 + em1 * yb.m1
-    m2 = e2 + 2.0 * em1 * e1 * yb.m1 + em1 * yb.var + em1sq * yb.m1**2
-    return Moments2(m1, m2)
+def age(s: "Scenario | ScenarioApprox", target: Stream) -> float:
+    """Average age of the target stream: exact for a Scenario, large-n for a
+    ScenarioApprox, in the scenario's generation mode.
 
-
-def s_moments_exogenous(s: Scenario, target: Stream) -> Moments2:
-    """Moments of the tagged-node interarrival time under Poisson arrivals."""
-    if not isinstance(s.mode, Exogenous):
-        raise ValueError("s_moments_exogenous requires exogenous mode")
-    mu = s.mode.mu
-    em, em2, em1, em1sq = _retry_terms(s, target)
-    yb = ybar_moments(s, target)
-    k = s.threshold(target)
-    e1 = os_mean(s.delay(target), k, s.n)
-    e2 = os_second_moment(s.delay(target), k, s.n)
-    ez = 1.0 / mu
-    vz = 1.0 / (mu * mu)
-    emm = em2 - em  # E[M^2 - M]
-    m1 = e1 + em1 * yb.m1 + em * ez
-    m2 = (
-        e2
-        + 2.0 * em1 * e1 * yb.m1
-        + 2.0 * em * e1 * ez
-        + em * vz
-        + em1 * yb.var
-        + em1sq * yb.m1**2
-        + 2.0 * emm * yb.m1 * ez
-        + em2 * ez * ez
-    )
-    return Moments2(m1, m2)
-
-
-def age_atwill_exact(s: Scenario, target: Stream) -> float:
-    """Exact average age of the target stream under at-will generation."""
-    sm = s_moments_atwill(s, target)
-    k = s.threshold(target)
-    return mean_first_k(s.delay(target), k, s.n) + sm.m2 / (2.0 * sm.m1)
-
-
-def age_atwill_expanded(s: Scenario, target: Stream) -> float:
-    """Fully expanded at-will age expression; cross-check for age_atwill_exact."""
-    if not isinstance(s.mode, AtWill):
-        raise ValueError("age_atwill_expanded requires at-will mode")
-    p = s.mix.prob(target)
-    if p <= 0:
-        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    po = s.mix.prob(target.other)
-    n, k, ko = s.n, s.threshold(target), s.threshold(target.other)
-    e1 = os_mean(s.delay(target), k, n)
-    e2 = os_second_moment(s.delay(target), k, n)
-    f1 = os_mean(s.delay(target.other), ko, n)
-    f2 = os_second_moment(s.delay(target.other), ko, n)
-    mix1 = p * e1 + po * f1
-    t1 = mean_first_k(s.delay(target), k, n)
-    t2 = (p * e2 + po * f2) / (2.0 * mix1)
-    t3 = (po**2 * n * f1**2 + p * po * (2 * n - k) * e1 * f1) / (p * k * mix1)
-    t4 = (p**2 * (n - k) * e1**2) / (p * k * mix1)
-    return t1 + t2 + t3 + t4
-
-
-def age_exogenous_exact(s: Scenario, target: Stream) -> float:
-    """Exact average age of the target stream under Poisson arrivals."""
-    sm = s_moments_exogenous(s, target)
-    k = s.threshold(target)
-    return mean_first_k(s.delay(target), k, s.n) + sm.m2 / (2.0 * sm.m1)
-
-
-def _approx_view(sa: ScenarioApprox, target: Stream):
-    p = sa.mix.prob(target)
-    if p <= 0:
-        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    po = sa.mix.prob(target.other)
-    a = sa.alpha(target)
-    dt = delta_threshold(sa.delay(target), a)
-    do = delta_threshold(sa.delay(target.other), sa.alpha(target.other))
-    return p, po, a, dt, do
-
-
-def age_atwill_approx(sa: ScenarioApprox, target: Stream) -> float:
-    """Large-n average age of the target stream under at-will generation."""
-    if not isinstance(sa.mode, AtWill):
-        raise ValueError("age_atwill_approx requires at-will mode")
-    p, po, a, dt, do = _approx_view(sa, target)
-    base = mean_first_k_approx(sa.delay(target), a)
-    num = (
-        (2.0 - a) * p * p * dt * dt
-        + 2.0 * p * po * (2.0 - a) * dt * do
-        + po * (p * a + 2.0 * po) * do * do
-    )
-    den = 2.0 * p * a * (p * dt + po * do)
-    return base + num / den
-
-
-def age_exogenous_approx(sa: ScenarioApprox, target: Stream) -> float:
-    """Large-n average age of the target stream under Poisson arrivals."""
-    if not isinstance(sa.mode, Exogenous):
-        raise ValueError("age_exogenous_approx requires exogenous mode")
-    mu = sa.mode.mu
-    p, po, a, dt, do = _approx_view(sa, target)
-    base = mean_first_k_approx(sa.delay(target), a)
-    load = mu * p * dt + mu * po * do + 1.0
-    num = (
-        mu * p * p * (2.0 - a) * dt * dt
-        + 2.0 * mu * p * po * (2.0 - a) * dt * do
-        + mu * po * (2.0 * po + p * a) * do * do
-    )
-    tail = (2.0 * mu * po * do + mu * p * (2.0 - a) * dt + 1.0) / (mu * p * a * load)
-    return base + num / (2.0 * p * a * load) + tail
-
-
-def _age_one(s, target: Stream):
-    if isinstance(s, ScenarioApprox):
-        fn = age_atwill_approx if isinstance(s.mode, AtWill) else age_exogenous_approx
-    else:
-        fn = age_atwill_exact if isinstance(s.mode, AtWill) else age_exogenous_exact
-    try:
-        return fn(s, target)
-    except StarvedStreamError:
-        return INFINITE_AGE
+    Raises StarvedStreamError when the target stream has zero share.
+    """
+    return float(_renewal(*_inputs(s, target), *_idle_gap(s.mode))[0])
 
 
 def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
     """Both stream ages for a scenario; a starved stream maps to INFINITE_AGE."""
-    return AgePair(_age_one(s, Stream.TYPE_I), _age_one(s, Stream.TYPE_II))
+    if isinstance(s, ScenarioApprox):
+        age_I, age_II = _pair_ages(s, None, s.alpha1, s.alpha2)
+    else:
+        age_I, age_II = _pair_ages(s, s.n, s.k1, s.k2)
+    return AgePair(float(age_I), float(age_II))

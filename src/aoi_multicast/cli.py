@@ -19,16 +19,14 @@ import time
 import numpy as np
 
 from .analytic import (
-    INFINITE_AGE,
     AtWill,
     Exogenous,
     Scenario,
-    ScenarioApprox,
     Stream,
     StreamMix,
     age_pair,
 )
-from .optimize import ScenarioTemplate, optimize, pareto_frontier
+from .optimize import ScenarioTemplate, pareto_frontier
 from .orderstats import ShiftedExp
 from .sim import DEFAULT_SEED, SimConfig, simulate
 
@@ -147,8 +145,8 @@ def load_scenario_file(path: str, need_thresholds: bool = True):
     return parse_scenario(doc, need_thresholds=need_thresholds)
 
 
-def _age_json(age):
-    return "infinite" if age == INFINITE_AGE else float(age)
+def _age_json(age: float):
+    return "infinite" if math.isinf(age) else age
 
 
 # -- commands ---------------------------------------------------------------
@@ -217,16 +215,16 @@ def _cmd_validate(args) -> int:
     ok = True
     for stream, label in ((Stream.TYPE_I, "age_I"), (Stream.TYPE_II, "age_II")):
         ex = exact.age(stream)
-        if ex == INFINITE_AGE:
+        if math.isinf(ex):
             print(f"validate: stream {label} is starved, skipped", file=sys.stderr)
             report[label] = {"status": "skipped (starved)"}
             continue
         sv = float(sim.age(stream))
-        rel = float(abs(sv - ex) / ex)
+        rel = abs(sv - ex) / ex
         passed = bool(rel <= args.tolerance)
         ok = ok and passed
         report[label] = {
-            "exact": float(ex),
+            "exact": ex,
             "simulated": sv,
             "rel_error": rel,
             "pass": passed,
@@ -249,7 +247,7 @@ def _parse_betas(spec: str | None):
 
 
 def _csv_cell(v):
-    if v == INFINITE_AGE or (isinstance(v, float) and math.isinf(v)):
+    if isinstance(v, float) and math.isinf(v):
         return "infinite"
     return repr(v) if isinstance(v, float) else v
 
@@ -265,13 +263,13 @@ def _cmd_pareto(args) -> int:
     if args.evaluator == "approx":
         header = ["beta", "alpha1", "alpha2", "age_I", "age_II", "objective"]
         rows = [
-            [p.beta, p.alpha1, p.alpha2, float(p.age_I), float(p.age_II), p.objective]
+            [p.beta, p.alpha1, p.alpha2, p.age_I, p.age_II, p.objective]
             for p in frontier
         ]
     else:
         header = ["beta", "k1", "k2", "age_I", "age_II", "objective"]
         rows = [
-            [p.beta, p.k1, p.k2, float(p.age_I), float(p.age_II), p.objective]
+            [p.beta, p.k1, p.k2, p.age_I, p.age_II, p.objective]
             for p in frontier
         ]
     with open(args.out, "w", newline="") as f:
@@ -329,11 +327,15 @@ def _cmd_sweep(args) -> int:
         raise SchemaError("values", f"could not parse {args.values!r}")
     if not values:
         raise SchemaError("values", "need a nonempty comma-separated list")
+    if args.param in ("n", "k1", "k2"):
+        bad = [v for v in values if not v.is_integer()]
+        if bad:
+            raise SchemaError("values", f"{args.param} needs integers, got {bad[0]!r}")
 
     rows = []
     for v in values:
         pair = _sweep_point(template, k1, k2, args, args.param, v)
-        rows.append([v, _csv_cell(float(pair.age_I)), _csv_cell(float(pair.age_II))])
+        rows.append([v, _csv_cell(pair.age_I), _csv_cell(pair.age_II)])
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["param_value", "age_I", "age_II"])

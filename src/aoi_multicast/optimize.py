@@ -2,31 +2,28 @@
 
 The weighted objective beta * age_I + (1 - beta) * age_II is minimized over
 integer thresholds (exact evaluator) or threshold ratios (large-n
-evaluator). Searches are grid-based; single evaluations are O(1) thanks to
-the harmonic cache, so exhaustive integer search is the default up to
-n = 512.
+evaluator). Both searches evaluate the two age grids with one call of the
+closed-form kernel, take the first row-major argmin of the objective per
+beta and zoom into the winning cell. The first grid does not depend on
+beta, so a pareto frontier evaluates it once for all betas. The integer
+search lists every (k1, k2) up to n = EXHAUSTIVE_LIMIT; above that it
+starts from a 33-point grid per axis.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import (
-    INFINITE_AGE,
     AtWill,
-    Exogenous,
-    InfiniteAge,
     Mode,
     Scenario,
     ScenarioApprox,
     StarvedStreamError,
-    Stream,
     StreamMix,
-    age_atwill_approx,
-    age_exogenous_approx,
+    _pair_ages,
     age_pair,
 )
 from .orderstats import ShiftedExp
@@ -67,8 +64,8 @@ class ScenarioTemplate:
 @dataclass(frozen=True)
 class ParetoPoint:
     beta: float
-    age_I: "float | InfiniteAge"
-    age_II: "float | InfiniteAge"
+    age_I: float
+    age_II: float
     objective: float
     k1: int | None = None
     k2: int | None = None
@@ -112,174 +109,122 @@ def _check_starved_objective(mix: StreamMix, beta: float) -> None:
         )
 
 
-def _weighted(age_I, age_II, beta: float) -> float:
+def _weighted(age_I, age_II, beta: float):
+    """The objective, for ages or age grids; a zero-weight age is left out."""
     if beta == 1.0:
-        return float(age_I)
+        return age_I
     if beta == 0.0:
-        return float(age_II)
-    return beta * float(age_I) + (1.0 - beta) * float(age_II)
-
-
-# -- exact (integer-threshold) search ---------------------------------------
-
-
-def _exact_age_grids(template: ScenarioTemplate):
-    """(n, n) arrays of age_I and age_II indexed by [k1 - 1, k2 - 1].
-
-    Built from the scalar evaluators so grid entries are bit-identical to
-    direct library calls; starved streams fill with +inf.
-    """
-    n = template.n
-    if n is None:
-        raise ValueError("exact evaluator needs n in the template")
-    age_I = np.full((n, n), np.inf)
-    age_II = np.full((n, n), np.inf)
-    for k1 in range(1, n + 1):
-        for k2 in range(1, n + 1):
-            pair = age_pair(template.with_thresholds(k1, k2))
-            age_I[k1 - 1, k2 - 1] = float(pair.age_I)
-            age_II[k1 - 1, k2 - 1] = float(pair.age_II)
-    return age_I, age_II
-
-
-def _exact_argmin(template, beta, grids):
-    age_I, age_II = grids
-    if beta == 1.0:
-        obj = age_I
-    elif beta == 0.0:
-        obj = age_II
-    else:
-        obj = beta * age_I + (1.0 - beta) * age_II
-    # Row-major first-occurrence argmin = lexicographically smallest (k1, k2).
-    flat = int(np.argmin(obj))
-    k1 = flat // template.n + 1
-    k2 = flat % template.n + 1
-    return k1, k2
-
-
-def _exact_coarse_to_fine(template, beta):
-    """Multi-resolution integer search for n beyond the exhaustive limit."""
-    n = template.n
-
-    def eval_pairs(ks1, ks2):
-        best = None
-        for k1 in ks1:
-            for k2 in ks2:
-                pair = age_pair(template.with_thresholds(k1, k2))
-                obj = _weighted(pair.age_I, pair.age_II, beta)
-                key = (obj, k1, k2)
-                if best is None or key < best:
-                    best = key
-        return best[1], best[2]
-
-    def grid(lo, hi, width=33):
-        return sorted(set(int(round(v)) for v in np.linspace(lo, hi, width)))
-
-    lo1, hi1, lo2, hi2 = 1, n, 1, n
-    while True:
-        ks1, ks2 = grid(lo1, hi1), grid(lo2, hi2)
-        b1, b2 = eval_pairs(ks1, ks2)
-        if hi1 - lo1 < len(ks1) and hi2 - lo2 < len(ks2):
-            return b1, b2
-        i1, i2 = ks1.index(b1), ks2.index(b2)
-        lo1, hi1 = ks1[max(i1 - 1, 0)], ks1[min(i1 + 1, len(ks1) - 1)]
-        lo2, hi2 = ks2[max(i2 - 1, 0)], ks2[min(i2 + 1, len(ks2) - 1)]
-
-
-def _optimize_exact(template, beta, exhaustive, grids):
-    if grids is None and (exhaustive or template.n <= EXHAUSTIVE_LIMIT):
-        grids = _exact_age_grids(template)
-    if grids is not None:
-        k1, k2 = _exact_argmin(template, beta, grids)
-    else:
-        k1, k2 = _exact_coarse_to_fine(template, beta)
-    pair = age_pair(template.with_thresholds(k1, k2))
-    return ParetoPoint(
-        beta=beta,
-        age_I=pair.age_I,
-        age_II=pair.age_II,
-        objective=_weighted(pair.age_I, pair.age_II, beta),
-        k1=k1,
-        k2=k2,
-    )
-
-
-# -- approximate (threshold-ratio) search -----------------------------------
-
-
-def _approx_age_matrix(template, target: Stream, A_t, A_o):
-    """Vectorized large-n age of `target` over its own alpha grid A_t (axis 0)
-    and the other stream's alpha grid A_o (axis 1)."""
-    p = template.mix.prob(target)
-    po = template.mix.prob(target.other)
-    d = template.delay_I if target is Stream.TYPE_I else template.delay_II
-    do_law = template.delay_II if target is Stream.TYPE_I else template.delay_I
-    a = A_t[:, None]
-    dt = d.shift - np.log1p(-a) / d.rate
-    do = (do_law.shift - np.log1p(-A_o) / do_law.rate)[None, :]
-    base = d.shift + 1.0 / d.rate + (1.0 - a) / (d.rate * a) * np.log1p(-a)
-    if isinstance(template.mode, AtWill):
-        num = (
-            (2.0 - a) * p * p * dt * dt
-            + 2.0 * p * po * (2.0 - a) * dt * do
-            + po * (p * a + 2.0 * po) * do * do
-        )
-        return base + num / (2.0 * p * a * (p * dt + po * do))
-    mu = template.mode.mu
-    load = mu * p * dt + mu * po * do + 1.0
-    num = (
-        mu * p * p * (2.0 - a) * dt * dt
-        + 2.0 * mu * p * po * (2.0 - a) * dt * do
-        + mu * po * (2.0 * po + p * a) * do * do
-    )
-    tail = (2.0 * mu * po * do + mu * p * (2.0 - a) * dt + 1.0) / (mu * p * a * load)
-    return base + num / (2.0 * p * a * load) + tail
-
-
-def _approx_objective(template, beta, a1s, a2s):
-    if beta == 1.0:
-        return _approx_age_matrix(template, Stream.TYPE_I, a1s, a2s)
-    if beta == 0.0:
-        return _approx_age_matrix(template, Stream.TYPE_II, a2s, a1s).T
-    age_I = _approx_age_matrix(template, Stream.TYPE_I, a1s, a2s)
-    age_II = _approx_age_matrix(template, Stream.TYPE_II, a2s, a1s).T
+        return age_II
     return beta * age_I + (1.0 - beta) * age_II
 
 
-def _optimize_approx(template, beta, grid, refine_rounds, fixed_alpha1, fixed_alpha2):
-    # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement zooms
-    # into the winning cell but never leaves these bounds, so a corner
-    # optimum lands exactly on the minimal grid point.
-    lo = 1.0 / (grid + 1)
-    hi = grid / (grid + 1)
-    a1s = np.array([fixed_alpha1]) if fixed_alpha1 is not None else np.linspace(lo, hi, grid)
-    a2s = np.array([fixed_alpha2]) if fixed_alpha2 is not None else np.linspace(lo, hi, grid)
+# -- grid search --------------------------------------------------------------
 
-    for round_idx in range(refine_rounds + 1):
-        obj = _approx_objective(template, beta, a1s, a2s)
-        flat = int(np.argmin(obj))
-        i1, i2 = flat // a2s.size, flat % a2s.size
+
+def _search(template, n, axes, betas, zoom):
+    """Best (x1, x2) per beta on the grid axes[0] x axes[1], zoomed while
+    ``zoom(round, x1, x2, i1, i2)`` returns new axes.
+
+    Thresholds are k with n receivers, or ratios alpha when n is None. Ties
+    break to the first row-major argmin: the lexicographically smallest
+    (x1, x2). The first grid is evaluated once for all betas.
+    """
+    first = _pair_ages(template, n, axes[0][:, None], axes[1][None, :])
+    best = []
+    for beta in betas:
+        (x1, x2), ages, round_idx = axes, first, 0
+        while True:
+            i1, i2 = divmod(int(np.argmin(_weighted(*ages, beta))), x2.size)
+            zoomed = zoom(round_idx, x1, x2, i1, i2)
+            if zoomed is None:
+                break
+            x1, x2 = zoomed
+            ages = _pair_ages(template, n, x1[:, None], x2[None, :])
+            round_idx += 1
+        best.append((x1[i1].item(), x2[i2].item()))
+    return best
+
+
+def _neighbours(xs, i):
+    """The grid points on either side of xs[i], clipped to the grid."""
+    return xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+
+
+def _int_axis(lo, hi):
+    """33 evenly spread integers of [lo, hi], fewer when they repeat."""
+    return np.unique(np.rint(np.linspace(lo, hi, 33)).astype(np.int64))
+
+
+def _exact_zoom(round_idx, k1s, k2s, i1, i2):
+    """Integer axes around the best cell, until both axes list every integer of their window."""
+    if k1s[-1] - k1s[0] < k1s.size and k2s[-1] - k2s[0] < k2s.size:
+        return None
+    return _int_axis(*_neighbours(k1s, i1)), _int_axis(*_neighbours(k2s, i2))
+
+
+def _exact_coarse_to_fine(template, beta):
+    """Best (k1, k2) of the multi-resolution search used above EXHAUSTIVE_LIMIT."""
+    ks = _int_axis(1, template.n)
+    return _search(template, template.n, (ks, ks), [beta], _exact_zoom)[0]
+
+
+def _approx_zoom(refine_rounds, lo, hi):
+    """Zoom of the ratio search: refine_rounds 33-point rounds inside [lo, hi]."""
+
+    def refine(xs, i):
+        if xs.size == 1:
+            return xs
+        w_lo, w_hi = _neighbours(xs, i)
+        return np.linspace(max(w_lo, lo), min(w_hi, hi), 33)
+
+    def zoom(round_idx, a1s, a2s, i1, i2):
         if round_idx == refine_rounds:
-            break
-        if fixed_alpha1 is None and a1s.size > 1:
-            w_lo = max(a1s[max(i1 - 1, 0)], lo)
-            w_hi = min(a1s[min(i1 + 1, a1s.size - 1)], hi)
-            a1s = np.linspace(w_lo, w_hi, 33)
-        if fixed_alpha2 is None and a2s.size > 1:
-            w_lo = max(a2s[max(i2 - 1, 0)], lo)
-            w_hi = min(a2s[min(i2 + 1, a2s.size - 1)], hi)
-            a2s = np.linspace(w_lo, w_hi, 33)
+            return None
+        return refine(a1s, i1), refine(a2s, i2)
 
-    alpha1, alpha2 = float(a1s[i1]), float(a2s[i2])
-    pair = age_pair(template.with_alphas(alpha1, alpha2))
+    return zoom
+
+
+def _point(scenario, beta, **thresholds) -> ParetoPoint:
+    pair = age_pair(scenario)
     return ParetoPoint(
         beta=beta,
         age_I=pair.age_I,
         age_II=pair.age_II,
         objective=_weighted(pair.age_I, pair.age_II, beta),
-        alpha1=alpha1,
-        alpha2=alpha2,
+        **thresholds,
     )
+
+
+def _optimize_all(
+    template, betas, evaluator="exact", grid=512, refine_rounds=2,
+    fixed_alpha1=None, fixed_alpha2=None,
+):
+    """One ParetoPoint per (already checked) beta."""
+    if evaluator == "exact":
+        n = template.n
+        if n is None:
+            raise ValueError("exact evaluator needs n in the template")
+        ks = np.arange(1, n + 1) if n <= EXHAUSTIVE_LIMIT else _int_axis(1, n)
+        best = _search(template, n, (ks, ks), betas, _exact_zoom)
+        return [
+            _point(template.with_thresholds(k1, k2), beta, k1=k1, k2=k2)
+            for beta, (k1, k2) in zip(betas, best)
+        ]
+    if evaluator == "approx":
+        # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement
+        # zooms into the winning cell but never leaves these bounds, so a
+        # corner optimum lands exactly on the minimal grid point.
+        lo = 1.0 / (grid + 1)
+        hi = grid / (grid + 1)
+        a1s = np.array([fixed_alpha1]) if fixed_alpha1 is not None else np.linspace(lo, hi, grid)
+        a2s = np.array([fixed_alpha2]) if fixed_alpha2 is not None else np.linspace(lo, hi, grid)
+        best = _search(template, None, (a1s, a2s), betas, _approx_zoom(refine_rounds, lo, hi))
+        return [
+            _point(template.with_alphas(a1, a2), beta, alpha1=a1, alpha2=a2)
+            for beta, (a1, a2) in zip(betas, best)
+        ]
+    raise ValueError(f"unknown evaluator {evaluator!r}")
 
 
 def optimize(
@@ -290,8 +235,6 @@ def optimize(
     refine_rounds: int = 2,
     fixed_alpha1: float | None = None,
     fixed_alpha2: float | None = None,
-    exhaustive: bool = False,
-    _grids=None,
 ) -> ParetoPoint:
     """Minimize the beta-weighted age over thresholds (exact) or ratios (approx).
 
@@ -301,19 +244,14 @@ def optimize(
     """
     beta = _check_beta(beta)
     _check_starved_objective(template.mix, beta)
-    if evaluator == "exact":
-        return _optimize_exact(template, beta, exhaustive, _grids)
-    if evaluator == "approx":
-        return _optimize_approx(
-            template, beta, grid, refine_rounds, fixed_alpha1, fixed_alpha2
-        )
-    raise ValueError(f"unknown evaluator {evaluator!r}")
+    return _optimize_all(
+        template, [beta], evaluator, grid, refine_rounds, fixed_alpha1, fixed_alpha2
+    )[0]
 
 
 def _dominated(p: ParetoPoint, q: ParetoPoint) -> bool:
     """True when q is at least as good as p in both ages and better in one."""
-    qi, qii = float(q.age_I), float(q.age_II)
-    pi, pii = float(p.age_I), float(p.age_II)
+    qi, qii, pi, pii = q.age_I, q.age_II, p.age_I, p.age_II
     return qi <= pi and qii <= pii and (qi < pi or qii < pii)
 
 
@@ -323,23 +261,17 @@ def pareto_frontier(
     evaluator: str = "exact",
     **kwargs,
 ) -> list[ParetoPoint]:
-    """One optimize() per beta, filtered to the non-dominated set.
+    """optimize() for every beta, filtered to the non-dominated set.
 
     Output is sorted by age_I ascending; duplicate optima (several betas
     landing on the same thresholds) are collapsed to one point.
     """
-    betas = list(betas)
+    betas = [_check_beta(b) for b in betas]
     if not betas:
         raise ValueError("betas must be nonempty")
     for b in betas:
-        _check_beta(b)
-
-    if evaluator == "exact" and "_grids" not in kwargs:
-        n = template.n
-        if n is not None and (kwargs.get("exhaustive") or n <= EXHAUSTIVE_LIMIT):
-            kwargs["_grids"] = _exact_age_grids(template)
-
-    points = [optimize(template, b, evaluator=evaluator, **kwargs) for b in betas]
+        _check_starved_objective(template.mix, b)
+    points = _optimize_all(template, betas, evaluator, **kwargs)
 
     seen = set()
     unique = []
@@ -351,7 +283,7 @@ def pareto_frontier(
     frontier = [
         p for p in unique if not any(q is not p and _dominated(p, q) for q in unique)
     ]
-    return sorted(frontier, key=lambda p: float(p.age_I))
+    return sorted(frontier, key=lambda p: p.age_I)
 
 
 def lemma1_monotonicity_check(
@@ -374,10 +306,7 @@ def lemma1_monotonicity_check(
     if p1 <= 0.0:
         raise StarvedStreamError("type I is starved (p1 = 0)")
 
-    fn = age_atwill_approx if isinstance(template.mode, AtWill) else age_exogenous_approx
-    ages = np.array(
-        [fn(template.with_alphas(alpha1, a2), Stream.TYPE_I) for a2 in alpha2_grid]
-    )
+    ages = _pair_ages(template, None, alpha1, alpha2_grid)[0]
     degenerate = p2 <= 0.0
     c2 = (2.0 - alpha1) * p1 * p1
     c3 = 2.0 * p1 * p2 * (2.0 - alpha1)

@@ -3,7 +3,8 @@
 All closed forms here are specific to the shifted exponential family
 (a constant offset plus an exponential). Harmonic-number sums are served
 from a shared immutable cache so repeated evaluations over large receiver
-counts stay O(1) per call.
+counts stay O(1) per threshold; the moment functions also take arrays of
+thresholds k (or ratios alpha). No other module reads the cache.
 """
 
 from __future__ import annotations
@@ -71,15 +72,6 @@ class HarmonicCache:
         # h_prefix[j] = H_1 + H_2 + ... + H_j
         self.h_prefix = np.concatenate(([0.0], np.cumsum(self.h[1:])))
 
-    def sum_h(self, a: int, b: int) -> float:
-        """Sum of H_a + H_{a+1} + ... + H_b; empty (0.0) when a > b."""
-        if a > b:
-            return 0.0
-        if a < 0 or b > self.max_n:
-            raise ValueError(f"window [{a}, {b}] outside cache range")
-        lo = self.h_prefix[a - 1] if a >= 1 else 0.0
-        return float(self.h_prefix[b] - lo)
-
 
 _cache = HarmonicCache(4096)
 
@@ -100,18 +92,29 @@ def _check_nonneg_int(n, name: str = "n") -> int:
     return int(n)
 
 
-def _check_order(k, n) -> tuple[int, int]:
-    if not isinstance(k, numbers.Integral) or not isinstance(n, numbers.Integral):
+def _check_order(k, n):
+    """(k, n) with k an int or an int64 array, every entry in [1, n]."""
+    if not isinstance(n, numbers.Integral):
         raise TypeError("k and n must be integers")
-    if n < 1 or k < 1 or k > n:
+    if isinstance(k, numbers.Integral):
+        k = lo = hi = int(k)
+    else:
+        k = np.asarray(k)
+        if k.dtype.kind not in "iu":
+            raise TypeError("k and n must be integers")
+        k = k.astype(np.int64, copy=False)
+        lo, hi = k.min(), k.max()
+    if n < 1 or lo < 1 or hi > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return int(k), int(n)
+    return k, int(n)
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
+def _check_alpha(alpha):
+    """alpha as a float64 scalar or array, every entry in (0, 1)."""
+    a = np.asarray(alpha, dtype=np.float64)
+    if not np.all((a > 0.0) & (a < 1.0)):
         raise ValueError(f"alpha must lie in the open interval (0, 1), got {alpha}")
-    return float(alpha)
+    return a[()]
 
 
 def harmonic(n) -> float:
@@ -137,7 +140,7 @@ def os_var(d: ShiftedExp, k, n) -> float:
     """Variance of the k-th smallest of n i.i.d. draws: (G_n - G_{n-k}) / rate^2."""
     k, n = _check_order(k, n)
     c = _cache_for(n)
-    return float(c.g[n] - c.g[n - k]) / d.rate**2
+    return (c.g[n] - c.g[n - k]) / d.rate**2
 
 
 def os_second_moment(d: ShiftedExp, k, n) -> float:
@@ -148,8 +151,8 @@ def os_second_moment(d: ShiftedExp, k, n) -> float:
     """
     k, n = _check_order(k, n)
     c = _cache_for(n)
-    dh = float(c.h[n] - c.h[n - k])
-    dg = float(c.g[n] - c.g[n - k])
+    dh = c.h[n] - c.h[n - k]
+    dg = c.g[n] - c.g[n - k]
     return d.shift**2 + 2.0 * d.shift * dh / d.rate + (dh * dh + dg) / d.rate**2
 
 
@@ -162,7 +165,8 @@ def mean_first_k(d: ShiftedExp, k, n) -> float:
     """
     k, n = _check_order(k, n)
     c = _cache_for(n)
-    tail = c.sum_h(n - k, n - 1)  # H_{n-1} + ... + H_{n-k}
+    # H_{n-k} + ... + H_{n-1}; h_prefix[0] = H_0 = 0 covers k = n
+    tail = c.h_prefix[n - 1] - c.h_prefix[np.maximum(n - k - 1, 0)]
     return d.shift + float(c.h[n]) / d.rate - tail / (k * d.rate)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import INFINITE_AGE, Exogenous, InfiniteAge, Scenario, Stream
+from .analytic import INFINITE_AGE, Exogenous, Scenario, Stream
 
 __all__ = [
     "SimConfig",
@@ -47,15 +47,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    age_I_hat: "float | InfiniteAge"
-    age_II_hat: "float | InfiniteAge"
+    age_I_hat: float
+    age_II_hat: float
     se_I: float
     se_II: float
     deliveries_I: int
     deliveries_II: int
     sim_time: float
 
-    def age(self, stream: Stream) -> "float | InfiniteAge":
+    def age(self, stream: Stream) -> float:
         return self.age_I_hat if stream is Stream.TYPE_I else self.age_II_hat
 
     def se(self, stream: Stream) -> float:

@@ -21,10 +21,7 @@ from aoi_multicast.analytic import (
     ScenarioApprox,
     Stream,
     StreamMix,
-    age_atwill_approx,
-    age_atwill_exact,
-    age_exogenous_approx,
-    age_exogenous_exact,
+    age,
     age_pair,
 )
 from aoi_multicast.cli import main as cli_main
@@ -57,8 +54,7 @@ def _case_id(s):
 
 
 def _exact_age(s, stream):
-    fn = age_atwill_exact if isinstance(s.mode, AtWill) else age_exogenous_exact
-    return fn(s, stream)
+    return age(s, stream)
 
 
 def _report(line):
@@ -92,7 +88,7 @@ def test_criterion_01_runtime_budget():
 
 def test_criterion_02_single_node_anchor():
     s = Scenario(1, 1, 1, ShiftedExp(1, 0), ShiftedExp(1, 0), StreamMix(1.0))
-    assert age_atwill_exact(s, Stream.TYPE_I) == 2.0
+    assert age(s, Stream.TYPE_I) == 2.0
     res = simulate(SimConfig(s, cycles=1_000_000, seed=1042, replications=10))
     assert abs(res.age_I_hat - 2.0) <= 3 * res.se_I
     _report("criterion 2 (single-node zero-wait anchor 2.0): PASS")
@@ -110,12 +106,7 @@ def test_criterion_03_approximation_convergence():
                     sa = ScenarioApprox(a1, a2, DELAY_I, DELAY_II, StreamMix(p1), mode)
                     for stream in Stream:
                         exact = _exact_age(s, stream)
-                        fn = (
-                            age_atwill_approx
-                            if isinstance(mode, AtWill)
-                            else age_exogenous_approx
-                        )
-                        gap = abs(exact - fn(sa, stream)) / exact
+                        gap = abs(exact - age(sa, stream)) / exact
                         worst = max(worst, gap)
                         assert gap <= 0.02
     _report(f"criterion 3 (approximation gap, worst {worst:.2e} <= 2%): PASS")
@@ -145,17 +136,17 @@ def test_criterion_05_single_stream_reduction():
         a2 = float(rng.uniform(0.05, 0.95))
         d2 = ShiftedExp(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.0, 3.0)))
         evaluations = {
-            "thm1": age_atwill_exact(
+            "thm1": age(
                 Scenario(n, k1, k2, DELAY_I, d2, StreamMix(1.0)), Stream.TYPE_I
             ),
-            "thm2": age_exogenous_exact(
+            "thm2": age(
                 Scenario(n, k1, k2, DELAY_I, d2, StreamMix(1.0), Exogenous(2.0)),
                 Stream.TYPE_I,
             ),
-            "corr1": age_atwill_approx(
+            "corr1": age(
                 ScenarioApprox(a1, a2, DELAY_I, d2, StreamMix(1.0)), Stream.TYPE_I
             ),
-            "corr2": age_exogenous_approx(
+            "corr2": age(
                 ScenarioApprox(a1, a2, DELAY_I, d2, StreamMix(1.0), Exogenous(2.0)),
                 Stream.TYPE_I,
             ),
@@ -227,8 +218,8 @@ def test_criterion_08_exogenous_limit():
             Exogenous(1e6),
         )
         for stream in Stream:
-            aw = age_atwill_exact(base, stream)
-            exo = age_exogenous_exact(fast, stream)
+            aw = age(base, stream)
+            exo = age(fast, stream)
             assert abs(exo - aw) / aw <= 1e-3
     _report("criterion 8 (mu = 1e6 exogenous matches at-will <= 0.1%): PASS")
 

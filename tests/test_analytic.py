@@ -14,18 +14,13 @@ from aoi_multicast.analytic import (
     StarvedStreamError,
     Stream,
     StreamMix,
-    age_atwill_approx,
-    age_atwill_exact,
-    age_atwill_expanded,
-    age_exogenous_approx,
-    age_exogenous_exact,
+    age,
     age_pair,
     geometric_moments,
-    s_moments_atwill,
-    s_moments_exogenous,
+    s_moments,
     ybar_moments,
 )
-from aoi_multicast.orderstats import ShiftedExp, os_mean, os_second_moment
+from aoi_multicast.orderstats import ShiftedExp, mean_first_k, os_mean, os_second_moment
 
 # Mixed-stream reference scenario used throughout; the analytic ages were
 # cross-validated against the Monte Carlo oracle (10^6 cycles, agreement
@@ -46,6 +41,28 @@ REF_AGE_II_EXO_MU2 = 8.429393728891855
 
 def ref_scenario(mode=AtWill()):
     return Scenario(mode=mode, **REF)
+
+
+def age_atwill_expanded(s, target):
+    """Fully expanded at-will age expression: an oracle for age() that does
+    not go through the renewal kernel."""
+    if not isinstance(s.mode, AtWill):
+        raise ValueError("age_atwill_expanded requires at-will mode")
+    p = s.mix.prob(target)
+    if p <= 0:
+        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
+    po = s.mix.prob(target.other)
+    n, k, ko = s.n, s.threshold(target), s.threshold(target.other)
+    e1 = os_mean(s.delay(target), k, n)
+    e2 = os_second_moment(s.delay(target), k, n)
+    f1 = os_mean(s.delay(target.other), ko, n)
+    f2 = os_second_moment(s.delay(target.other), ko, n)
+    mix1 = p * e1 + po * f1
+    t1 = mean_first_k(s.delay(target), k, n)
+    t2 = (p * e2 + po * f2) / (2.0 * mix1)
+    t3 = (po**2 * n * f1**2 + p * po * (2 * n - k) * e1 * f1) / (p * k * mix1)
+    t4 = (p**2 * (n - k) * e1**2) / (p * k * mix1)
+    return t1 + t2 + t3 + t4
 
 
 def _sim_cycles(scenario, cycles, seed):
@@ -91,6 +108,19 @@ class TestTypes:
             ScenarioApprox(0.0, 0.5, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5))
         with pytest.raises(ValueError):
             ScenarioApprox(0.5, 1.0, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5))
+
+    @pytest.mark.parametrize("field", ["n", "k1", "k2"])
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_scenario_rejects_bool_and_fraction(self, field, bad):
+        kw = dict(n=10, k1=3, k2=5)
+        kw[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            Scenario(delay_I=ShiftedExp(1), delay_II=ShiftedExp(1), mix=StreamMix(0.5), **kw)
+
+    def test_scenario_accepts_integral_float(self):
+        s = Scenario(10.0, 3.0, np.int64(5), ShiftedExp(1), ShiftedExp(1), StreamMix(0.5))
+        assert (s.n, s.k1, s.k2) == (10, 3, 5)
+        assert all(type(v) is int for v in (s.n, s.k1, s.k2))
 
     def test_infinite_age_ordering(self):
         assert INFINITE_AGE > 1e300
@@ -161,14 +191,14 @@ class TestYbarMoments:
 class TestInterarrivalMoments:
     def test_single_stream_full_threshold(self):
         s = Scenario(6, 6, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0))
-        m = s_moments_atwill(s, Stream.TYPE_I)
+        m = s_moments(s, Stream.TYPE_I)
         assert m.m1 == pytest.approx(os_mean(ShiftedExp(1, 1), 6, 6))
         assert m.m2 == pytest.approx(os_second_moment(ShiftedExp(1, 1), 6, 6))
 
     def test_single_node_even_split(self):
         d = ShiftedExp(1.0, 1.0)
         s = Scenario(1, 1, 1, d, d, StreamMix(0.5))
-        m = s_moments_atwill(s, Stream.TYPE_I)
+        m = s_moments(s, Stream.TYPE_I)
         assert m.m1 == pytest.approx(2 * d.mean)
 
     def test_against_tagged_node_simulation(self):
@@ -177,7 +207,7 @@ class TestInterarrivalMoments:
         starts = np.concatenate(([0.0], np.cumsum(dur)[:-1]))
         times = (starts + own)[is_I & hit]
         gaps = np.diff(times)
-        m = s_moments_atwill(s, Stream.TYPE_I)
+        m = s_moments(s, Stream.TYPE_I)
         se = gaps.std(ddof=1) / math.sqrt(gaps.size)
         assert abs(gaps.mean() - m.m1) <= 3 * se
         sq = gaps**2
@@ -186,8 +216,8 @@ class TestInterarrivalMoments:
 
     def test_exogenous_high_rate_limit(self):
         s = ref_scenario(Exogenous(1e6))
-        base = s_moments_atwill(ref_scenario(), Stream.TYPE_I)
-        m = s_moments_exogenous(s, Stream.TYPE_I)
+        base = s_moments(ref_scenario(), Stream.TYPE_I)
+        m = s_moments(s, Stream.TYPE_I)
         assert m.m1 == pytest.approx(base.m1, rel=1e-3)
         assert m.m2 == pytest.approx(base.m2, rel=1e-3)
 
@@ -195,7 +225,7 @@ class TestInterarrivalMoments:
         s = Scenario(
             5, 5, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0), Exogenous(2.0)
         )
-        m = s_moments_exogenous(s, Stream.TYPE_I)
+        m = s_moments(s, Stream.TYPE_I)
         assert m.m1 == pytest.approx(os_mean(ShiftedExp(1, 1), 5, 5) + 0.5)
 
     def test_exogenous_against_simulation(self):
@@ -205,7 +235,7 @@ class TestInterarrivalMoments:
         starts = np.concatenate(([0.0], np.cumsum(dur + z)[:-1]))
         times = (starts + own)[is_I & hit]
         gaps = np.diff(times)
-        m = s_moments_exogenous(s, Stream.TYPE_I)
+        m = s_moments(s, Stream.TYPE_I)
         se = gaps.std(ddof=1) / math.sqrt(gaps.size)
         assert abs(gaps.mean() - m.m1) <= 3 * se
         sq = gaps**2
@@ -225,27 +255,26 @@ class TestInterarrivalMoments:
         mode = AtWill() if mu is None else Exogenous(mu)
         s = Scenario(n, k1, k2, ShiftedExp(1.2, 0.7), ShiftedExp(0.8, 1.5),
                      StreamMix(p1), mode)
-        fn = s_moments_atwill if mu is None else s_moments_exogenous
         for t in (Stream.TYPE_I, Stream.TYPE_II):
-            m = fn(s, t)
+            m = s_moments(s, t)
             assert m.m2 >= m.m1**2 * (1 - 1e-12)
 
 
 class TestAgeAtWill:
     def test_zero_wait_anchor(self):
         s = Scenario(1, 1, 1, ShiftedExp(1, 0), ShiftedExp(1, 0), StreamMix(1.0))
-        assert age_atwill_exact(s, Stream.TYPE_I) == pytest.approx(2.0)
+        assert age(s, Stream.TYPE_I) == pytest.approx(2.0)
 
     def test_shifted_anchor(self):
         s = Scenario(1, 1, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0))
-        assert age_atwill_exact(s, Stream.TYPE_I) == pytest.approx(3.25)
+        assert age(s, Stream.TYPE_I) == pytest.approx(3.25)
 
     def test_regression_constants(self):
         s = ref_scenario()
-        assert age_atwill_exact(s, Stream.TYPE_I) == pytest.approx(
+        assert age(s, Stream.TYPE_I) == pytest.approx(
             REF_AGE_I_ATWILL, rel=1e-12
         )
-        assert age_atwill_exact(s, Stream.TYPE_II) == pytest.approx(
+        assert age(s, Stream.TYPE_II) == pytest.approx(
             REF_AGE_II_ATWILL, rel=1e-12
         )
 
@@ -265,7 +294,7 @@ class TestAgeAtWill:
         s = Scenario(n, k1, k2, ShiftedExp(rate1, shift1), ShiftedExp(rate2, shift2),
                      StreamMix(p1))
         for t in (Stream.TYPE_I, Stream.TYPE_II):
-            a = age_atwill_exact(s, t)
+            a = age(s, t)
             b = age_atwill_expanded(s, t)
             assert abs(a - b) <= 64 * math.ulp(max(abs(a), abs(b)))
 
@@ -274,10 +303,10 @@ class TestAgeAtWill:
         swapped = Scenario(
             s.n, s.k2, s.k1, s.delay_II, s.delay_I, StreamMix(s.mix.p2)
         )
-        assert age_atwill_exact(s, Stream.TYPE_I) == age_atwill_exact(
+        assert age(s, Stream.TYPE_I) == age(
             swapped, Stream.TYPE_II
         )
-        assert age_atwill_exact(s, Stream.TYPE_II) == age_atwill_exact(
+        assert age(s, Stream.TYPE_II) == age(
             swapped, Stream.TYPE_I
         )
 
@@ -288,7 +317,7 @@ class TestAgeAtWill:
             k2 = int(rng.integers(1, 11))
             d2 = ShiftedExp(float(rng.uniform(0.2, 5)), float(rng.uniform(0, 3)))
             s = Scenario(10, 3, k2, ShiftedExp(1, 1), d2, StreamMix(1.0))
-            a = age_atwill_exact(s, Stream.TYPE_I)
+            a = age(s, Stream.TYPE_I)
             if base is None:
                 base = a
             assert abs(a - base) <= 8 * math.ulp(base)
@@ -297,7 +326,7 @@ class TestAgeAtWill:
         s = ref_scenario()
         starved = Scenario(s.n, s.k1, s.k2, s.delay_I, s.delay_II, StreamMix(1.0))
         with pytest.raises(StarvedStreamError):
-            age_atwill_exact(starved, Stream.TYPE_II)
+            age(starved, Stream.TYPE_II)
 
 
 class TestAgeAtWillApprox:
@@ -305,7 +334,7 @@ class TestAgeAtWillApprox:
         a1 = 0.4
         d = ShiftedExp(1.0, 1.0)
         sa = ScenarioApprox(a1, 0.7, d, ShiftedExp(3, 2), StreamMix(1.0))
-        got = age_atwill_approx(sa, Stream.TYPE_I)
+        got = age(sa, Stream.TYPE_I)
         delta1 = 1 - math.log(1 - a1)
         want = (
             1 + 1 + (1 - a1) / a1 * math.log(1 - a1) + (2 - a1) * delta1 / (2 * a1)
@@ -315,7 +344,7 @@ class TestAgeAtWillApprox:
     def test_symmetry(self):
         d = ShiftedExp(1, 1)
         sa = ScenarioApprox(0.5, 0.5, d, d, StreamMix(0.5))
-        assert age_atwill_approx(sa, Stream.TYPE_I) == age_atwill_approx(
+        assert age(sa, Stream.TYPE_I) == age(
             sa, Stream.TYPE_II
         )
 
@@ -323,8 +352,8 @@ class TestAgeAtWillApprox:
         d = ShiftedExp(1, 1)
         sa = ScenarioApprox(0.5, 0.5, d, d, StreamMix(0.5))
         s = Scenario(10_000, 5000, 5000, d, d, StreamMix(0.5))
-        approx = age_atwill_approx(sa, Stream.TYPE_I)
-        exact = age_atwill_exact(s, Stream.TYPE_I)
+        approx = age(sa, Stream.TYPE_I)
+        exact = age(s, Stream.TYPE_I)
         assert abs(exact - approx) / exact < 0.01
 
     def test_scale_free_age(self):
@@ -332,7 +361,7 @@ class TestAgeAtWillApprox:
         ages = {}
         for n in (1000, 10_000):
             s = Scenario(n, n // 2, n // 2, d1, d2, StreamMix(0.6))
-            ages[n] = [age_atwill_exact(s, t) for t in Stream]
+            ages[n] = [age(s, t) for t in Stream]
         for a, b in zip(ages[1000], ages[10_000]):
             assert abs(a - b) / b < 0.01
 
@@ -342,22 +371,22 @@ class TestAgeExogenous:
         s = Scenario(
             1, 1, 1, ShiftedExp(1, 0), ShiftedExp(1, 0), StreamMix(1.0), Exogenous(1.0)
         )
-        assert age_exogenous_exact(s, Stream.TYPE_I) == pytest.approx(2.5)
+        assert age(s, Stream.TYPE_I) == pytest.approx(2.5)
 
     def test_regression_constants(self):
         s = ref_scenario(Exogenous(2.0))
-        assert age_exogenous_exact(s, Stream.TYPE_I) == pytest.approx(
+        assert age(s, Stream.TYPE_I) == pytest.approx(
             REF_AGE_I_EXO_MU2, rel=1e-12
         )
-        assert age_exogenous_exact(s, Stream.TYPE_II) == pytest.approx(
+        assert age(s, Stream.TYPE_II) == pytest.approx(
             REF_AGE_II_EXO_MU2, rel=1e-12
         )
 
     def test_high_rate_limit_matches_atwill(self):
         s = ref_scenario(Exogenous(1e6))
         for t in (Stream.TYPE_I, Stream.TYPE_II):
-            a = age_exogenous_exact(s, t)
-            b = age_atwill_exact(ref_scenario(), t)
+            a = age(s, t)
+            b = age(ref_scenario(), t)
             assert abs(a - b) / b < 1e-3
 
     def test_approx_high_rate_limit(self):
@@ -365,8 +394,8 @@ class TestAgeExogenous:
         sa_exo = ScenarioApprox(0.4, 0.6, d1, d2, StreamMix(0.5), Exogenous(1e6))
         sa_aw = ScenarioApprox(0.4, 0.6, d1, d2, StreamMix(0.5))
         for t in (Stream.TYPE_I, Stream.TYPE_II):
-            a = age_exogenous_approx(sa_exo, t)
-            b = age_atwill_approx(sa_aw, t)
+            a = age(sa_exo, t)
+            b = age(sa_aw, t)
             assert abs(a - b) / b < 1e-3
 
     def test_approx_single_stream_invariance(self):
@@ -377,7 +406,7 @@ class TestAgeExogenous:
             d2 = ShiftedExp(float(rng.uniform(0.2, 5)), float(rng.uniform(0, 3)))
             sa = ScenarioApprox(0.4, a2, ShiftedExp(1, 1), d2, StreamMix(1.0),
                                 Exogenous(2.0))
-            a = age_exogenous_approx(sa, Stream.TYPE_I)
+            a = age(sa, Stream.TYPE_I)
             if base is None:
                 base = a
             assert abs(a - base) <= 8 * math.ulp(base)
@@ -386,12 +415,23 @@ class TestAgeExogenous:
         d = ShiftedExp(1, 1)
         sa = ScenarioApprox(0.5, 0.5, d, d, StreamMix(0.5), Exogenous(2.0))
         s = Scenario(10_000, 5000, 5000, d, d, StreamMix(0.5), Exogenous(2.0))
-        approx = age_exogenous_approx(sa, Stream.TYPE_I)
-        exact = age_exogenous_exact(s, Stream.TYPE_I)
+        approx = age(sa, Stream.TYPE_I)
+        exact = age(s, Stream.TYPE_I)
         assert abs(exact - approx) / exact < 0.01
 
 
 class TestAgePair:
+    def test_plain_floats(self):
+        starved = Scenario(8, 4, 4, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0))
+        approx = ScenarioApprox(0.3, 0.6, ShiftedExp(1, 1), ShiftedExp(2, 0.5),
+                                StreamMix(0.4), Exogenous(2.0))
+        for s in (ref_scenario(), starved, approx):
+            pair = age_pair(s)
+            assert type(pair.age_I) is float and type(pair.age_II) is float
+            m = s_moments(s, Stream.TYPE_I)
+            assert type(m.m1) is float and type(m.m2) is float
+        assert age_pair(starved).age_II == math.inf
+
     def test_symmetric(self):
         d = ShiftedExp(1, 1)
         pair = age_pair(Scenario(8, 4, 4, d, d, StreamMix(0.5)))
@@ -407,8 +447,8 @@ class TestAgePair:
     def test_matches_per_stream_calls(self):
         s = ref_scenario()
         pair = age_pair(s)
-        assert pair.age_I == age_atwill_exact(s, Stream.TYPE_I)
-        assert pair.age_II == age_atwill_exact(s, Stream.TYPE_II)
+        assert pair.age_I == age(s, Stream.TYPE_I)
+        assert pair.age_II == age(s, Stream.TYPE_II)
 
     def test_approx_dispatch(self):
         sa = ScenarioApprox(
@@ -416,5 +456,54 @@ class TestAgePair:
             Exogenous(2.0),
         )
         pair = age_pair(sa)
-        assert pair.age_I == age_exogenous_approx(sa, Stream.TYPE_I)
-        assert pair.age_II == age_exogenous_approx(sa, Stream.TYPE_II)
+        assert pair.age_I == age(sa, Stream.TYPE_I)
+        assert pair.age_II == age(sa, Stream.TYPE_II)
+
+
+class TestLargeNAccuracy:
+    """Large-n ages against the paper's closed forms at 50 digits, at extreme
+    shares, ratios, arrival rates and delay laws."""
+
+    @staticmethod
+    def closed_form(mp, sa, target):
+        p, po = mp.mpf(sa.mix.prob(target)), mp.mpf(sa.mix.prob(target.other))
+        a, ao = mp.mpf(sa.alpha(target)), mp.mpf(sa.alpha(target.other))
+        d, d_o = sa.delay(target), sa.delay(target.other)
+        dt = d.shift - mp.log1p(-a) / d.rate
+        do = d_o.shift - mp.log1p(-ao) / d_o.rate
+        base = d.shift + mp.mpf(1) / d.rate + (1 - a) / (a * d.rate) * mp.log1p(-a)
+        if isinstance(sa.mode, AtWill):
+            num = (2 - a) * p * p * dt * dt + 2 * p * po * (2 - a) * dt * do + po * (
+                p * a + 2 * po) * do * do
+            return base + num / (2 * p * a * (p * dt + po * do))
+        mu = mp.mpf(sa.mode.mu)
+        load = mu * p * dt + mu * po * do + 1
+        num = (mu * p * p * (2 - a) * dt * dt + 2 * mu * p * po * (2 - a) * dt * do
+               + mu * po * (2 * po + p * a) * do * do)
+        tail = (2 * mu * po * do + mu * p * (2 - a) * dt + 1) / (mu * p * a * load)
+        return base + num / (2 * p * a * load) + tail
+
+    def test_relative_error_below_1e_14(self):
+        mpmath = pytest.importorskip("mpmath")
+        laws = [
+            (ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5)),
+            (ShiftedExp(100.0, 0.0), ShiftedExp(0.01, 0.0)),
+            (ShiftedExp(0.01, 3.0), ShiftedExp(100.0, 0.5)),
+        ]
+        modes = [AtWill(), Exogenous(1e-3), Exogenous(2.0), Exogenous(1e6)]
+        ratios = [1e-12, 0.3, 1 - 1e-12]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for p1 in (1e-9, 0.5, 1 - 1e-9, 1.0):
+                for a1 in ratios:
+                    for a2 in ratios:
+                        for mode in modes:
+                            for d1, d2 in laws:
+                                sa = ScenarioApprox(a1, a2, d1, d2, StreamMix(p1), mode)
+                                for t in Stream:
+                                    if sa.mix.prob(t) <= 0:
+                                        continue
+                                    want = self.closed_form(mpmath, sa, t)
+                                    err = float(abs(age(sa, t) - want) / want)
+                                    worst = max(worst, err)
+        assert worst <= 1e-14

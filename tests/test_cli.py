@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,7 +58,7 @@ class TestEval:
             Scenario,
             Stream,
             StreamMix,
-            age_atwill_exact,
+            age,
         )
         from aoi_multicast.orderstats import ShiftedExp
 
@@ -65,8 +68,8 @@ class TestEval:
         s = Scenario(
             10, 3, 5, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.6)
         )
-        assert out["age_I"] == age_atwill_exact(s, Stream.TYPE_I)
-        assert out["age_II"] == age_atwill_exact(s, Stream.TYPE_II)
+        assert out["age_I"] == age(s, Stream.TYPE_I)
+        assert out["age_II"] == age(s, Stream.TYPE_II)
 
     def test_approx_mode(self, scenario_file, capsys):
         rc = main(
@@ -285,10 +288,10 @@ class TestSweep:
             rows = list(csv.reader(f))
         ages = [float(r[1]) for r in rows[1:]]
         assert all(a > b for a, b in zip(ages, ages[1:]))
-        from aoi_multicast.analytic import Scenario, Stream, StreamMix, age_atwill_exact
+        from aoi_multicast.analytic import Scenario, Stream, StreamMix, age
         from aoi_multicast.orderstats import ShiftedExp
 
-        aw = age_atwill_exact(
+        aw = age(
             Scenario(10, 3, 5, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.6)),
             Stream.TYPE_I,
         )
@@ -300,3 +303,34 @@ class TestSweep:
              "--values", "1", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("param,values", [("k1", "2,2.5,3"), ("n", "10.7")])
+    def test_non_integral_threshold_rejected(self, scenario_file, tmp_path, capsys,
+                                             param, values):
+        out_path = tmp_path / "x.csv"
+        rc = main(
+            ["sweep", scenario_file(SCENARIO), "--param", param, "--values", values,
+             "--alpha1", "0.3", "--alpha2", "0.5", "--out", str(out_path)]
+        )
+        assert rc == 2
+        assert "values" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_integral_float_n_accepted(self, scenario_file, tmp_path):
+        out_path = tmp_path / "n.csv"
+        rc = main(
+            ["sweep", scenario_file(SCENARIO), "--param", "n", "--values", "1e2,1e3",
+             "--alpha1", "0.3", "--alpha2", "0.5", "--out", str(out_path)]
+        )
+        assert rc == 0
+        with open(out_path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert [r[0] for r in rows[1:]] == ["100.0", "1000.0"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, aoi_multicast.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

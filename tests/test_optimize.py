@@ -95,12 +95,55 @@ class TestOptimizeExact:
         tpl = asymmetric_template(n=60)
         for beta in (0.3, 0.7):
             a = optimize(tpl, beta)
-            b = optimize(tpl, beta, exhaustive=False, _grids=None)
+            b = optimize(tpl, beta)
             # force the multi-resolution path explicitly
             from aoi_multicast.optimize import _exact_coarse_to_fine
 
             k1, k2 = _exact_coarse_to_fine(tpl, beta)
             assert (k1, k2) == (a.k1, a.k2) == (b.k1, b.k2)
+
+
+class TestSearchGrid:
+    """Grid entries of the search equal scalar age_pair calls bit for bit."""
+
+    @pytest.mark.parametrize("p1", [0.6, 1.0])
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)])
+    def test_exact_grid_equals_scalar_calls(self, mode, p1):
+        from aoi_multicast.analytic import _pair_ages
+
+        n = 30
+        tpl = ScenarioTemplate(
+            ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode, n=n
+        )
+        ks = np.arange(1, n + 1)
+        age_I, age_II = _pair_ages(tpl, n, ks[:, None], ks[None, :])
+        for k1 in range(1, n + 1):
+            for k2 in range(1, n + 1):
+                pair = age_pair(tpl.with_thresholds(k1, k2))
+                assert age_I[k1 - 1, k2 - 1] == pair.age_I
+                assert age_II[k1 - 1, k2 - 1] == pair.age_II
+
+    @pytest.mark.parametrize("p1", [0.6, 1.0])
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)])
+    def test_approx_grid_equals_scalar_calls(self, mode, p1):
+        from aoi_multicast.analytic import _pair_ages
+
+        tpl = ScenarioTemplate(
+            ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode
+        )
+        alphas = np.linspace(1 / 18, 17 / 18, 17)
+        age_I, age_II = _pair_ages(tpl, None, alphas[:, None], alphas[None, :])
+        for i, a1 in enumerate(alphas):
+            for j, a2 in enumerate(alphas):
+                pair = age_pair(tpl.with_alphas(float(a1), float(a2)))
+                assert age_I[i, j] == pair.age_I
+                assert age_II[i, j] == pair.age_II
+
+    @pytest.mark.parametrize("evaluator", ["exact", "approx"])
+    def test_points_hold_plain_floats(self, evaluator):
+        for pt in pareto_frontier(asymmetric_template(), [0.0, 0.5, 1.0],
+                                  evaluator=evaluator, grid=64):
+            assert all(type(v) is float for v in (pt.beta, pt.age_I, pt.age_II, pt.objective))
 
 
 class TestOptimizeApprox:
@@ -184,12 +227,12 @@ class TestLemma1:
         assert rep.passed  # constant in alpha2
 
     def test_monotone_values_match_direct_evaluation(self):
-        from aoi_multicast.analytic import ScenarioApprox, age_atwill_approx
+        from aoi_multicast.analytic import ScenarioApprox, age
 
         tpl = symmetric_template()
         rep = lemma1_monotonicity_check(tpl, alpha1=0.5)
         direct = [
-            age_atwill_approx(
+            age(
                 ScenarioApprox(0.5, a2, tpl.delay_I, tpl.delay_II, tpl.mix),
                 Stream.TYPE_I,
             )

@@ -10,10 +10,8 @@ from aoi_multicast.analytic import (
     Scenario,
     Stream,
     StreamMix,
-    age_atwill_exact,
-    age_exogenous_exact,
-    s_moments_atwill,
-    s_moments_exogenous,
+    age,
+    s_moments,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_mean
 from aoi_multicast.sim import (
@@ -57,7 +55,7 @@ class TestSimulate:
         s = mixed_scenario()
         res = simulate(SimConfig(s, cycles=200_000, seed=11, replications=10))
         for stream in Stream:
-            exact = age_atwill_exact(s, stream)
+            exact = age(s, stream)
             tol = max(3 * res.se(stream), 0.01 * exact)
             assert abs(res.age(stream) - exact) <= tol
 
@@ -65,7 +63,7 @@ class TestSimulate:
         s = mixed_scenario(Exogenous(2.0))
         res = simulate(SimConfig(s, cycles=200_000, seed=12, replications=10))
         for stream in Stream:
-            exact = age_exogenous_exact(s, stream)
+            exact = age(s, stream)
             tol = max(3 * res.se(stream), 0.01 * exact)
             assert abs(res.age(stream) - exact) <= tol
 
@@ -152,9 +150,9 @@ class TestEmpiricalStatistics:
         s = mixed_scenario(mode)
         cfg = SimConfig(s, cycles=200_000, seed=66, replications=5)
         analytic = (
-            s_moments_atwill(s, Stream.TYPE_I)
+            s_moments(s, Stream.TYPE_I)
             if isinstance(mode, AtWill)
-            else s_moments_exogenous(s, Stream.TYPE_I)
+            else s_moments(s, Stream.TYPE_I)
         )
         m = empirical_interarrival_moments(cfg, Stream.TYPE_I)
         n_gaps = 0.18 * 5 * 199_000
