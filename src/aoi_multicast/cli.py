@@ -220,6 +220,7 @@ def _cmd_validate(args) -> int:
             report[label] = {"status": "skipped (starved)"}
             continue
         sv = float(sim.age(stream))
+        se = sim.se(stream)
         rel = abs(sv - ex) / ex
         passed = bool(rel <= args.tolerance)
         ok = ok and passed
@@ -227,8 +228,17 @@ def _cmd_validate(args) -> int:
             "exact": ex,
             "simulated": sv,
             "rel_error": rel,
+            "se": se,
+            "z": (sv - ex) / se if se > 0 else None,
             "pass": passed,
         }
+        if args.tolerance * ex < 3 * se:
+            print(
+                f"validate: {label} run too short to resolve the tolerance: "
+                f"3*se = {3 * se:.4g} exceeds tolerance*exact = "
+                f"{args.tolerance * ex:.4g}; add cycles or replications",
+                file=sys.stderr,
+            )
     report["result"] = "PASS" if ok else "FAIL"
     print(json.dumps(report))
     return EXIT_OK if ok else EXIT_FAIL
@@ -369,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--warmup", type=int, default=1_000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes over replications (default 1: serial)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("validate", help="compare closed forms against simulation")
@@ -379,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--warmup", type=int, default=1_000)
     p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes over replications (default 1: serial)")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("pareto", help="weighted-optimum sweep over beta, CSV out")

@@ -3,6 +3,20 @@
 Tracks one tagged receiver (node exchangeability makes it representative)
 and accumulates its per-stream sawtooth age area in closed form, so the
 estimates depend only on the seed and cycle count, never on a time step.
+
+Each cycle costs the same at every n: instead of n link delays it draws the
+three things the tagged receiver sees, each from its exact law (Renyi 1953;
+David & Nagaraja, *Order Statistics*). For delay shift + Exp(rate):
+
+- the completion time X_(k) = shift + log1p(G_k / G_{n-k+1}) / rate, with
+  G_a a standard Gamma(a) draw, since 1 - U_(k) ~ Beta(n-k+1, k);
+- the receiver's rank among the n delays, uniform on 1..n and independent
+  of X_(k): it is delivered when the rank is at most k;
+- its own delay: X_(k) at rank k, and below rank k a draw of the delay law
+  truncated to [shift, X_(k)].
+
+The tests keep the direct sampler (n delays, then the k-th smallest) as an
+independent reference and compare the two laws by two-sample tests.
 """
 
 from __future__ import annotations
@@ -12,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import INFINITE_AGE, Exogenous, Scenario, Stream
+from .analytic import INFINITE_AGE, Exogenous, Scenario, Stream, _check_integer
+from .orderstats import ShiftedExp
 
 __all__ = [
     "SimConfig",
@@ -35,6 +50,8 @@ class SimConfig:
     replications: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("cycles", "warmup_cycles", "replications", "seed"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.cycles <= self.warmup_cycles:
             raise ValueError(
                 f"cycles ({self.cycles}) must exceed warmup_cycles ({self.warmup_cycles})"
@@ -76,39 +93,47 @@ class _Replication:
     horizon: float
 
 
+def _sample_stream(
+    d: ShiftedExp, k: int, n: int, m: int, rng: np.random.Generator
+) -> tuple:
+    """Draw m cycles of one stream as seen by the tagged receiver.
+
+    Returns (kth, own, hit): the completion time X_(k), the receiver's own
+    delay, and whether it was among the first k. `own` is meaningful only
+    where `hit` is set.
+    """
+    # 1 - U_(k) ~ Beta(n-k+1, k) = G_{n-k+1} / (G_{n-k+1} + G_k), so
+    # -log(1 - U_(k)) = log1p(G_k / G_{n-k+1}), free of cancellation at
+    # k = 1 and k = n.
+    ratio = rng.standard_gamma(k, m)
+    ratio /= rng.standard_gamma(n - k + 1, m)
+    span = np.log1p(ratio) / d.rate
+    # The receiver's rank among the n delays is uniform and independent of
+    # the order-statistic values. Below rank k its delay is a draw of the
+    # delay law truncated to [shift, X_(k)].
+    rank = rng.integers(n, size=m)
+    hit = rank < k
+    below = np.flatnonzero(rank < k - 1)
+    own = span.copy()
+    w = rng.random(below.size)
+    own[below] = -np.log1p(w * np.expm1(-d.rate * span[below])) / d.rate
+    return span + d.shift, own + d.shift, hit
+
+
 def _run_replication(
-    scenario: Scenario,
-    cycles: int,
-    warmup: int,
-    rng: np.random.Generator,
-    tagged_index: int = 0,
-    chunk_elems: int = 4_000_000,
+    scenario: Scenario, cycles: int, warmup: int, rng: np.random.Generator
 ) -> _Replication:
     n = scenario.n
     is_type_I = rng.random(cycles) < scenario.mix.p1
     dur = np.empty(cycles)
     own = np.empty(cycles)
-    hit = np.zeros(cycles, dtype=bool)
+    hit = np.empty(cycles, dtype=bool)
 
     for stream in (Stream.TYPE_I, Stream.TYPE_II):
         idx = np.flatnonzero(is_type_I == (stream is Stream.TYPE_I))
-        if idx.size == 0:
-            continue
-        d = scenario.delay(stream)
-        k = scenario.threshold(stream)
-        scale = 1.0 / d.rate
-        chunk = max(1, chunk_elems // n)
-        for start in range(0, idx.size, chunk):
-            rows = idx[start : start + chunk]
-            delays = rng.exponential(scale, size=(rows.size, n))
-            delays += d.shift
-            kth = np.partition(delays, k - 1, axis=1)[:, k - 1]
-            mine = delays[:, tagged_index]
-            dur[rows] = kth
-            own[rows] = mine
-            # A floating-point tie with the k-th smallest is won by the
-            # tagged node (lowest index wins by convention).
-            hit[rows] = mine <= kth
+        dur[idx], own[idx], hit[idx] = _sample_stream(
+            scenario.delay(stream), scenario.threshold(stream), n, idx.size, rng
+        )
 
     if isinstance(scenario.mode, Exogenous):
         gap = rng.exponential(1.0 / scenario.mode.mu, size=cycles)
@@ -152,9 +177,9 @@ def _time_average_age(trace: _StreamTrace) -> "float | None":
 
 
 def _sim_worker(args) -> tuple:
-    scenario, cycles, warmup, seed_seq, tagged_index = args
+    scenario, cycles, warmup, seed_seq = args
     rng = np.random.default_rng(seed_seq)
-    rep = _run_replication(scenario, cycles, warmup, rng, tagged_index)
+    rep = _run_replication(scenario, cycles, warmup, rng)
     out = []
     for stream in (Stream.TYPE_I, Stream.TYPE_II):
         trace = rep.streams[stream]
@@ -166,16 +191,18 @@ def _spawn_seeds(cfg: SimConfig):
     return np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
 
 
-def simulate(cfg: SimConfig, threads: int = 1, tagged_index: int = 0) -> SimResult:
+def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     """Run all replications and merge their age estimates.
 
     Replications own independent random streams spawned deterministically
     from (seed, replication index); merging is a fixed-order reduction, so
-    parallel and serial runs produce identical results.
+    parallel and serial runs produce identical results. `threads` is the
+    number of worker processes; 1 runs in this process.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     args = [
-        (cfg.scenario, cfg.cycles, cfg.warmup_cycles, ss, tagged_index)
-        for ss in _spawn_seeds(cfg)
+        (cfg.scenario, cfg.cycles, cfg.warmup_cycles, ss) for ss in _spawn_seeds(cfg)
     ]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
@@ -219,12 +246,10 @@ def simulate(cfg: SimConfig, threads: int = 1, tagged_index: int = 0) -> SimResu
     )
 
 
-def _traces(cfg: SimConfig, tagged_index: int = 0):
+def _traces(cfg: SimConfig):
     for ss in _spawn_seeds(cfg):
         rng = np.random.default_rng(ss)
-        yield _run_replication(
-            cfg.scenario, cfg.cycles, cfg.warmup_cycles, rng, tagged_index
-        )
+        yield _run_replication(cfg.scenario, cfg.cycles, cfg.warmup_cycles, rng)
 
 
 def empirical_interarrival_moments(cfg: SimConfig, target: Stream):

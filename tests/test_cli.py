@@ -145,8 +145,40 @@ class TestSimulate:
             tol = max(3 * sim[se_key], 0.01 * exact[key])
             assert abs(sim[key] - exact[key]) <= tol
 
+    @pytest.mark.parametrize("verb", ["simulate", "validate"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, scenario_file, capsys, verb, threads):
+        rc = main([verb, scenario_file(SCENARIO), "--cycles", "2000",
+                   "--warmup", "10", "--threads", threads])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "threads" in captured.err
+        assert captured.out == ""
+
 
 class TestValidate:
+    def test_short_run_reports_se_and_z(self, scenario_file, capsys):
+        rc = main(["validate", scenario_file(SCENARIO), "--cycles", "5000"])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        passed = all(out[label]["pass"] for label in ("age_I", "age_II"))
+        assert rc == (0 if passed else 1)
+        assert out["result"] == ("PASS" if passed else "FAIL")
+        for label in ("age_I", "age_II"):
+            r = out[label]
+            assert r["se"] > 0
+            assert r["z"] == pytest.approx((r["simulated"] - r["exact"]) / r["se"])
+            assert 0.01 * r["exact"] < 3 * r["se"]
+            assert f"{label} run too short" in captured.err
+
+    def test_single_replication_has_null_z(self, scenario_file, capsys):
+        main(["validate", scenario_file(SCENARIO), "--cycles", "5000",
+              "--replications", "1"])
+        out = json.loads(capsys.readouterr().out)
+        for label in ("age_I", "age_II"):
+            assert out[label]["se"] == 0.0
+            assert out[label]["z"] is None
+
     def test_pass(self, scenario_file, capsys):
         rc = main(
             ["validate", scenario_file(SCENARIO), "--cycles", "100000",
@@ -192,6 +224,7 @@ class TestValidate:
         assert rc == 0
         assert out["age_II"] == {"status": "skipped (starved)"}
         assert "starved" in captured.err
+        assert "too short" not in captured.err
 
 
 class TestPareto:

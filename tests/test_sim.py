@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+
+import aoi_multicast.sim as sim_mod
 
 from aoi_multicast.analytic import (
     INFINITE_AGE,
@@ -23,10 +26,61 @@ from aoi_multicast.sim import (
 )
 
 
+DELAY_I = ShiftedExp(1.0, 1.0)
+DELAY_II = ShiftedExp(2.0, 0.5)
+
+
 def mixed_scenario(mode=AtWill()):
-    return Scenario(
-        10, 3, 5, ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(0.6), mode
-    )
+    return Scenario(10, 3, 5, DELAY_I, DELAY_II, StreamMix(0.6), mode)
+
+
+def _reference_stream(d, k, n, m, rng, tagged_index=0):
+    """Direct sampler: all n link delays per cycle, then the k-th smallest.
+
+    The independent reference for `sim._sample_stream`: it uses no
+    order-statistic law, only the protocol's definition.
+    """
+    delays = rng.exponential(1.0 / d.rate, size=(m, n))
+    delays += d.shift
+    kth = np.partition(delays, k - 1, axis=1)[:, k - 1]
+    own = delays[:, tagged_index]
+    # A floating-point tie with the k-th smallest is won by the tagged node.
+    return kth, own, own <= kth
+
+
+def _two_proportion_p(hits_a, hits_b, m):
+    pooled = (hits_a + hits_b) / (2 * m)
+    if pooled in (0.0, 1.0):
+        return 1.0 if hits_a == hits_b else 0.0
+    z = (hits_a - hits_b) / m / math.sqrt(pooled * (1 - pooled) * 2 / m)
+    return 2 * stats.norm.sf(abs(z))
+
+
+class TestSampler:
+    """The O(1) per-cycle sampler against the direct O(n) reference."""
+
+    @pytest.mark.parametrize("d", [DELAY_I, DELAY_II], ids=["delayI", "delayII"])
+    @pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (100, 1), (100, 34), (100, 100)])
+    def test_matches_reference(self, d, n, k):
+        m = 20_000
+        fast = sim_mod._sample_stream(d, k, n, m, np.random.default_rng([n, k, 1]))
+        ref = _reference_stream(d, k, n, m, np.random.default_rng([n, k, 2]))
+        for kth, own, hit in (fast, ref):
+            assert kth.shape == own.shape == hit.shape == (m,)
+            assert np.all(kth >= d.shift)
+            assert np.all((own[hit] >= d.shift) & (own[hit] <= kth[hit]))
+        assert stats.ks_2samp(fast[0], ref[0]).pvalue >= 1e-3
+        assert stats.ks_2samp(fast[1][fast[2]], ref[1][ref[2]]).pvalue >= 1e-3
+        hits_fast, hits_ref = int(fast[2].sum()), int(ref[2].sum())
+        assert _two_proportion_p(hits_fast, hits_ref, m) >= 1e-3
+
+    def test_concentrates_at_huge_n(self):
+        d = DELAY_I
+        rng = np.random.default_rng(5)
+        kth, own, hit = sim_mod._sample_stream(d, 3 * 10**11, 10**12, 10, rng)
+        assert np.all(np.isfinite(kth)) and np.all(np.isfinite(own[hit]))
+        # X_(k) concentrates at shift + log(1 / (1 - alpha)) / rate
+        assert kth == pytest.approx(d.shift + math.log(1 / 0.7) / d.rate, rel=1e-4)
 
 
 class TestConfig:
@@ -38,6 +92,22 @@ class TestConfig:
             SimConfig(s, replications=0)
         with pytest.raises(ValueError):
             SimConfig(s, warmup_cycles=-1)
+
+    @pytest.mark.parametrize("field", ["cycles", "warmup_cycles", "replications", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_rejects_bool_and_fractional(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(mixed_scenario(), **{field: value})
+
+    def test_integral_float_stored_as_int(self):
+        cfg = SimConfig(mixed_scenario(), cycles=20000.0, warmup_cycles=np.int64(10))
+        assert type(cfg.cycles) is int and cfg.cycles == 20000
+        assert type(cfg.warmup_cycles) is int and cfg.warmup_cycles == 10
+
+    def test_rejects_threads_below_one(self):
+        cfg = SimConfig(mixed_scenario(), cycles=2_000, warmup_cycles=10, replications=2)
+        with pytest.raises(ValueError, match="threads"):
+            simulate(cfg, threads=0)
 
 
 class TestSimulate:
@@ -71,14 +141,29 @@ class TestSimulate:
         cfg = SimConfig(mixed_scenario(), cycles=20_000, seed=21, replications=4)
         assert simulate(cfg, threads=2) == simulate(cfg, threads=1)
 
-    def test_tagged_index_irrelevant(self):
+    def test_tagged_index_irrelevant(self, monkeypatch):
+        # The reference sampler agrees with itself whichever receiver it tags.
         s = mixed_scenario()
-        a = simulate(SimConfig(s, cycles=100_000, seed=31, replications=8))
-        b = simulate(
-            SimConfig(s, cycles=100_000, seed=32, replications=8), tagged_index=7
-        )
+        ages = []
+        for seed, tagged in ((31, 0), (32, 7)):
+            monkeypatch.setattr(
+                sim_mod,
+                "_sample_stream",
+                lambda d, k, n, m, rng, t=tagged: _reference_stream(d, k, n, m, rng, t),
+            )
+            ages.append(simulate(SimConfig(s, cycles=100_000, seed=seed, replications=8)))
+        a, b = ages
         joint = math.hypot(a.se_I, b.se_I)
         assert abs(a.age_I_hat - b.age_I_hat) <= 4 * joint
+
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["atwill", "exo"])
+    def test_matches_exact_at_a_million_receivers(self, mode):
+        s = Scenario(10**6, 300_000, 500_000, DELAY_I, DELAY_II, StreamMix(0.6), mode)
+        res = simulate(SimConfig(s, cycles=200_000, seed=13, replications=10))
+        for stream in Stream:
+            exact = age(s, stream)
+            tol = max(3 * res.se(stream), 0.01 * exact)
+            assert abs(res.age(stream) - exact) <= tol
 
     def test_horizon_matches_mean_cycle_length(self):
         # at-will: no idle gaps, so horizon ~ cycles * E[Y]
@@ -149,11 +234,7 @@ class TestEmpiricalStatistics:
     def test_interarrival_matches_analytic(self, mode):
         s = mixed_scenario(mode)
         cfg = SimConfig(s, cycles=200_000, seed=66, replications=5)
-        analytic = (
-            s_moments(s, Stream.TYPE_I)
-            if isinstance(mode, AtWill)
-            else s_moments(s, Stream.TYPE_I)
-        )
+        analytic = s_moments(s, Stream.TYPE_I)
         m = empirical_interarrival_moments(cfg, Stream.TYPE_I)
         n_gaps = 0.18 * 5 * 199_000
         se1 = math.sqrt(m.var / n_gaps)
