@@ -32,7 +32,6 @@ from .optimize import (
     pareto_frontier,
 )
 from .orderstats import (
-    HarmonicCache,
     ShiftedExp,
     delta_threshold,
     gen_harmonic,
@@ -42,7 +41,6 @@ from .orderstats import (
     os_mean,
     os_second_moment,
     os_var,
-    sample_delays,
 )
 from .sim import (
     DEFAULT_SEED,

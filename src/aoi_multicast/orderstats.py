@@ -1,14 +1,20 @@
-"""Order-statistic moments and sampling for shifted exponential link delays.
+"""Order-statistic moments of shifted exponential link delays.
 
-All closed forms here are specific to the shifted exponential family
-(a constant offset plus an exponential). Harmonic-number sums are served
-from a shared immutable cache so repeated evaluations over large receiver
-counts stay O(1) per threshold; the moment functions also take arrays of
-thresholds k (or ratios alpha). No other module reads the cache.
+The k-th smallest of n draws of shift + Exponential(rate) has mean
+shift + (H_n - H_m) / rate and variance (G_n - G_m) / rate^2, m = n - k,
+H_j = sum_{i<=j} 1/i, G_j = sum_{i<=j} 1/i^2. A stateless helper gives both
+for one k or an array in O(1) memory, split at M = 32. Below M it takes two
+rows of a constant table of the tails H_M - H_j and G_M - G_j, held to twice
+float precision so that their difference rounds correctly. Above M, from
+a = max(m, M) + 1/2 to b = max(n, M) + 1/2, it uses the digamma and trigamma
+series (Abramowitz & Stegun 6.3.18, 6.4.12) log1p((b - a) / a) + c(b) - c(a)
+and (b - a) / (a b) - (e(a) - e(b)). Both parts are nonnegative, so nothing
+cancels: about 1e-15 relative accuracy up to n = 1e12.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -16,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "ShiftedExp",
-    "HarmonicCache",
     "harmonic",
     "gen_harmonic",
     "os_mean",
@@ -25,7 +30,6 @@ __all__ = [
     "mean_first_k",
     "mean_first_k_approx",
     "delta_threshold",
-    "sample_delays",
 ]
 
 
@@ -54,41 +58,49 @@ class ShiftedExp:
         return self.shift**2 + 2.0 * self.shift / self.rate + 2.0 / self.rate**2
 
 
-class HarmonicCache:
-    """Running sums H_j = sum 1/i and G_j = sum 1/i^2 for j = 0..max_n.
-
-    Also keeps prefix sums of H so that windowed sums of harmonic numbers
-    are O(1) lookups. Immutable after construction and safe to share
-    across threads.
-    """
-
-    def __init__(self, max_n: int):
-        if max_n < 1:
-            raise ValueError(f"max_n must be >= 1, got {max_n}")
-        self.max_n = int(max_n)
-        j = np.arange(1, self.max_n + 1, dtype=np.float64)
-        self.h = np.concatenate(([0.0], np.cumsum(1.0 / j)))
-        self.g = np.concatenate(([0.0], np.cumsum(1.0 / j**2)))
-        # h_prefix[j] = H_1 + H_2 + ... + H_j
-        self.h_prefix = np.concatenate(([0.0], np.cumsum(self.h[1:])))
+_M = 32
 
 
-_cache = HarmonicCache(4096)
+def _tail_table():
+    """Rows j = 0..M: H_M - H_j and G_M - G_j, each as floats hi + lo, within 1e-32."""
+    den = math.lcm(*range(1, _M + 1)) ** 2  # every i^2 with i <= M divides it
+    table = []
+    for j in range(_M + 1):
+        for p in (1, 2):
+            num = sum(den // i**p for i in range(j + 1, _M + 1))
+            a, b = (num / den).as_integer_ratio()  # int / int rounds correctly
+            table += [a / b, (num * b - a * den) / (den * b)]
+    table = np.reshape(table, (_M + 1, 4))
+    table.flags.writeable = False
+    return table
 
 
-def _cache_for(n: int) -> HarmonicCache:
-    """Shared cache, grown geometrically on demand."""
-    global _cache
-    if n > _cache.max_n:
-        _cache = HarmonicCache(max(int(n), 2 * _cache.max_n))
-    return _cache
+_TAIL = _tail_table()
+_EXPM1_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(2, 13))  # 1/2!, ..., 1/12!
 
 
-def _check_nonneg_int(n, name: str = "n") -> int:
+def _asymptotic(y):
+    """(c, e) at y = x + 1/2: H_x - gamma - log(y) and 1/y - psi'(x + 1), to O(y^-10)."""
+    r = 1.0 / (y * y)
+    return (r * (1 / 24 - r * (7 / 960 - r * (31 / 8064 - r * (127 / 30720)))),
+            r / y * (1 / 12 - r * (7 / 240 - r * (31 / 1344 - r * (127 / 3840)))))
+
+
+def _harmonic_diffs(n, m):
+    """(H_n - H_m, G_n - G_m) for an int n and an int or int64 array 0 <= m <= n."""
+    tab = _TAIL[np.minimum(m, _M)] - _TAIL[min(n, _M)]
+    a, b = np.maximum(m + 0.5, _M + 0.5), max(n, _M) + 0.5
+    (ca, ea), (cb, eb) = _asymptotic(a), _asymptotic(b)
+    dh = (tab[..., 0] + tab[..., 1]) + (np.log1p((b - a) / a) + (cb - ca))
+    dg = (tab[..., 2] + tab[..., 3]) + ((b - a) / (a * b) - (ea - eb))
+    return dh, dg
+
+
+def _check_nonneg_int(n) -> int:
     if not isinstance(n, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
+        raise TypeError(f"n must be an integer, got {type(n).__name__}")
     if n < 0:
-        raise ValueError(f"{name} must be >= 0, got {n}")
+        raise ValueError(f"n must be >= 0, got {n}")
     return int(n)
 
 
@@ -119,55 +131,53 @@ def _check_alpha(alpha):
 
 def harmonic(n) -> float:
     """H_n = sum_{j=1}^{n} 1/j, with harmonic(0) = 0."""
-    n = _check_nonneg_int(n)
-    return float(_cache_for(max(n, 1)).h[n])
+    return float(_harmonic_diffs(_check_nonneg_int(n), 0)[0])
 
 
 def gen_harmonic(n) -> float:
     """G_n = sum_{j=1}^{n} 1/j^2, with gen_harmonic(0) = 0. Bounded by pi^2/6."""
-    n = _check_nonneg_int(n)
-    return float(_cache_for(max(n, 1)).g[n])
+    return float(_harmonic_diffs(_check_nonneg_int(n), 0)[1])
 
 
 def os_mean(d: ShiftedExp, k, n) -> float:
     """Mean of the k-th smallest of n i.i.d. draws: shift + (H_n - H_{n-k}) / rate."""
     k, n = _check_order(k, n)
-    c = _cache_for(n)
-    return d.shift + (c.h[n] - c.h[n - k]) / d.rate
+    return d.shift + _harmonic_diffs(n, n - k)[0] / d.rate
 
 
 def os_var(d: ShiftedExp, k, n) -> float:
     """Variance of the k-th smallest of n i.i.d. draws: (G_n - G_{n-k}) / rate^2."""
     k, n = _check_order(k, n)
-    c = _cache_for(n)
-    return (c.g[n] - c.g[n - k]) / d.rate**2
+    return _harmonic_diffs(n, n - k)[1] / d.rate**2
 
 
 def os_second_moment(d: ShiftedExp, k, n) -> float:
-    """Second moment of the k-th smallest of n i.i.d. draws.
-
-    Equals ``os_var + os_mean**2``; evaluated in the expanded form to keep
-    the harmonic-number structure explicit.
-    """
+    """Second moment of the k-th smallest of n draws: os_var + os_mean**2, expanded."""
     k, n = _check_order(k, n)
-    c = _cache_for(n)
-    dh = c.h[n] - c.h[n - k]
-    dg = c.g[n] - c.g[n - k]
+    dh, dg = _harmonic_diffs(n, n - k)
     return d.shift**2 + 2.0 * d.shift * dh / d.rate + (dh * dh + dg) / d.rate**2
 
 
 def mean_first_k(d: ShiftedExp, k, n) -> float:
     """Average of the k smallest order-statistic means out of n draws.
 
-    This is the expected delay of a delivered update under earliest-k
-    stopping: shift + H_n/rate - (1/(k*rate)) * sum_{i=1}^{k} H_{n-i}.
-    The trailing sum is an O(1) prefix-sum lookup.
+    The expected delay of a delivered update under earliest-k stopping:
+    shift + S / (k rate), S = sum_{i<=k} (H_n - H_{n-i}) = k - m (H_n - H_m),
+    m = n - k (Concrete Mathematics, eq. 2.36). For m >= M that difference
+    cancels; there, with a = m + 1/2, t = k / a and L = log1p(t), S is summed
+    as the nonnegative a (t - L) + L / 2 + m (c(a) - c(n + 1/2)), with
+    t - L = sum_{j>=2} L^j / j! for t < 1/4.
     """
     k, n = _check_order(k, n)
-    c = _cache_for(n)
-    # H_{n-k} + ... + H_{n-1}; h_prefix[0] = H_0 = 0 covers k = n
-    tail = c.h_prefix[n - 1] - c.h_prefix[np.maximum(n - k - 1, 0)]
-    return d.shift + float(c.h[n]) / d.rate - tail / (k * d.rate)
+    m = n - k
+    a = np.maximum(m + 0.5, _M + 0.5)
+    t = k / a
+    lt = np.log1p(t)
+    series = lt * lt * sum(coef * lt**j for j, coef in enumerate(_EXPM1_TAYLOR))
+    c_drop = _asymptotic(a)[0] - _asymptotic(n + 0.5)[0]
+    large_m = a * np.where(t < 0.25, series, t - lt) + 0.5 * lt + (a - 0.5) * c_drop
+    s = np.where(m < _M, k - m * _harmonic_diffs(n, m)[0], large_m)
+    return d.shift + s / (k * d.rate)
 
 
 def mean_first_k_approx(d: ShiftedExp, alpha: float) -> float:
@@ -187,11 +197,3 @@ def delta_threshold(d: ShiftedExp, alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     return d.shift - np.log1p(-alpha) / d.rate
-
-
-def sample_delays(d: ShiftedExp, n, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws of shift + Exponential(rate); every draw >= shift."""
-    n = _check_nonneg_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return d.shift + rng.exponential(1.0 / d.rate, size=n)

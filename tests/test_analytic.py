@@ -507,3 +507,66 @@ class TestLargeNAccuracy:
                                     err = float(abs(age(sa, t) - want) / want)
                                     worst = max(worst, err)
         assert worst <= 1e-14
+
+
+class TestExactToApproxConvergence:
+    """The exact age at k = round(alpha n) approaches the large-n age at rate 1/n,
+    measured where n is far too large for any per-receiver table."""
+
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["atwill", "exo"])
+    def test_gap_shrinks_as_one_over_n(self, mode):
+        d1, d2 = ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5)
+        for p1, a1, a2 in ((0.3, 0.1, 0.9), (0.5, 0.3, 0.5), (0.8, 0.7, 0.2)):
+            approx = age_pair(ScenarioApprox(a1, a2, d1, d2, StreamMix(p1), mode))
+            scaled = []
+            for n in (10**6, 10**9, 10**12):
+                s = Scenario(n, round(a1 * n), round(a2 * n), d1, d2, StreamMix(p1), mode)
+                exact = age_pair(s)
+                gap = max(abs(exact.age(t) - approx.age(t)) / approx.age(t) for t in Stream)
+                scaled.append(n * gap)
+            # n * gap is the first-order coefficient; it must not drift with n
+            assert 1e-3 < scaled[0] < 10
+            assert scaled[1:] == pytest.approx([scaled[0]] * 2, rel=0.02), scaled
+
+
+# Shares, ratios and laws for the metamorphic properties; n reaches 10^12.
+scenarios = st.builds(
+    dict,
+    n=st.integers(1, 10**12),
+    u1=st.floats(0.0, 1.0),
+    u2=st.floats(0.0, 1.0),
+    p1=st.floats(0.01, 0.99),
+    rate1=st.floats(0.1, 10.0),
+    rate2=st.floats(0.1, 10.0),
+    shift1=st.floats(0.0, 5.0),
+    shift2=st.floats(0.0, 5.0),
+    mu=st.none() | st.floats(0.01, 100.0),
+)
+
+
+def _scenario(x, c=1.0, swap=False):
+    """Scenario from a drawn dict; c rescales time, swap exchanges the streams."""
+    n = x["n"]
+    k1, k2 = 1 + round(x["u1"] * (n - 1)), 1 + round(x["u2"] * (n - 1))
+    d1 = ShiftedExp(x["rate1"] / c, x["shift1"] * c)
+    d2 = ShiftedExp(x["rate2"] / c, x["shift2"] * c)
+    mode = AtWill() if x["mu"] is None else Exogenous(x["mu"] / c)
+    if swap:
+        return Scenario(n, k2, k1, d2, d1, StreamMix(1.0 - x["p1"]), mode)
+    return Scenario(n, k1, k2, d1, d2, StreamMix(x["p1"]), mode)
+
+
+class TestMetamorphic:
+    @given(x=scenarios, c=st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_time_scaling(self, x, c):
+        base, scaled = age_pair(_scenario(x)), age_pair(_scenario(x, c=c))
+        assert scaled.age_I == pytest.approx(c * base.age_I, rel=1e-12)
+        assert scaled.age_II == pytest.approx(c * base.age_II, rel=1e-12)
+
+    @given(x=scenarios)
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling(self, x):
+        pair, swapped = age_pair(_scenario(x)), age_pair(_scenario(x, swap=True))
+        assert swapped.age_I == pytest.approx(pair.age_II, rel=1e-12)
+        assert swapped.age_II == pytest.approx(pair.age_I, rel=1e-12)

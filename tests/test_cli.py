@@ -360,6 +360,25 @@ class TestSweep:
             rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == ["100.0", "1000.0"]
 
+    def test_sweep_n_to_a_trillion(self, scenario_file, tmp_path):
+        from aoi_multicast.analytic import ScenarioApprox, StreamMix, age_pair
+        from aoi_multicast.orderstats import ShiftedExp
+
+        out_path = tmp_path / "n.csv"
+        rc = main(
+            ["sweep", scenario_file(SCENARIO), "--param", "n", "--values", "1e9,1e12",
+             "--alpha1", "0.3", "--alpha2", "0.5", "--out", str(out_path)]
+        )
+        assert rc == 0
+        with open(out_path, newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        approx = age_pair(ScenarioApprox(0.3, 0.5, ShiftedExp(1, 1), ShiftedExp(2, 0.5),
+                                         StreamMix(0.6)))
+        assert [r[0] for r in rows] == ["1000000000.0", "1000000000000.0"]
+        for row, rel in zip(rows, (1e-8, 1e-11)):
+            assert float(row[1]) == pytest.approx(approx.age_I, rel=rel)
+            assert float(row[2]) == pytest.approx(approx.age_II, rel=rel)
+
 
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, aoi_multicast.cli; print('scipy' in sys.modules)"

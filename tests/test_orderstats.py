@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_multicast.orderstats import (
-    HarmonicCache,
     ShiftedExp,
     delta_threshold,
     gen_harmonic,
@@ -16,7 +16,6 @@ from aoi_multicast.orderstats import (
     os_mean,
     os_second_moment,
     os_var,
-    sample_delays,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -58,19 +57,6 @@ class TestHarmonic:
         assert harmonic(10**4) - math.log(10**4) == pytest.approx(
             EULER_GAMMA, abs=1e-3
         )
-
-    def test_cache_increments(self):
-        cache = HarmonicCache(200)
-        assert cache.h[0] == 0.0 and cache.g[0] == 0.0
-        for j in range(1, 201):
-            assert cache.h[j] - cache.h[j - 1] == pytest.approx(
-                1 / j, abs=math.ulp(cache.h[j])
-            )
-            assert cache.g[j] - cache.g[j - 1] == pytest.approx(
-                1 / j**2, abs=math.ulp(cache.g[j])
-            )
-        assert np.all(np.diff(cache.h) > 0)
-        assert np.all(np.diff(cache.g) > 0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -187,22 +173,11 @@ class TestDeltaThreshold:
 
 
 class TestSampling:
-    def test_empirical_mean(self):
-        rng = np.random.default_rng(7)
-        draws = sample_delays(ShiftedExp(1, 1), 10**6, rng)
-        assert np.all(draws >= 1.0)
-        assert draws.mean() == pytest.approx(2.0, abs=0.01)
-
     def test_min_of_ten_matches_os_mean(self):
         rng = np.random.default_rng(11)
         reps = 200_000
         mins = (1.0 + rng.exponential(1.0, size=(reps, 10))).min(axis=1)
         assert mins.mean() == pytest.approx(os_mean(ShiftedExp(1, 1), 1, 10), rel=0.01)
-
-    def test_seed_reproducibility(self):
-        a = sample_delays(ShiftedExp(2, 0.5), 1000, np.random.default_rng(42))
-        b = sample_delays(ShiftedExp(2, 0.5), 1000, np.random.default_rng(42))
-        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n,k", [(5, 2), (10, 7), (50, 25)])
     def test_monte_carlo_moments(self, n, k):
@@ -218,3 +193,59 @@ class TestSampling:
         var = kth.var(ddof=1)
         se_var = math.sqrt((m4 - var**2) / reps)
         assert abs(var - os_var(d, k, n)) <= 3 * se_var
+
+
+# Index at which orderstats switches from its table to the asymptotic forms.
+M = 32
+
+
+class TestExactOracle:
+    """Every moment against exact rational arithmetic, on both sides of M."""
+
+    N_MAX = 2 * M + 16
+
+    def test_all_k_match_fractions(self):
+        h, g = [Fraction(0)], [Fraction(0)]
+        for j in range(1, self.N_MAX + 1):
+            h.append(h[-1] + Fraction(1, j))
+            g.append(g[-1] + Fraction(1, j * j))
+        d = ShiftedExp(1.0, 0.0)
+
+        def rel(got, want):
+            return float(abs(Fraction(float(got)) - want) / want)
+
+        worst = dict.fromkeys(("H", "G", "mean", "var", "first_k"), 0.0)
+        for n in range(1, self.N_MAX + 1):
+            worst["H"] = max(worst["H"], rel(harmonic(n), h[n]))
+            worst["G"] = max(worst["G"], rel(gen_harmonic(n), g[n]))
+            ks = np.arange(1, n + 1)
+            means, variances = os_mean(d, ks, n), os_var(d, ks, n)
+            first_k = mean_first_k(d, ks, n)
+            total = Fraction(0)  # sum_{i<=k} (H_n - H_{n-i}), by definition
+            for k in range(1, n + 1):
+                total += h[n] - h[n - k]
+                worst["mean"] = max(worst["mean"], rel(means[k - 1], h[n] - h[n - k]))
+                worst["var"] = max(worst["var"], rel(variances[k - 1], g[n] - g[n - k]))
+                worst["first_k"] = max(worst["first_k"], rel(first_k[k - 1], total / k))
+        assert harmonic(0) == 0.0 and gen_harmonic(0) == 0.0
+        assert max(worst.values()) <= 1e-14, worst
+
+
+class TestLargeNAgainstMpmath:
+    """Differences H_n - H_{n-k}, G_n - G_{n-k} and the mean_first_k sum against
+    digamma and trigamma at 50 digits, up to n = 10^12."""
+
+    @pytest.mark.parametrize("n", [10**3, 10**6, 10**7, 10**9, 10**12])
+    def test_relative_error(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        d = ShiftedExp(1.0, 0.0)
+        with mpmath.workdps(50):
+            for k in sorted({1, 2, 10, n // 3, n // 2, n - 1, n}):
+                m = n - k
+                dh = mpmath.digamma(n + 1) - mpmath.digamma(m + 1)
+                dg = mpmath.psi(1, m + 1) - mpmath.psi(1, n + 1)
+                first_k = k - m * dh  # sum_{i<=k} (H_n - H_{n-i})
+                for got, want in ((os_mean(d, k, n), dh), (os_var(d, k, n), dg),
+                                  (k * mean_first_k(d, k, n), first_k)):
+                    err = float(abs(mpmath.mpf(float(got)) - want) / want)
+                    assert err <= 1e-14, (n, k, float(got), err)
