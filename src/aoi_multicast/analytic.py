@@ -20,14 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .orderstats import (
-    ShiftedExp,
-    delta_threshold,
-    mean_first_k,
-    mean_first_k_approx,
-    os_mean,
-    os_var,
-)
+from .orderstats import ShiftedExp, _moments, delta_threshold, mean_first_k_approx
 
 __all__ = [
     "Stream",
@@ -215,7 +208,7 @@ def _threshold_moments(d: ShiftedExp, x, n):
     """
     if n is None:
         return x, delta_threshold(d, x), 0.0, mean_first_k_approx(d, x)
-    return x / n, os_mean(d, x, n), os_var(d, x, n), mean_first_k(d, x, n)
+    return (x / n, *_moments(d, x, n))
 
 
 def _missed_cycle(p, po, own, other):

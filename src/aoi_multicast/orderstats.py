@@ -139,16 +139,37 @@ def gen_harmonic(n) -> float:
     return float(_harmonic_diffs(_check_nonneg_int(n), 0)[1])
 
 
+def _moments(d: ShiftedExp, k, n):
+    """(os_mean, os_var, mean_first_k) of one (k, n), from one harmonic difference.
+
+    mean_first_k is shift + S / (k rate), S = sum_{i<=k} (H_n - H_{n-i}) =
+    k - m (H_n - H_m), m = n - k (Concrete Mathematics, eq. 2.36). For
+    m >= M that difference cancels; there, with a = m + 1/2, t = k / a and
+    L = log1p(t), S is summed as the nonnegative
+    a (t - L) + L / 2 + m (c(a) - c(n + 1/2)), with
+    t - L = sum_{j>=2} L^j / j! for t < 1/4.
+    """
+    k, n = _check_order(k, n)
+    m = n - k
+    dh, dg = _harmonic_diffs(n, m)
+    a = np.maximum(m + 0.5, _M + 0.5)
+    t = k / a
+    lt = np.log1p(t)
+    series = lt * lt * sum(coef * lt**j for j, coef in enumerate(_EXPM1_TAYLOR))
+    c_drop = _asymptotic(a)[0] - _asymptotic(n + 0.5)[0]
+    large_m = a * np.where(t < 0.25, series, t - lt) + 0.5 * lt + (a - 0.5) * c_drop
+    s = np.where(m < _M, k - m * dh, large_m)
+    return d.shift + dh / d.rate, dg / d.rate**2, d.shift + s / (k * d.rate)
+
+
 def os_mean(d: ShiftedExp, k, n) -> float:
     """Mean of the k-th smallest of n i.i.d. draws: shift + (H_n - H_{n-k}) / rate."""
-    k, n = _check_order(k, n)
-    return d.shift + _harmonic_diffs(n, n - k)[0] / d.rate
+    return _moments(d, k, n)[0]
 
 
 def os_var(d: ShiftedExp, k, n) -> float:
     """Variance of the k-th smallest of n i.i.d. draws: (G_n - G_{n-k}) / rate^2."""
-    k, n = _check_order(k, n)
-    return _harmonic_diffs(n, n - k)[1] / d.rate**2
+    return _moments(d, k, n)[1]
 
 
 def os_second_moment(d: ShiftedExp, k, n) -> float:
@@ -162,22 +183,10 @@ def mean_first_k(d: ShiftedExp, k, n) -> float:
     """Average of the k smallest order-statistic means out of n draws.
 
     The expected delay of a delivered update under earliest-k stopping:
-    shift + S / (k rate), S = sum_{i<=k} (H_n - H_{n-i}) = k - m (H_n - H_m),
-    m = n - k (Concrete Mathematics, eq. 2.36). For m >= M that difference
-    cancels; there, with a = m + 1/2, t = k / a and L = log1p(t), S is summed
-    as the nonnegative a (t - L) + L / 2 + m (c(a) - c(n + 1/2)), with
-    t - L = sum_{j>=2} L^j / j! for t < 1/4.
+    shift + sum_{i<=k} (H_n - H_{n-i}) / (k rate), summed without
+    cancellation (see `_moments`).
     """
-    k, n = _check_order(k, n)
-    m = n - k
-    a = np.maximum(m + 0.5, _M + 0.5)
-    t = k / a
-    lt = np.log1p(t)
-    series = lt * lt * sum(coef * lt**j for j, coef in enumerate(_EXPM1_TAYLOR))
-    c_drop = _asymptotic(a)[0] - _asymptotic(n + 0.5)[0]
-    large_m = a * np.where(t < 0.25, series, t - lt) + 0.5 * lt + (a - 0.5) * c_drop
-    s = np.where(m < _M, k - m * _harmonic_diffs(n, m)[0], large_m)
-    return d.shift + s / (k * d.rate)
+    return _moments(d, k, n)[2]
 
 
 def mean_first_k_approx(d: ShiftedExp, alpha: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -570,3 +571,21 @@ class TestMetamorphic:
         pair, swapped = age_pair(_scenario(x)), age_pair(_scenario(x, swap=True))
         assert swapped.age_I == pytest.approx(pair.age_II, rel=1e-12)
         assert swapped.age_II == pytest.approx(pair.age_I, rel=1e-12)
+
+    @given(x=scenarios, u2=st.floats(0.0, 1.0), rate2=st.floats(0.1, 10.0),
+           shift2=st.floats(0.0, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_sole_stream_ignores_the_other(self, x, u2, rate2, shift2):
+        # With p1 = 1 every cycle carries stream I: k2 and delay_II weigh nothing.
+        other = dict(x, u2=u2, rate2=rate2, shift2=shift2)
+        a, b = (dataclasses.replace(_scenario(y), mix=StreamMix(1.0)) for y in (x, other))
+        assert age(a, Stream.TYPE_I) == age(b, Stream.TYPE_I)
+
+    @given(x=scenarios)
+    @settings(max_examples=100, deadline=None)
+    def test_age_at_least_delay_plus_half_interdelivery(self, x):
+        # Jensen: E[S^2] / (2 E[S]) >= E[S] / 2.
+        s = _scenario(x)
+        for t in Stream:
+            bound = mean_first_k(s.delay(t), s.threshold(t), s.n) + s_moments(s, t).m1 / 2
+            assert age(s, t) >= bound * (1 - 1e-12)

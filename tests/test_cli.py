@@ -381,8 +381,10 @@ class TestSweep:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, aoi_multicast.cli; print('scipy' in sys.modules)"
+    # Neither scipy nor the process pool: only `simulate --threads N > 1` needs one.
+    code = ("import sys, aoi_multicast.cli; "
+            "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,7 +61,11 @@ class TestSampler:
     """The O(1) per-cycle sampler against the direct O(n) reference."""
 
     @pytest.mark.parametrize("d", [DELAY_I, DELAY_II], ids=["delayI", "delayII"])
-    @pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (100, 1), (100, 34), (100, 100)])
+    @pytest.mark.parametrize("n,k", [
+        (1, 1), (5, 2), (100, 1), (100, 34), (100, 100),
+        # both sides of the switch from the Renyi sum to the Gamma ratio
+        (100, sim_mod._RENYI_MAX_K), (100, sim_mod._RENYI_MAX_K + 1),
+    ])
     def test_matches_reference(self, d, n, k):
         m = 20_000
         fast = sim_mod._sample_stream(d, k, n, m, np.random.default_rng([n, k, 1]))
@@ -81,6 +86,86 @@ class TestSampler:
         assert np.all(np.isfinite(kth)) and np.all(np.isfinite(own[hit]))
         # X_(k) concentrates at shift + log(1 / (1 - alpha)) / rate
         assert kth == pytest.approx(d.shift + math.log(1 / 0.7) / d.rate, rel=1e-4)
+
+    def test_first_of_a_trillion(self):
+        d, n = DELAY_I, 10**12
+        kth, own, hit = sim_mod._sample_stream(d, 1, n, 10_000, np.random.default_rng(6))
+        # X_(1) - shift ~ Exp(n rate): mean 1 / (n rate), resolved to 1e-4 at shift 1
+        scaled = (kth - d.shift) * n * d.rate
+        assert np.all(scaled > 0) and np.all(np.isfinite(scaled))
+        assert scaled.mean() == pytest.approx(1.0, abs=0.05)
+        assert not hit.any()  # P(hit) = 1e-12 per cycle
+
+
+def _time_average_age(trace):
+    """One-shot time-averaged sawtooth age over a whole delivery trace.
+
+    The oracle for the simulator's block-by-block fold: each interval
+    between deliveries adds a rectangle at the reset level plus a triangle.
+    """
+    t = trace.delivery_times
+    if t.size < 2:
+        return None
+    a = trace.reset_ages
+    dt = np.diff(t)
+    area = float(np.sum(dt * a[:-1] + 0.5 * dt * dt))
+    return area / float(t[-1] - t[0])
+
+
+class TestBlocks:
+    """Replications run in blocks of `_BLOCK` cycles, folded with a carry."""
+
+    @pytest.mark.parametrize("block", [1000, sim_mod._BLOCK])
+    def test_fold_matches_one_shot_area(self, monkeypatch, block):
+        monkeypatch.setattr(sim_mod, "_BLOCK", block)
+        # Stream II delivers about once per block, so some post-warmup blocks
+        # have none; the warmup spans one and a half blocks.
+        n, k2 = 10, 1
+        s = Scenario(n, 3, k2, DELAY_I, DELAY_II, StreamMix(1 - n / (k2 * block)),
+                     Exogenous(2.0))
+        cfg = SimConfig(s, cycles=10 * block, warmup_cycles=3 * block // 2,
+                        seed=71, replications=3)
+        empty_blocks = 0
+        for ss, traces in zip(sim_mod._spawn_seeds(cfg), sim_mod._traces(cfg)):
+            args = (s, cfg.cycles, cfg.warmup_cycles, ss)
+            folded = sim_mod._sim_worker(args)
+            for i, stream in enumerate((Stream.TYPE_I, Stream.TYPE_II)):
+                trace = traces[stream]
+                assert folded[i][1] == trace.delivery_times.size
+                assert folded[i][0] == pytest.approx(_time_average_age(trace), rel=1e-12)
+            blocks = sim_mod._blocks(s, cfg.cycles, cfg.warmup_cycles,
+                                     np.random.default_rng(ss))
+            counts = [b[Stream.TYPE_II].delivery_times.size for b, _ in blocks]
+            assert counts[0] == 0 and sum(counts) >= 2
+            empty_blocks += counts[2:-1].count(0)
+        assert empty_blocks > 0
+
+    def test_warmup_counts_whole_cycles(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "_BLOCK", 1000)
+        cfg = SimConfig(mixed_scenario(), cycles=5_000, warmup_cycles=2_345,
+                        seed=72, replications=2)
+        for traces in sim_mod._traces(cfg):
+            total = sum(trace.type_cycles for trace in traces.values())
+            assert total == cfg.cycles - cfg.warmup_cycles
+            for trace in traces.values():
+                assert trace.delivery_cycles.min() >= cfg.warmup_cycles
+                assert np.all(np.diff(trace.delivery_cycles) > 0)
+
+    def test_memory_does_not_grow_with_cycles(self):
+        s = Scenario(5, 2, 3, DELAY_I, DELAY_II, StreamMix(0.9), Exogenous(2.0))
+        seed = np.random.SeedSequence(73)
+        sim_mod._sim_worker((s, sim_mod._BLOCK, 1_000, seed))  # one-time allocations
+        peaks = []
+        for blocks in (2, 16):
+            args = (s, blocks * sim_mod._BLOCK, 1_000, seed)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sim_mod._sim_worker(args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestConfig:
