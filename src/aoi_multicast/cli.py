@@ -199,6 +199,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if not 0.0 < args.tolerance < math.inf:
+        raise SchemaError("tolerance", f"must be a finite number > 0, got {args.tolerance}")
     template, k1, k2 = load_scenario_file(args.scenario)
     scenario = template.with_thresholds(k1, k2)
     exact = age_pair(scenario)
@@ -433,3 +435,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

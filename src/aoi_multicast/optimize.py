@@ -212,6 +212,8 @@ def _optimize_all(
             for beta, (k1, k2) in zip(betas, best)
         ]
     if evaluator == "approx":
+        if grid < 1:
+            raise ValueError(f"grid must be >= 1, got {grid}")
         # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement
         # zooms into the winning cell but never leaves these bounds, so a
         # corner optimum lands exactly on the minimal grid point.

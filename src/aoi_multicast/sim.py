@@ -4,19 +4,19 @@ Tracks one tagged receiver (node exchangeability makes it representative)
 and accumulates its per-stream sawtooth age area in closed form, so the
 estimates depend only on the seed and cycle count, never on a time step.
 
-Each cycle costs the same at every n: instead of n link delays it draws the
-three things the tagged receiver sees, each from its exact law (Renyi 1953;
-David & Nagaraja, *Order Statistics*). For delay shift + Exp(rate):
+Each cycle costs the same at every n: instead of n link delays it draws
+what the tagged receiver sees from its exact law (Renyi 1953; David &
+Nagaraja, *Order Statistics*). For delay shift + Exp(rate):
 
-- the completion time X_(k). For k up to a small cutoff it is Renyi's sum
-  shift + sum_{j<=k} E_j / ((n - j + 1) rate) of independent standard
-  exponentials E_j, the spacings of exponential order statistics; above
-  it, shift + log1p(G_k / G_{n-k+1}) / rate with G_a a standard Gamma(a)
-  draw, since 1 - U_(k) ~ Beta(n-k+1, k);
-- the receiver's rank among the n delays, uniform on 1..n and independent
-  of X_(k): it is delivered when the rank is at most k;
-- its own delay: X_(k) at rank k, and below rank k a draw of the delay law
-  truncated to [shift, X_(k)].
+- its rank among the n delays, uniform on 1..n and independent of the
+  order-statistic values: it is delivered when the rank is at most k;
+- for k up to a small cutoff, the Renyi sums X_(j) = shift + sum_{i<=j}
+  E_i / ((n - i + 1) rate) of standard exponentials E_i, the spacings of
+  exponential order statistics: X_(k) ends the cycle, and X_(rank) is the
+  receiver's own delay;
+- above the cutoff, X_(k) = shift + log1p(G_k / G_{n-k+1}) / rate with G_a
+  a standard Gamma(a) draw, since 1 - U_(k) ~ Beta(n-k+1, k), and below
+  rank k an own delay drawn from the delay law truncated to [shift, X_(k)].
 
 A replication runs in fixed-size blocks of cycles, so its memory does not
 grow with the cycle count. Each block yields its post-warmup deliveries;
@@ -51,9 +51,9 @@ DEFAULT_SEED = 20190813
 # Cycles per block: a block's per-cycle arrays (about 2.4 MiB) stay in L2
 # cache, and a replication's memory is bounded by one block.
 _BLOCK = 1 << 15
-# Largest k drawn by the Renyi sum. Each of its terms costs about 12 ns per
-# cycle against 97 ns for the two Gamma draws (2-vCPU host), so the sum
-# still wins at k = 7 by a margin within run-to-run noise.
+# Largest k drawn by the Renyi sum. Each of its columns costs about 13 ns
+# per cycle; at n = 100 (2-vCPU host) the sum takes 110 ns at k = 6 and
+# 124 ns at k = 7, against 114 ns for the Gamma branch.
 _RENYI_MAX_K = 6
 
 
@@ -103,43 +103,41 @@ class _StreamTrace:
     type_cycles: int  # post-warmup cycles carrying this stream's type
 
 
-def _sample_stream(
-    d: ShiftedExp, k: int, n: int, m: int, rng: np.random.Generator
-) -> tuple:
+def _sample_stream(d: ShiftedExp, k: int, n: int, m: int, rng: np.random.Generator):
     """Draw m cycles of one stream as seen by the tagged receiver.
 
     Returns (kth, own, hit): the completion time X_(k), the receiver's own
     delay, and whether it was among the first k. `own` is meaningful only
     where `hit` is set.
     """
+    rank = rng.integers(n, size=m)
+    hit = rank < k
     if k <= _RENYI_MAX_K:
-        # Renyi: the spacings of exponential order statistics are
-        # independent, E_j / (n - j + 1). Summed one column at a time.
+        # Column j adds the spacing E_j / ((n - j + 1) rate); `own` takes it while
+        # j <= rank + 1 (rank counts from 0), so it ends at X_(rank + 1) bit for bit.
         span = rng.standard_exponential(m)
-        span /= n
+        span *= 1.0 / (n * d.rate)
+        own = span.copy()
         e = np.empty(m)
         for j in range(2, k + 1):
             rng.standard_exponential(out=e)
-            e /= n - j + 1
+            e *= 1.0 / ((n - j + 1) * d.rate)
             span += e
+            e *= rank >= j - 1
+            own += e
     else:
-        # 1 - U_(k) ~ Beta(n-k+1, k) = G_{n-k+1} / (G_{n-k+1} + G_k), so
-        # -log(1 - U_(k)) = log1p(G_k / G_{n-k+1}), free of cancellation at
-        # k = 1 and k = n.
+        # log1p(G_k / G_{n-k+1}) = -log(1 - U_(k)), free of cancellation at k = 1 and n.
         span = rng.standard_gamma(k, m)
         span /= rng.standard_gamma(n - k + 1, m)
         np.log1p(span, out=span)
-    span /= d.rate
-    # The receiver's rank among the n delays is uniform and independent of
-    # the order-statistic values. Below rank k its delay is a draw of the
-    # delay law truncated to [shift, X_(k)].
-    rank = rng.integers(n, size=m)
-    hit = rank < k
-    below = np.flatnonzero(rank < k - 1)
-    own = span.copy()
-    w = rng.random(below.size)
-    own[below] = -np.log1p(w * np.expm1(-d.rate * span[below])) / d.rate
-    return span + d.shift, own + d.shift, hit
+        span /= d.rate
+        below = np.flatnonzero(rank < k - 1)
+        own = span.copy()
+        w = rng.random(below.size)
+        own[below] = -np.log1p(w * np.expm1(-d.rate * span[below])) / d.rate
+    span += d.shift
+    own += d.shift
+    return span, own, hit
 
 
 def _blocks(scenario: Scenario, cycles: int, warmup: int, rng: np.random.Generator):
@@ -168,7 +166,9 @@ def _blocks(scenario: Scenario, cycles: int, warmup: int, rng: np.random.Generat
             durations[idx[stream]] = kth
             drawn[stream] = own, hit
         if isinstance(scenario.mode, Exogenous):
-            durations += rng.exponential(1.0 / scenario.mode.mu, size=size)
+            gap = rng.standard_exponential(size)
+            gap *= 1.0 / scenario.mode.mu
+            durations += gap
         starts[0] = end
         np.cumsum(starts, out=starts)
         end = float(starts[-1])

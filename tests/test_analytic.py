@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -507,6 +508,74 @@ class TestLargeNAccuracy:
                                     want = self.closed_form(mpmath, sa, t)
                                     err = float(abs(age(sa, t) - want) / want)
                                     worst = max(worst, err)
+        assert worst <= 1e-14
+
+
+class TestExactKernelAccuracy:
+    """Exact ages against the renewal formula at 60 digits, from n = 10^3 to
+    10^12, k from 1 to n, extreme shares, arrival rates and delay rates."""
+
+    @staticmethod
+    def renewal(mp, s, target, law):
+        """Age of the target stream from E[S] and E[S^2] expanded term by term.
+
+        The receiver gets the target in a cycle with probability g = pq, so S
+        spans M ~ Geometric(g) cycles: M idle gaps Z, M - 1 missed cycles Y
+        and the delivering cycle X.
+        """
+        p1 = mp.mpf(s.mix.p1)
+        p = p1 if target is Stream.TYPE_I else 1 - p1
+        q, ex, ex2, delivered = law(s.delay(target), s.threshold(target), s.n)
+        _, eo, eo2, _ = law(s.delay(target.other), s.threshold(target.other), s.n)
+        g = p * q
+        w_t, w_o = p * (1 - q) / (1 - g), (1 - p) / (1 - g)
+        ey, ey2 = w_t * ex + w_o * eo, w_t * ex2 + w_o * eo2
+        if isinstance(s.mode, AtWill):
+            ez = ez2 = mp.mpf(0)
+        else:
+            ez, ez2 = 1 / mp.mpf(s.mode.mu), 2 / mp.mpf(s.mode.mu) ** 2
+        em, em2 = 1 / g, (2 - g) / g**2
+        em1, em1sq, emm1 = em - 1, em2 - 2 * em + 1, em2 - em
+        es = em * ez + em1 * ey + ex
+        es2 = (em * (ez2 - ez * ez) + em2 * ez * ez
+               + em1 * (ey2 - ey * ey) + em1sq * ey * ey + ex2
+               + 2 * emm1 * ez * ey + 2 * em * ez * ex + 2 * em1 * ey * ex)
+        return delivered + es2 / (2 * es)
+
+    def test_relative_error_below_1e_14(self):
+        mpmath = pytest.importorskip("mpmath")
+        laws = [
+            (ShiftedExp(1e-3, 1.0), ShiftedExp(1e3, 0.5)),
+            (ShiftedExp(1e3, 0.0), ShiftedExp(1e-3, 2.0)),
+        ]
+        modes = [AtWill(), Exogenous(1e-3), Exogenous(1e6)]
+        worst = 0.0
+        with mpmath.workdps(60):
+            cache = {}
+
+            def law(d, k, n):
+                """(q, E[X], E[X^2], mean delivered delay) of the k-th of n draws of d."""
+                if (d, k, n) not in cache:
+                    dh = mpmath.harmonic(n) - mpmath.harmonic(n - k)
+                    dg = mpmath.psi(1, n - k + 1) - mpmath.psi(1, n + 1)
+                    rate, shift = mpmath.mpf(d.rate), mpmath.mpf(d.shift)
+                    mean = shift + dh / rate
+                    # sum_{i<=k} (H_n - H_{n-i}) = k - (n - k) (H_n - H_{n-k})
+                    delivered = shift + (k - (n - k) * dh) / (k * rate)
+                    cache[d, k, n] = (mpmath.mpf(k) / n, mean, mean * mean + dg / rate**2,
+                                      delivered)
+                return cache[d, k, n]
+
+            for n in (10**3, 10**6, 10**12):
+                ks = (1, 2, n // 3, n - 1, n)
+                shares = (1e-9, 0.5, 1 - 1e-9)
+                for k1, k2, p1, mode, (d1, d2) in itertools.product(ks, ks, shares, modes, laws):
+                    s = Scenario(n, k1, k2, d1, d2, StreamMix(p1), mode)
+                    pair = age_pair(s)
+                    for t in Stream:
+                        want = self.renewal(mpmath, s, t, law)
+                        err = abs(mpmath.mpf(pair.age(t)) - want) / want
+                        worst = max(worst, float(err))
         assert worst <= 1e-14
 
 

@@ -214,6 +214,21 @@ class TestValidate:
         assert rc == 1
         assert out["result"] == "FAIL"
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_rejected_before_simulating(self, scenario_file, capsys,
+                                                      monkeypatch, tolerance):
+        import aoi_multicast.cli as cli_mod
+
+        def no_simulation(cfg, threads=1):
+            raise AssertionError("simulated despite a bad tolerance")
+
+        monkeypatch.setattr(cli_mod, "simulate", no_simulation)
+        rc = main(["validate", scenario_file(SCENARIO), "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "tolerance" in captured.err
+        assert captured.out == ""
+
     def test_starved_stream_skipped(self, scenario_file, capsys):
         rc = main(
             ["validate", scenario_file(SINGLE_NODE), "--cycles", "100000",
@@ -273,6 +288,16 @@ class TestPareto:
              "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_rejected(self, scenario_file, tmp_path, capsys, grid):
+        out_path = tmp_path / "x.csv"
+        rc = main(["pareto", scenario_file(SCENARIO), "--evaluator", "approx",
+                   "--grid", grid, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "grid" in captured.err
+        assert captured.out == "" and not out_path.exists()
 
 
 class TestSweep:
@@ -388,3 +413,20 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("extra,code", [([], 0), (["--approx"], 2)],
+                         ids=["ok", "usage_error"])
+def test_module_entry_point_matches_run(scenario_file, extra, code):
+    # `python -m aoi_multicast.cli` behaves as the installed `aoi-multicast` script.
+    argv = ["eval", scenario_file(SCENARIO), *extra]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    via_module, via_run = (
+        subprocess.run([sys.executable, *prefix, *argv], env=env,
+                       capture_output=True, text=True)
+        for prefix in (["-m", "aoi_multicast.cli"],
+                       ["-c", "from aoi_multicast.cli import run; run()"])
+    )
+    assert via_module.returncode == via_run.returncode == code
+    assert via_module.stdout == via_run.stdout
+    assert via_module.stdout.startswith('{"age_I"') if code == 0 else via_module.stderr

@@ -170,6 +170,16 @@ class TestOptimizeApprox:
         assert pt.alpha1 == 0.37
         assert pt.alpha2 == pytest.approx(1 / 65, abs=1e-15)
 
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_below_one_rejected(self, grid):
+        tpl = symmetric_template()
+        with pytest.raises(ValueError, match="grid"):
+            optimize(tpl, 0.5, evaluator="approx", grid=grid)
+        with pytest.raises(ValueError, match="grid"):
+            pareto_frontier(tpl, [0.2, 0.8], evaluator="approx", grid=grid)
+        # one point per axis, at the middle of the open domain
+        assert optimize(tpl, 0.5, evaluator="approx", grid=1).alpha1 == 0.5
+
 
 class TestParetoFrontier:
     def test_single_beta_symmetric(self):

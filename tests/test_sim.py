@@ -49,23 +49,30 @@ def _reference_stream(d, k, n, m, rng, tagged_index=0):
     return kth, own, own <= kth
 
 
-def _two_proportion_p(hits_a, hits_b, m):
-    pooled = (hits_a + hits_b) / (2 * m)
+def _two_proportion_p(hits_a, hits_b, m, m_b=None):
+    """Two-sided p-value that hits_a of m trials and hits_b of m_b (default m)
+    trials share one success rate."""
+    m_a, m_b = m, m if m_b is None else m_b
+    pooled = (hits_a + hits_b) / (m_a + m_b)
     if pooled in (0.0, 1.0):
-        return 1.0 if hits_a == hits_b else 0.0
-    z = (hits_a - hits_b) / m / math.sqrt(pooled * (1 - pooled) * 2 / m)
-    return 2 * stats.norm.sf(abs(z))
+        return 1.0 if hits_a * m_b == hits_b * m_a else 0.0
+    se = math.sqrt(pooled * (1 - pooled) * (1 / m_a + 1 / m_b))
+    return 2 * stats.norm.sf(abs(hits_a / m_a - hits_b / m_b) / se)
+
+
+# (n, k) of the sampler tests; the last two sit on both sides of the switch
+# from the Renyi sum to the Gamma ratio.
+SAMPLER_CASES = [
+    (1, 1), (5, 2), (100, 1), (100, 34), (100, 100),
+    (100, sim_mod._RENYI_MAX_K), (100, sim_mod._RENYI_MAX_K + 1),
+]
 
 
 class TestSampler:
     """The O(1) per-cycle sampler against the direct O(n) reference."""
 
     @pytest.mark.parametrize("d", [DELAY_I, DELAY_II], ids=["delayI", "delayII"])
-    @pytest.mark.parametrize("n,k", [
-        (1, 1), (5, 2), (100, 1), (100, 34), (100, 100),
-        # both sides of the switch from the Renyi sum to the Gamma ratio
-        (100, sim_mod._RENYI_MAX_K), (100, sim_mod._RENYI_MAX_K + 1),
-    ])
+    @pytest.mark.parametrize("n,k", SAMPLER_CASES)
     def test_matches_reference(self, d, n, k):
         m = 20_000
         fast = sim_mod._sample_stream(d, k, n, m, np.random.default_rng([n, k, 1]))
@@ -78,6 +85,24 @@ class TestSampler:
         assert stats.ks_2samp(fast[1][fast[2]], ref[1][ref[2]]).pvalue >= 1e-3
         hits_fast, hits_ref = int(fast[2].sum()), int(ref[2].sum())
         assert _two_proportion_p(hits_fast, hits_ref, m) >= 1e-3
+
+    @pytest.mark.parametrize("d", [DELAY_I, DELAY_II], ids=["delayI", "delayII"])
+    @pytest.mark.parametrize("n,k", SAMPLER_CASES)
+    def test_joint_law_matches_reference(self, d, n, k):
+        # How the own delay moves with X_(k), which the marginals above leave
+        # open: given a hit, X_(k) - own follows the reference law, and the
+        # receiver is the k-th itself (own == X_(k)) with probability 1/k.
+        m = 20_000
+        fast = sim_mod._sample_stream(d, k, n, m, np.random.default_rng([n, k, 3]))
+        ref = _reference_stream(d, k, n, m, np.random.default_rng([n, k, 4]))
+        gaps, kth_own = [], []
+        for kth, own, hit in (fast, ref):
+            gaps.append(kth[hit] - own[hit])
+            kth_own.append(int(np.count_nonzero(own[hit] == kth[hit])))
+        assert stats.ks_2samp(*gaps).pvalue >= 1e-3
+        hits = [g.size for g in gaps]
+        assert _two_proportion_p(kth_own[0], kth_own[1], hits[0], hits[1]) >= 1e-3
+        assert stats.binomtest(kth_own[0], hits[0], 1 / k).pvalue >= 1e-3
 
     def test_concentrates_at_huge_n(self):
         d = DELAY_I
