@@ -33,8 +33,6 @@ __all__ = [
     "ScenarioApprox",
     "AgePair",
     "Moments2",
-    "geometric_moments",
-    "ybar_moments",
     "s_moments",
     "age",
     "age_pair",
@@ -99,11 +97,14 @@ class StreamMix:
         return self.p1 if stream is Stream.TYPE_I else self.p2
 
 
-def _check_integer(name: str, v) -> int:
-    """v as an int; bools and non-integral numbers are rejected."""
+def _check_integer(name: str, v, at_least: int | None = None) -> int:
+    """v as an int, no smaller than at_least if given; bools and
+    non-integral numbers are rejected."""
     integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
     if isinstance(v, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {v!r}")
+    if at_least is not None and v < at_least:
+        raise ValueError(f"{name} must be >= {at_least}, got {int(v)}")
     return int(v)
 
 
@@ -120,10 +121,9 @@ class Scenario:
     mode: Mode = AtWill()
 
     def __post_init__(self) -> None:
-        for name in ("n", "k1", "k2"):
+        object.__setattr__(self, "n", _check_integer("n", self.n, at_least=1))
+        for name in ("k1", "k2"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         for name, k in (("k1", self.k1), ("k2", self.k2)):
             if not 1 <= k <= self.n:
                 raise ValueError(f"{name} must lie in [1, {self.n}], got {k}")
@@ -171,29 +171,14 @@ class AgePair:
 
 @dataclass(frozen=True)
 class Moments2:
-    """First and second moment of a nonnegative random quantity.
-
-    ``degenerate`` flags conditional moments whose conditioning event has
-    probability zero (returned unconditioned by convention; the calling
-    formulas multiply them by zero).
-    """
+    """First and second moment of a nonnegative random quantity."""
 
     m1: float
     m2: float
-    degenerate: bool = False
 
     @property
     def var(self) -> float:
         return self.m2 - self.m1 * self.m1
-
-
-def geometric_moments(p: float) -> Moments2:
-    """Moments of a geometric retry count with success probability p on {1, 2, ...}."""
-    if p <= 0:
-        raise StarvedStreamError(f"success probability must be > 0, got {p}")
-    if p > 1:
-        raise ValueError(f"success probability must be <= 1, got {p}")
-    return Moments2(1.0 / p, (2.0 - p) / (p * p))
 
 
 # -- the renewal kernel ------------------------------------------------------
@@ -301,21 +286,6 @@ def _inputs(s: "Scenario | ScenarioApprox", target: Stream):
 
 
 # -- public API --------------------------------------------------------------
-
-
-def ybar_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:
-    """Moments of a cycle conditioned on the tagged node missing the target stream.
-
-    In exogenous mode these are the moments of the busy part of the cycle
-    only (the idle gap is accounted for separately).
-    """
-    p, po, own, other = _inputs(s, target)
-    r, m1, var = _missed_cycle(p, po, own, other)
-    if r == 0:
-        # Failure has probability zero; the conditioning is vacuous.
-        _, e, v, _ = own
-        return Moments2(float(e), float(v + e * e), degenerate=True)
-    return Moments2(float(m1), float(var + m1 * m1))
 
 
 def s_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:

@@ -48,11 +48,13 @@ class SchemaError(Exception):
 
 
 def _get(doc: dict, key: str, required: bool = True):
-    if key not in doc:
+    """The value of doc at the last part of the dotted key path."""
+    name = key.rpartition(".")[2]
+    if name not in doc:
         if required:
             raise SchemaError(key, "missing required key")
         return None
-    return doc[key]
+    return doc[name]
 
 
 def _number(doc: dict, key: str, required: bool = True):
@@ -73,6 +75,16 @@ def _integer(doc: dict, key: str, required: bool = True):
     return v
 
 
+def _build(prefix: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), with its range check's ValueError, whose message
+    starts with the field name, raised as a SchemaError keyed by prefix + field."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        field, _, message = str(e).partition(" ")
+        raise SchemaError(prefix + field, message) from None
+
+
 def _delay(doc: dict, key: str) -> ShiftedExp:
     v = _get(doc, key)
     if not isinstance(v, dict):
@@ -80,19 +92,16 @@ def _delay(doc: dict, key: str) -> ShiftedExp:
     extra = set(v) - {"rate", "shift"}
     if extra:
         raise SchemaError(f"{key}.{sorted(extra)[0]}", "unknown key")
-    rate = _number(v, "rate")
-    shift = _number(v, "shift")
-    if rate is None or not rate > 0:
-        raise SchemaError(f"{key}.rate", f"must be > 0, got {rate}")
-    if shift is None or shift < 0:
-        raise SchemaError(f"{key}.shift", f"must be >= 0, got {shift}")
-    return ShiftedExp(rate=rate, shift=shift)
+    rate, shift = _number(v, f"{key}.rate"), _number(v, f"{key}.shift")
+    return _build(f"{key}.", ShiftedExp, rate=rate, shift=shift)
 
 
 def parse_scenario(doc: dict, need_thresholds: bool = True):
     """Validate a scenario document and build (template, k1, k2).
 
-    k1/k2 are None when absent and not required.
+    The JSON types and keys are checked here, the value ranges by the
+    dataclasses. k1/k2 are None when absent and not required; any that are
+    given are range-checked.
     """
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "scenario document must be a JSON object")
@@ -101,13 +110,9 @@ def parse_scenario(doc: dict, need_thresholds: bool = True):
         raise SchemaError(sorted(extra)[0], "unknown key")
 
     n = _integer(doc, "n")
-    if n < 1:
-        raise SchemaError("n", f"must be >= 1, got {n}")
     delay_I = _delay(doc, "delay_I")
     delay_II = _delay(doc, "delay_II")
-    p1 = _number(doc, "p1")
-    if not 0.0 <= p1 <= 1.0:
-        raise SchemaError("p1", f"must lie in [0, 1], got {p1}")
+    mix = _build("", StreamMix, _number(doc, "p1"))
 
     mode_name = _get(doc, "mode")
     if mode_name == "at_will":
@@ -115,22 +120,16 @@ def parse_scenario(doc: dict, need_thresholds: bool = True):
             raise SchemaError("mu", "only valid with mode = exogenous")
         mode = AtWill()
     elif mode_name == "exogenous":
-        mu = _number(doc, "mu")
-        if not mu > 0:
-            raise SchemaError("mu", f"must be > 0, got {mu}")
-        mode = Exogenous(mu)
+        mode = _build("", Exogenous, _number(doc, "mu"))
     else:
         raise SchemaError("mode", f'must be "at_will" or "exogenous", got {mode_name!r}')
 
     k1 = _integer(doc, "k1", required=need_thresholds)
     k2 = _integer(doc, "k2", required=need_thresholds)
-    for name, k in (("k1", k1), ("k2", k2)):
-        if k is not None and not 1 <= k <= n:
-            raise SchemaError(name, f"must lie in [1, {n}], got {k}")
-
-    template = ScenarioTemplate(
-        delay_I=delay_I, delay_II=delay_II, mix=StreamMix(p1), mode=mode, n=n
-    )
+    template = _build("", ScenarioTemplate, delay_I, delay_II, mix, mode, n)
+    if k1 is not None or k2 is not None:
+        # An absent threshold stands in as 1, which every n >= 1 admits.
+        _build("", template.with_thresholds, 1 if k1 is None else k1, 1 if k2 is None else k2)
     return template, k1, k2
 
 
@@ -167,15 +166,19 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    template, k1, k2 = load_scenario_file(args.scenario)
-    cfg = SimConfig(
-        scenario=template.with_thresholds(k1, k2),
+def _sim_config(args, scenario: Scenario) -> SimConfig:
+    return SimConfig(
+        scenario=scenario,
         cycles=args.cycles,
         seed=args.seed,
         warmup_cycles=args.warmup,
         replications=args.replications,
     )
+
+
+def _cmd_simulate(args) -> int:
+    template, k1, k2 = load_scenario_file(args.scenario)
+    cfg = _sim_config(args, template.with_thresholds(k1, k2))
     t0 = time.perf_counter()
     res = simulate(cfg, threads=args.threads)
     wall = time.perf_counter() - t0
@@ -204,14 +207,7 @@ def _cmd_validate(args) -> int:
     template, k1, k2 = load_scenario_file(args.scenario)
     scenario = template.with_thresholds(k1, k2)
     exact = age_pair(scenario)
-    cfg = SimConfig(
-        scenario=scenario,
-        cycles=args.cycles,
-        seed=args.seed,
-        warmup_cycles=args.warmup,
-        replications=args.replications,
-    )
-    sim = simulate(cfg, threads=args.threads)
+    sim = simulate(_sim_config(args, scenario), threads=args.threads)
 
     report = {}
     ok = True
@@ -250,12 +246,9 @@ def _parse_betas(spec: str | None):
     if spec is None:
         return list(np.linspace(0.0, 1.0, 33))
     try:
-        betas = [float(tok) for tok in spec.split(",") if tok.strip()]
+        return [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise SchemaError("betas", f"could not parse {spec!r} as comma-separated floats")
-    if not betas or any(not 0.0 <= b <= 1.0 for b in betas):
-        raise SchemaError("betas", "need a nonempty list of values in [0, 1]")
-    return betas
 
 
 def _csv_cell(v):
@@ -267,23 +260,13 @@ def _csv_cell(v):
 def _cmd_pareto(args) -> int:
     template, _, _ = load_scenario_file(args.scenario, need_thresholds=False)
     betas = _parse_betas(args.betas)
-    kwargs = {}
-    if args.evaluator == "approx":
-        kwargs["grid"] = args.grid
-    frontier = pareto_frontier(template, betas, evaluator=args.evaluator, **kwargs)
-
-    if args.evaluator == "approx":
-        header = ["beta", "alpha1", "alpha2", "age_I", "age_II", "objective"]
-        rows = [
-            [p.beta, p.alpha1, p.alpha2, p.age_I, p.age_II, p.objective]
-            for p in frontier
-        ]
-    else:
-        header = ["beta", "k1", "k2", "age_I", "age_II", "objective"]
-        rows = [
-            [p.beta, p.k1, p.k2, p.age_I, p.age_II, p.objective]
-            for p in frontier
-        ]
+    frontier = pareto_frontier(template, betas, evaluator=args.evaluator, grid=args.grid)
+    x1, x2 = ("alpha1", "alpha2") if args.evaluator == "approx" else ("k1", "k2")
+    header = ["beta", x1, x2, "age_I", "age_II", "objective"]
+    rows = [
+        [p.beta, getattr(p, x1), getattr(p, x2), p.age_I, p.age_II, p.objective]
+        for p in frontier
+    ]
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -368,6 +351,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    sim_args = argparse.ArgumentParser(add_help=False)
+    sim_args.add_argument("scenario", help="scenario JSON file")
+    sim_args.add_argument("--cycles", type=int, default=100_000)
+    sim_args.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sim_args.add_argument("--replications", type=int, default=10)
+    sim_args.add_argument("--warmup", type=int, default=1_000)
+    sim_args.add_argument("--threads", type=int, default=1,
+                          help="worker processes over replications (default 1: serial)")
+
     p = sub.add_parser("eval", help="evaluate the closed-form ages")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--approx", action="store_true", help="use the large-n forms")
@@ -375,25 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha2", type=float, help="threshold ratio for type II")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("simulate", help="Monte Carlo age estimate")
-    p.add_argument("scenario")
-    p.add_argument("--cycles", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--replications", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=1_000)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes over replications (default 1: serial)")
+    p = sub.add_parser("simulate", parents=[sim_args], help="Monte Carlo age estimate")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("validate", help="compare closed forms against simulation")
-    p.add_argument("scenario")
-    p.add_argument("--cycles", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--replications", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=1_000)
+    p = sub.add_parser("validate", parents=[sim_args],
+                       help="compare closed forms against simulation")
     p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes over replications (default 1: serial)")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("pareto", help="weighted-optimum sweep over beta, CSV out")
@@ -425,10 +404,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RuntimeError) as e:
+    except (SchemaError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

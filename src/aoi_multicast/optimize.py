@@ -7,7 +7,8 @@ closed-form kernel, take the first row-major argmin of the objective per
 beta and zoom into the winning cell. The first grid does not depend on
 beta, so a pareto frontier evaluates it once for all betas. The integer
 search lists every (k1, k2) up to n = EXHAUSTIVE_LIMIT; above that it
-starts from a 33-point grid per axis.
+starts from a 33-point grid per axis. The ratio search refines its grid
+with REFINE_ROUNDS 33-point rounds around the winning cell.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .analytic import (
     ScenarioApprox,
     StarvedStreamError,
     StreamMix,
+    _check_integer,
     _pair_ages,
     age_pair,
 )
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT = 512
+REFINE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,10 @@ class ScenarioTemplate:
     mix: StreamMix
     mode: Mode = AtWill()
     n: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.n is not None:
+            object.__setattr__(self, "n", _check_integer("n", self.n, at_least=1))
 
     def with_thresholds(self, k1: int, k2: int) -> Scenario:
         if self.n is None:
@@ -81,7 +88,6 @@ class MonotonicityReport:
     alpha2_grid: np.ndarray
     ages: np.ndarray
     strictly_increasing: bool
-    coefficient_condition: bool
     degenerate: bool = False
 
     @property
@@ -89,7 +95,7 @@ class MonotonicityReport:
         if self.degenerate:
             # Single-stream case: the age must simply not depend on alpha2.
             return bool(np.ptp(self.ages) == 0.0)
-        return self.strictly_increasing and self.coefficient_condition
+        return self.strictly_increasing
 
 
 def _check_beta(beta: float) -> float:
@@ -168,8 +174,8 @@ def _exact_coarse_to_fine(template, beta):
     return _search(template, template.n, (ks, ks), [beta], _exact_zoom)[0]
 
 
-def _approx_zoom(refine_rounds, lo, hi):
-    """Zoom of the ratio search: refine_rounds 33-point rounds inside [lo, hi]."""
+def _approx_zoom(lo, hi):
+    """Zoom of the ratio search: REFINE_ROUNDS 33-point rounds inside [lo, hi]."""
 
     def refine(xs, i):
         if xs.size == 1:
@@ -178,7 +184,7 @@ def _approx_zoom(refine_rounds, lo, hi):
         return np.linspace(max(w_lo, lo), min(w_hi, hi), 33)
 
     def zoom(round_idx, a1s, a2s, i1, i2):
-        if round_idx == refine_rounds:
+        if round_idx == REFINE_ROUNDS:
             return None
         return refine(a1s, i1), refine(a2s, i2)
 
@@ -197,8 +203,7 @@ def _point(scenario, beta, **thresholds) -> ParetoPoint:
 
 
 def _optimize_all(
-    template, betas, evaluator="exact", grid=512, refine_rounds=2,
-    fixed_alpha1=None, fixed_alpha2=None,
+    template, betas, evaluator="exact", grid=512, fixed_alpha1=None, fixed_alpha2=None
 ):
     """One ParetoPoint per (already checked) beta."""
     if evaluator == "exact":
@@ -221,7 +226,7 @@ def _optimize_all(
         hi = grid / (grid + 1)
         a1s = np.array([fixed_alpha1]) if fixed_alpha1 is not None else np.linspace(lo, hi, grid)
         a2s = np.array([fixed_alpha2]) if fixed_alpha2 is not None else np.linspace(lo, hi, grid)
-        best = _search(template, None, (a1s, a2s), betas, _approx_zoom(refine_rounds, lo, hi))
+        best = _search(template, None, (a1s, a2s), betas, _approx_zoom(lo, hi))
         return [
             _point(template.with_alphas(a1, a2), beta, alpha1=a1, alpha2=a2)
             for beta, (a1, a2) in zip(betas, best)
@@ -234,7 +239,6 @@ def optimize(
     beta: float,
     evaluator: str = "exact",
     grid: int = 512,
-    refine_rounds: int = 2,
     fixed_alpha1: float | None = None,
     fixed_alpha2: float | None = None,
 ) -> ParetoPoint:
@@ -246,9 +250,7 @@ def optimize(
     """
     beta = _check_beta(beta)
     _check_starved_objective(template.mix, beta)
-    return _optimize_all(
-        template, [beta], evaluator, grid, refine_rounds, fixed_alpha1, fixed_alpha2
-    )[0]
+    return _optimize_all(template, [beta], evaluator, grid, fixed_alpha1, fixed_alpha2)[0]
 
 
 def _dominated(p: ParetoPoint, q: ParetoPoint) -> bool:
@@ -293,32 +295,24 @@ def lemma1_monotonicity_check(
     alpha1: float = 0.5,
     alpha2_grid=None,
 ) -> MonotonicityReport:
-    """Verify that the large-n type-I age grows strictly with alpha2.
+    """Verify Lemma 1: with alpha1 fixed, the large-n type-I age grows
+    strictly with alpha2.
 
-    With alpha1 fixed, the at-will age takes the form
-    c1 + (c2 d1^2 + c3 d1 d2 + c4 d2^2) / (c5 d1 + c6 d2), which increases
-    in d2 whenever c2 c6 < c3 c5; the coefficient inequality is checked
-    numerically alongside the grid sweep. With p1 = 1 the age is constant
-    in alpha2 (degenerate case).
+    The type-I ages are evaluated on alpha2_grid by the closed-form kernel,
+    in the template's generation mode and with its delay laws. With p1 = 1
+    the age is constant in alpha2 (degenerate case).
     """
     if alpha2_grid is None:
         alpha2_grid = np.linspace(0.01, 0.99, 99)
     alpha2_grid = np.asarray(alpha2_grid, dtype=float)
-    p1, p2 = template.mix.p1, template.mix.p2
-    if p1 <= 0.0:
+    if template.mix.p1 <= 0.0:
         raise StarvedStreamError("type I is starved (p1 = 0)")
 
     ages = _pair_ages(template, None, alpha1, alpha2_grid)[0]
-    degenerate = p2 <= 0.0
-    c2 = (2.0 - alpha1) * p1 * p1
-    c3 = 2.0 * p1 * p2 * (2.0 - alpha1)
-    c5 = 2.0 * p1 * alpha1 * p1
-    c6 = 2.0 * p1 * alpha1 * p2
     return MonotonicityReport(
         alpha1=alpha1,
         alpha2_grid=alpha2_grid,
         ages=ages,
         strictly_increasing=bool(np.all(np.diff(ages) > 0.0)),
-        coefficient_condition=bool(c2 * c6 < c3 * c5),
-        degenerate=degenerate,
+        degenerate=template.mix.p2 <= 0.0,
     )

@@ -26,7 +26,6 @@ __all__ = [
     "gen_harmonic",
     "os_mean",
     "os_var",
-    "os_second_moment",
     "mean_first_k",
     "mean_first_k_approx",
     "delta_threshold",
@@ -44,10 +43,10 @@ class ShiftedExp:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-        if self.shift < 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
 
     @property
     def mean(self) -> float:
@@ -170,13 +169,6 @@ def os_mean(d: ShiftedExp, k, n) -> float:
 def os_var(d: ShiftedExp, k, n) -> float:
     """Variance of the k-th smallest of n i.i.d. draws: (G_n - G_{n-k}) / rate^2."""
     return _moments(d, k, n)[1]
-
-
-def os_second_moment(d: ShiftedExp, k, n) -> float:
-    """Second moment of the k-th smallest of n draws: os_var + os_mean**2, expanded."""
-    k, n = _check_order(k, n)
-    dh, dg = _harmonic_diffs(n, n - k)
-    return d.shift**2 + 2.0 * d.shift * dh / d.rate + (dh * dh + dg) / d.rate**2
 
 
 def mean_first_k(d: ShiftedExp, k, n) -> float:

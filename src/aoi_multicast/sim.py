@@ -38,6 +38,7 @@ from .analytic import INFINITE_AGE, Exogenous, Scenario, Stream, _check_integer
 from .orderstats import ShiftedExp
 
 __all__ = [
+    "DEFAULT_SEED",
     "SimConfig",
     "SimResult",
     "simulate",

