@@ -54,6 +54,8 @@ class StarvedStreamError(ValueError):
 
 # Age of a starved stream.
 INFINITE_AGE = math.inf
+# Largest receiver count: thresholds are held in int64 arrays.
+_N_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class Exogenous:
     mu: float
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not (self.mu > 0 and 1.0 / self.mu / self.mu < math.inf):
+            raise ValueError(f"mu must be > 0 with a finite 1 / mu^2, got {self.mu}")
 
 
 Mode = AtWill | Exogenous
@@ -97,14 +99,16 @@ class StreamMix:
         return self.p1 if stream is Stream.TYPE_I else self.p2
 
 
-def _check_integer(name: str, v, at_least: int | None = None) -> int:
-    """v as an int, no smaller than at_least if given; bools and
+def _check_integer(name: str, v, at_least: int | None = None, at_most: int | None = None) -> int:
+    """v as an int in [at_least, at_most], where given; bools and
     non-integral numbers are rejected."""
     integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
     if isinstance(v, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {v!r}")
     if at_least is not None and v < at_least:
         raise ValueError(f"{name} must be >= {at_least}, got {int(v)}")
+    if at_most is not None and v > at_most:
+        raise ValueError(f"{name} must be <= {at_most}, got {int(v)}")
     return int(v)
 
 
@@ -121,7 +125,7 @@ class Scenario:
     mode: Mode = AtWill()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _check_integer("n", self.n, at_least=1))
+        object.__setattr__(self, "n", _check_integer("n", self.n, 1, _N_MAX))
         for name in ("k1", "k2"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         for name, k in (("k1", self.k1), ("k2", self.k2)):
@@ -225,7 +229,7 @@ def _renewal(p, po, own, other, ez, vz):
     """
     q, e_t, v_t, delivered = own
     r, y1, yvar = _missed_cycle(p, po, own, other)
-    pq = p * q
+    pq = np.multiply(p, q)  # a float64 even for scalars, so x / 0 is inf, not an error
     pq2 = pq * pq
     em = 1.0 / pq  # E[M]
     em1 = r / pq  # E[M - 1]
@@ -304,9 +308,14 @@ def age(s: "Scenario | ScenarioApprox", target: Stream) -> float:
 
 
 def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
-    """Both stream ages for a scenario; a starved stream maps to INFINITE_AGE."""
+    """Both stream ages for a scenario; a starved stream maps to INFINITE_AGE,
+    and the overflow of another stream's age raises ValueError."""
     if isinstance(s, ScenarioApprox):
         age_I, age_II = _pair_ages(s, None, s.alpha1, s.alpha2)
     else:
         age_I, age_II = _pair_ages(s, s.n, s.k1, s.k2)
-    return AgePair(float(age_I), float(age_II))
+    pair = AgePair(float(age_I), float(age_II))
+    for stream in Stream:
+        if s.mix.prob(stream) > 0 and not math.isfinite(pair.age(stream)):
+            raise ValueError(f"age_{stream.value} is {pair.age(stream)}: the inputs overflow")
+    return pair

@@ -36,17 +36,18 @@ __all__ = [
 class ShiftedExp:
     """Link delay law ``shift + Exponential(rate)``.
 
-    ``shift = 0`` is accepted as the pure-exponential degenerate case.
+    ``shift = 0`` is accepted as the pure-exponential degenerate case. The
+    second moment must be finite too, so that the ages do not overflow.
     """
 
     rate: float
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rate < math.inf:
-            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-        if not 0.0 <= self.shift < math.inf:
-            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
+        if not (0.0 < self.rate < math.inf and 2.0 / self.rate / self.rate < math.inf):
+            raise ValueError(f"rate must be finite and > 0 with finite moments, got {self.rate}")
+        if not (0.0 <= self.shift < math.inf and self.second_moment < math.inf):
+            raise ValueError(f"shift must be finite and >= 0 with finite moments, got {self.shift}")
 
     @property
     def mean(self) -> float:
@@ -54,7 +55,7 @@ class ShiftedExp:
 
     @property
     def second_moment(self) -> float:
-        return self.shift**2 + 2.0 * self.shift / self.rate + 2.0 / self.rate**2
+        return self.shift * self.shift + 2.0 * self.shift / self.rate + 2.0 / self.rate / self.rate
 
 
 _M = 32

@@ -287,6 +287,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
         ses[stream] = (
             float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
         )
+        if not np.isfinite([ages[stream], ses[stream]]).all():
+            raise RuntimeError(f"the simulated age of stream {stream.value} overflows")
 
     return SimResult(
         age_I_hat=ages[Stream.TYPE_I],

@@ -132,6 +132,46 @@ class TestEval:
         assert captured.err.count(field) == 1
         assert captured.out == "" and not out_path.exists()
 
+    @pytest.mark.parametrize("verb", [["eval"], ["simulate", "--cycles", "2000"]],
+                             ids=lambda v: v[0])
+    @pytest.mark.parametrize(
+        "patch,key",
+        [
+            ({"n": 10**20, "k1": 10**19, "k2": 5 * 10**19}, "n"),
+            ({"delay_I": {"rate": 1e-320, "shift": 1.0}}, "delay_I.rate"),
+            ({"delay_I": {"rate": 1e-200, "shift": 1.0}}, "delay_I.rate"),
+            ({"delay_I": {"rate": 1.0, "shift": 1e308}}, "delay_I.shift"),
+            ({"mode": "exogenous", "mu": 1e-200}, "mu"),
+        ],
+    )
+    def test_overflowing_input_rejected(self, scenario_file, tmp_path, capsys,
+                                        verb, patch, key):
+        rc = run_verb(verb, scenario_file(dict(SCENARIO, **patch)), tmp_path / "x.csv")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: {key}: must be")
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "verb,patch,message",
+        [
+            # (p1 k1 / n)^2 underflows to 0 in the kernel.
+            (["eval"], {"p1": 1e-300}, "error: age_I is nan"),
+            # 1/rate^2 is finite, but the squared gaps of the sawtooth area overflow.
+            (["simulate", "--cycles", "5000", "--replications", "3"],
+             {"delay_I": {"rate": 2e-154, "shift": 1.0}}, "error: the simulated age of stream I"),
+        ],
+        ids=["eval", "simulate"],
+    )
+    def test_overflowing_age_rejected(self, scenario_file, tmp_path, capsys,
+                                      verb, patch, message):
+        rc = run_verb(verb, scenario_file(dict(SCENARIO, **patch)), tmp_path / "x.csv")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+
     def test_missing_key(self, scenario_file, capsys):
         doc = dict(SCENARIO)
         del doc["delay_II"]

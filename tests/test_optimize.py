@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from aoi_multicast.optimize import (
     pareto_frontier,
 )
 from aoi_multicast.orderstats import ShiftedExp
+
+# The module, not the function that the package exports under the same name.
+opt_mod = importlib.import_module("aoi_multicast.optimize")
 
 
 def symmetric_template(n=30, mode=AtWill()):
@@ -108,9 +113,10 @@ class TestOptimizeExact:
             a = optimize(tpl, beta)
             b = optimize(tpl, beta)
             # force the multi-resolution path explicitly
-            from aoi_multicast.optimize import _exact_coarse_to_fine
+            from aoi_multicast.optimize import _exact_zoom, _int_axis, _search
 
-            k1, k2 = _exact_coarse_to_fine(tpl, beta)
+            ks = _int_axis(1, tpl.n)
+            k1, k2 = _search(tpl, tpl.n, (ks, ks), [beta], _exact_zoom)[0]
             assert (k1, k2) == (a.k1, a.k2) == (b.k1, b.k2)
 
 
@@ -155,6 +161,123 @@ class TestSearchGrid:
         for pt in pareto_frontier(asymmetric_template(), [0.0, 0.5, 1.0],
                                   evaluator=evaluator, grid=64):
             assert all(type(v) is float for v in (pt.beta, pt.age_I, pt.age_II, pt.objective))
+
+
+def full_grid_search(template, n, axes, betas, zoom):
+    """Reference search: per beta, np.argmin over each whole grid, zoomed as
+    _search zooms."""
+    from aoi_multicast.analytic import _pair_ages
+
+    best = []
+    for beta in betas:
+        (x1, x2), round_idx = axes, 0
+        while True:
+            age_I, age_II = _pair_ages(template, n, x1[:, None], x2[None, :])
+            if beta == 1.0:
+                obj = age_I
+            elif beta == 0.0:
+                obj = age_II
+            else:
+                obj = beta * age_I + (1 - beta) * age_II
+            i1, i2 = divmod(int(np.argmin(obj)), x2.size)
+            zoomed = zoom(round_idx, x1, x2, i1, i2)
+            if zoomed is None:
+                break
+            x1, x2 = zoomed
+            round_idx += 1
+        best.append((x1[i1].item(), x2[i2].item()))
+    return best
+
+
+class TestBlocks:
+    """The first grid is searched in blocks of `_BLOCK_CELLS` cells."""
+
+    BETAS = [0.0, 0.1, 0.5, 0.9, 1.0]
+
+    @staticmethod
+    def exact_axes(n):
+        ks = (np.arange(1, n + 1) if n <= opt_mod.EXHAUSTIVE_LIMIT
+              else opt_mod._int_axis(1, n))
+        return n, (ks, ks), opt_mod._exact_zoom
+
+    @staticmethod
+    def approx_axes(grid, fixed_alpha1=None, fixed_alpha2=None):
+        lo, hi = 1 / (grid + 1), grid / (grid + 1)
+        a1s = np.linspace(lo, hi, grid) if fixed_alpha1 is None else np.array([fixed_alpha1])
+        a2s = np.linspace(lo, hi, grid) if fixed_alpha2 is None else np.array([fixed_alpha2])
+        return None, (a1s, a2s), opt_mod._approx_zoom(lo, hi)
+
+    def check(self, monkeypatch, template, n, axes, zoom, betas):
+        want = full_grid_search(template, n, axes, betas, zoom)
+        for block in (1, 7, opt_mod._BLOCK_CELLS):
+            monkeypatch.setattr(opt_mod, "_BLOCK_CELLS", block)
+            assert opt_mod._search(template, n, axes, betas, zoom) == want, block
+
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
+    def test_random_templates_match_full_grid(self, monkeypatch, mode):
+        # Block sizes 1 and 7 split each grid into many row blocks; a row of
+        # n <= 7 cells, or of one cell with a fixed alpha2, packs several rows
+        # into a block and leaves a partial last block.
+        rng = np.random.default_rng(808)
+
+        def log_uniform(lo, hi):
+            return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+        for n in (3, 5, 7, 23, 600):
+            delays = [ShiftedExp(log_uniform(1e-1, 1e1), log_uniform(1e-2, 2.0))
+                      for _ in range(2)]
+            tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.05, 0.95)), mode, n=n)
+            self.check(monkeypatch, tpl, *self.exact_axes(n), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(n), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(n, fixed_alpha2=0.4), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(n, fixed_alpha1=0.6), self.BETAS)
+
+    @pytest.mark.parametrize("p1,beta", [(1.0, 1.0), (0.0, 0.0)])
+    def test_starved_stream_at_zero_weight(self, monkeypatch, p1, beta):
+        # The weighted age does not depend on the starved stream's threshold,
+        # so each row (p1 = 1) or each column (p1 = 0) ties; with p1 = 0 the
+        # tied minima lie in different blocks.
+        tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1),
+                               Exogenous(2.0), n=20)
+        self.check(monkeypatch, tpl, *self.exact_axes(20), [beta])
+        self.check(monkeypatch, tpl, *self.approx_axes(20), [beta])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_cells_win_as_in_argmin(self, monkeypatch):
+        # At p1 = 1e-153, (p1 k1 / n)^2 underflows for the smallest k1, whose
+        # objective is NaN; a descending k1 axis puts them in the last blocks.
+        tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(1e-153),
+                               AtWill(), n=20)
+        ks = np.arange(1, 21)
+        self.check(monkeypatch, tpl, 20, (ks[::-1], ks), opt_mod._exact_zoom, [0.5])
+
+    def test_symmetric_ties(self, monkeypatch):
+        from aoi_multicast.analytic import _pair_ages
+
+        # At beta = 0.5 the objective at (a, b) equals the one at (b, a).
+        tpl = symmetric_template(n=16)
+        ks = np.arange(1, 17)
+        age_I, age_II = _pair_ages(tpl, 16, ks[:, None], ks[None, :])
+        obj = 0.5 * age_I + 0.5 * age_II
+        assert np.array_equal(obj, obj.T)
+        self.check(monkeypatch, tpl, *self.exact_axes(16), [0.5])
+        self.check(monkeypatch, tpl, *self.approx_axes(16), [0.5])
+
+    def test_memory_does_not_grow_with_grid(self):
+        tpl = asymmetric_template(mode=Exogenous(2.0))
+        betas = [0.25, 0.5, 0.75]
+        pareto_frontier(tpl, betas, evaluator="approx", grid=64)  # one-time allocations
+        peaks = []
+        for grid in (256, 1024):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                pareto_frontier(tpl, betas, evaluator="approx", grid=grid)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        # A whole first grid would make the second peak 16 times the first.
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestOptimizeApprox:
