@@ -258,35 +258,49 @@ def _idle_gap(mode: Mode) -> tuple[float, float]:
     return 0.0, 0.0
 
 
-def _pair_ages(s, n, x1, x2):
-    """Ages of streams I and II at thresholds x1 and x2, broadcast together.
+def _renewals(s, n, x1, x2):
+    """Yield the ``_renewal`` triples of streams I and II at thresholds x1
+    and x2, broadcast together, one at a time; None for a starved stream.
 
     s supplies delay_I, delay_II, mix and mode (a Scenario, ScenarioApprox
     or optimizer template); x1 and x2 are thresholds k, or ratios alpha when
-    n is None. A starved stream's ages are +inf.
+    n is None.
     """
     m_I = _threshold_moments(s.delay_I, x1, n)
     m_II = _threshold_moments(s.delay_II, x2, n)
     ez, vz = _idle_gap(s.mode)
-    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
     p1, p2 = s.mix.p1, s.mix.p2
-    age_I = _renewal(p1, p2, m_I, m_II, ez, vz)[0] if p1 > 0 else np.full(shape, np.inf)
-    age_II = _renewal(p2, p1, m_II, m_I, ez, vz)[0] if p2 > 0 else np.full(shape, np.inf)
-    return age_I, age_II
+    yield _renewal(p1, p2, m_I, m_II, ez, vz) if p1 > 0 else None
+    yield _renewal(p2, p1, m_II, m_I, ez, vz) if p2 > 0 else None
 
 
-def _inputs(s: "Scenario | ScenarioApprox", target: Stream):
-    """Kernel inputs (p, po, own, other) of the target stream; raises when it is starved."""
-    p = s.mix.prob(target)
-    if p <= 0:
+def _pair_ages(s, n, x1, x2):
+    """Ages of streams I and II, as ``_renewals``; a starved stream's ages are +inf."""
+    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    # map drops each triple before the next is computed, so no E[S] or
+    # E[S^2] grid outlives its stream.
+    return tuple(map(lambda r: np.full(shape, np.inf) if r is None else r[0],
+                     _renewals(s, n, x1, x2)))
+
+
+def _scenario_renewals(s: "Scenario | ScenarioApprox") -> dict:
+    """{stream: (age, E[S], E[S^2])} of a scenario, None for a starved
+    stream; raises ValueError when a stream with nonzero share has an age
+    that is not finite."""
+    approx = isinstance(s, ScenarioApprox)
+    x = (None, s.alpha1, s.alpha2) if approx else (s.n, s.k1, s.k2)
+    out = dict(zip(Stream, _renewals(s, *x)))
+    for stream, r in out.items():
+        if r is not None and not math.isfinite(r[0]):
+            raise ValueError(f"age_{stream.value} is {float(r[0])}: the inputs overflow")
+    return out
+
+
+def _target_renewal(s: "Scenario | ScenarioApprox", target: Stream):
+    r = _scenario_renewals(s)[target]
+    if r is None:
         raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    if isinstance(s, ScenarioApprox):
-        n, x_t, x_o = None, s.alpha(target), s.alpha(target.other)
-    else:
-        n, x_t, x_o = s.n, s.threshold(target), s.threshold(target.other)
-    own = _threshold_moments(s.delay(target), x_t, n)
-    other = _threshold_moments(s.delay(target.other), x_o, n)
-    return p, s.mix.prob(target.other), own, other
+    return r
 
 
 # -- public API --------------------------------------------------------------
@@ -294,7 +308,7 @@ def _inputs(s: "Scenario | ScenarioApprox", target: Stream):
 
 def s_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:
     """Moments of the tagged-node inter-delivery time of the target stream."""
-    _, m1, m2 = _renewal(*_inputs(s, target), *_idle_gap(s.mode))
+    _, m1, m2 = _target_renewal(s, target)
     return Moments2(float(m1), float(m2))
 
 
@@ -302,20 +316,14 @@ def age(s: "Scenario | ScenarioApprox", target: Stream) -> float:
     """Average age of the target stream: exact for a Scenario, large-n for a
     ScenarioApprox, in the scenario's generation mode.
 
-    Raises StarvedStreamError when the target stream has zero share.
+    Raises StarvedStreamError when the target stream has zero share, and
+    ValueError when the age of either stream overflows.
     """
-    return float(_renewal(*_inputs(s, target), *_idle_gap(s.mode))[0])
+    return float(_target_renewal(s, target)[0])
 
 
 def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
     """Both stream ages for a scenario; a starved stream maps to INFINITE_AGE,
     and the overflow of another stream's age raises ValueError."""
-    if isinstance(s, ScenarioApprox):
-        age_I, age_II = _pair_ages(s, None, s.alpha1, s.alpha2)
-    else:
-        age_I, age_II = _pair_ages(s, s.n, s.k1, s.k2)
-    pair = AgePair(float(age_I), float(age_II))
-    for stream in Stream:
-        if s.mix.prob(stream) > 0 and not math.isfinite(pair.age(stream)):
-            raise ValueError(f"age_{stream.value} is {pair.age(stream)}: the inputs overflow")
-    return pair
+    return AgePair(*(INFINITE_AGE if r is None else float(r[0])
+                     for r in _scenario_renewals(s).values()))

@@ -167,13 +167,8 @@ def _cmd_eval(args) -> int:
 
 
 def _sim_config(args, scenario: Scenario) -> SimConfig:
-    return SimConfig(
-        scenario=scenario,
-        cycles=args.cycles,
-        seed=args.seed,
-        warmup_cycles=args.warmup,
-        replications=args.replications,
-    )
+    return SimConfig(scenario, cycles=args.cycles, seed=args.seed,
+                     replications=args.replications)
 
 
 def _cmd_simulate(args) -> int:
@@ -356,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_args.add_argument("--cycles", type=int, default=100_000)
     sim_args.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim_args.add_argument("--replications", type=int, default=10)
-    sim_args.add_argument("--warmup", type=int, default=1_000)
     sim_args.add_argument("--threads", type=int, default=1,
                           help="worker processes over replications (default 1: serial)")
 

@@ -190,8 +190,13 @@ def _neighbours(xs, i):
 
 
 def _int_axis(lo, hi):
-    """33 evenly spread integers of [lo, hi], fewer when they repeat."""
-    return np.unique(np.rint(np.linspace(lo, hi, 33)).astype(np.int64))
+    """33 evenly spread integers of [lo, hi], fewer when they repeat: each is
+    lo + (hi - lo) i / 32 rounded half to even in exact arithmetic, so the
+    axis lists every integer of a narrow window at any n."""
+    lo, hi = int(lo), int(hi)
+    xs = range(32 * lo, 32 * hi + 1, hi - lo) if hi > lo else [32 * lo]  # each point times 32
+    points = [q + (r > 16 or (r == 16 and q % 2)) for q, r in (divmod(x, 32) for x in xs)]
+    return np.unique(np.array(points, dtype=np.int64))
 
 
 def _exact_zoom(round_idx, k1s, k2s, i1, i2):

@@ -48,6 +48,9 @@ class ShiftedExp:
             raise ValueError(f"rate must be finite and > 0 with finite moments, got {self.rate}")
         if not (0.0 <= self.shift < math.inf and self.second_moment < math.inf):
             raise ValueError(f"shift must be finite and >= 0 with finite moments, got {self.shift}")
+        # Floats, so that k * rate cannot overflow int64 arithmetic at large k.
+        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "shift", float(self.shift))
 
     @property
     def mean(self) -> float:
@@ -117,7 +120,9 @@ def _check_order(k, n):
         k = k.astype(np.int64, copy=False)
         lo, hi = k.min(), k.max()
     if n < 1 or lo < 1 or hi > n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        flat = np.ravel(k)
+        first = flat[np.argmax((flat < 1) | (flat > n))]
+        raise ValueError(f"need 1 <= k <= n, got k={first}, n={n}")
     return k, int(n)
 
 

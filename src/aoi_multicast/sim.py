@@ -18,11 +18,19 @@ Nagaraja, *Order Statistics*). For delay shift + Exp(rate):
   a standard Gamma(a) draw, since 1 - U_(k) ~ Beta(n-k+1, k), and below
   rank k an own delay drawn from the delay law truncated to [shift, X_(k)].
 
+Each estimate runs from the stream's first delivery to its last; no
+cycles are discarded. Cycles are i.i.d. from time 0, so the cycles from a
+stream's first delivering cycle on have the same law as those from any
+later one: the first delivery is a renewal point like every other, and
+the time average over whole inter-delivery intervals estimates the
+renewal-reward ratio that the closed forms evaluate. What bias is left is
+the O(1/N) bias of a ratio over N intervals, which no warmup removes.
+
 A replication runs in fixed-size blocks of cycles, so its memory does not
-grow with the cycle count. Each block yields its post-warmup deliveries;
-the age fold carries, per stream, the first and last delivery time, the
-last reset age, the area and the delivery count, and the sawtooth interval
-that crosses into a block starts at the carried last delivery.
+grow with the cycle count. The age fold carries, per stream, the first
+and last delivery time, the last reset age, the area and the delivery
+count, and the sawtooth interval that crosses into a block starts at the
+carried last delivery.
 
 The tests keep the direct sampler (n delays, then the k-th smallest) as an
 independent reference and compare the two laws by two-sample tests.
@@ -63,20 +71,11 @@ class SimConfig:
     scenario: Scenario
     cycles: int = 100_000
     seed: int = DEFAULT_SEED
-    warmup_cycles: int = 1_000
     replications: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("cycles", "warmup_cycles", "replications", "seed"):
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        if self.cycles <= self.warmup_cycles:
-            raise ValueError(
-                f"cycles ({self.cycles}) must exceed warmup_cycles ({self.warmup_cycles})"
-            )
-        if self.warmup_cycles < 0:
-            raise ValueError("warmup_cycles must be >= 0")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        for name, at_least in (("cycles", 1), ("replications", 1), ("seed", None)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), at_least))
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,10 @@ class SimResult:
 
 @dataclass
 class _StreamTrace:
-    delivery_times: np.ndarray  # tagged-node delivery instants, post warmup
+    delivery_times: np.ndarray  # tagged-node delivery instants
     delivery_cycles: np.ndarray  # cycle indices of those deliveries
     reset_ages: np.ndarray  # own link delay of each delivered packet
-    type_cycles: int  # post-warmup cycles carrying this stream's type
+    type_cycles: int  # cycles carrying this stream's type
 
 
 def _sample_stream(d: ShiftedExp, k: int, n: int, m: int, rng: np.random.Generator):
@@ -141,12 +140,12 @@ def _sample_stream(d: ShiftedExp, k: int, n: int, m: int, rng: np.random.Generat
     return span, own, hit
 
 
-def _blocks(scenario: Scenario, cycles: int, warmup: int, rng: np.random.Generator):
+def _blocks(scenario: Scenario, cycles: int, rng: np.random.Generator):
     """Draw one replication in blocks of `_BLOCK` cycles.
 
-    Yields, per block, the {stream: _StreamTrace} of its post-warmup
-    deliveries (times from the start of the replication, cycle indices
-    from its first cycle) and the time at which the block ends.
+    Yields, per block, the {stream: _StreamTrace} of its deliveries (times
+    from the start of the replication, cycle indices from its first cycle)
+    and the time at which the block ends.
     """
     n = scenario.n
     end = 0.0
@@ -174,11 +173,8 @@ def _blocks(scenario: Scenario, cycles: int, warmup: int, rng: np.random.Generat
         np.cumsum(starts, out=starts)
         end = float(starts[-1])
 
-        lo = min(max(warmup - first, 0), size)  # first post-warmup cycle
         traces = {}
         for stream, (own, hit) in drawn.items():
-            cut = int(np.searchsorted(idx[stream], lo))
-            hit[:cut] = False
             sel = np.flatnonzero(hit)
             cyc = idx[stream][sel]
             reset = own[sel]
@@ -186,7 +182,7 @@ def _blocks(scenario: Scenario, cycles: int, warmup: int, rng: np.random.Generat
                 delivery_times=starts[cyc] + reset,
                 delivery_cycles=cyc + first,
                 reset_ages=reset,
-                type_cycles=idx[stream].size - cut,
+                type_cycles=idx[stream].size,
             )
         yield traces, end
 
@@ -228,10 +224,10 @@ class _AreaFold:
 
 
 def _sim_worker(args) -> tuple:
-    scenario, cycles, warmup, seed_seq = args
+    scenario, cycles, seed_seq = args
     rng = np.random.default_rng(seed_seq)
     folds = {Stream.TYPE_I: _AreaFold(), Stream.TYPE_II: _AreaFold()}
-    for traces, end in _blocks(scenario, cycles, warmup, rng):
+    for traces, end in _blocks(scenario, cycles, rng):
         for stream, fold in folds.items():
             fold.add(traces[stream])
     fold_I, fold_II = folds.values()
@@ -252,9 +248,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    args = [
-        (cfg.scenario, cfg.cycles, cfg.warmup_cycles, ss) for ss in _spawn_seeds(cfg)
-    ]
+    args = [(cfg.scenario, cfg.cycles, ss) for ss in _spawn_seeds(cfg)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -263,20 +257,13 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     else:
         outs = [_sim_worker(a) for a in args]
 
-    ages = {}
-    ses = {}
-    deliveries = {}
+    ages, ses, deliveries = {}, {}, {}
     for i, stream in enumerate((Stream.TYPE_I, Stream.TYPE_II)):
         per_rep = [o[i][0] for o in outs]
         deliveries[stream] = sum(o[i][1] for o in outs)
-        if all(a is None for a in per_rep):
-            if cfg.scenario.mix.prob(stream) <= 0:
-                ages[stream] = INFINITE_AGE
-                ses[stream] = 0.0
-                continue
-            raise RuntimeError(
-                f"no post-warmup deliveries for stream {stream.value}; increase cycles"
-            )
+        if cfg.scenario.mix.prob(stream) <= 0:  # starved: never delivered
+            ages[stream], ses[stream] = INFINITE_AGE, 0.0
+            continue
         if any(a is None for a in per_rep):
             raise RuntimeError(
                 f"some replications saw < 2 deliveries for stream {stream.value}; "
@@ -284,9 +271,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
             )
         vals = np.asarray(per_rep, dtype=np.float64)
         ages[stream] = float(vals.mean())
-        ses[stream] = (
-            float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-        )
+        ses[stream] = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
         if not np.isfinite([ages[stream], ses[stream]]).all():
             raise RuntimeError(f"the simulated age of stream {stream.value} overflows")
 
@@ -305,7 +290,7 @@ def _traces(cfg: SimConfig):
     """Each replication's {stream: _StreamTrace}, its blocks concatenated."""
     for ss in _spawn_seeds(cfg):
         rng = np.random.default_rng(ss)
-        blocks = [t for t, _ in _blocks(cfg.scenario, cfg.cycles, cfg.warmup_cycles, rng)]
+        blocks = [t for t, _ in _blocks(cfg.scenario, cfg.cycles, rng)]
         yield {
             stream: _StreamTrace(
                 delivery_times=np.concatenate([b[stream].delivery_times for b in blocks]),
@@ -341,7 +326,7 @@ def empirical_delivery_probability(cfg: SimConfig, target: Stream) -> float:
         delivered += trace.delivery_times.size
         total += trace.type_cycles
     if total == 0:
-        raise RuntimeError(f"no post-warmup cycles of type {target.value}")
+        raise RuntimeError(f"no cycles of type {target.value}")
     return delivered / total
 
 

@@ -3,7 +3,12 @@ package's closed forms."""
 
 from typing import NamedTuple
 
-from aoi_multicast.analytic import Moments2, StarvedStreamError, _inputs, _missed_cycle
+from aoi_multicast.analytic import (
+    Moments2,
+    StarvedStreamError,
+    _missed_cycle,
+    _threshold_moments,
+)
 from aoi_multicast.orderstats import _check_order, _harmonic_diffs
 
 
@@ -30,14 +35,19 @@ class MissedCycleMoments(NamedTuple):
 
 
 def ybar_moments(s, target) -> MissedCycleMoments:
-    """Moments of a cycle conditioned on the tagged node missing the target stream.
+    """Moments of a cycle of a Scenario conditioned on the tagged node missing
+    the target stream.
 
     In exogenous mode these are the moments of the busy part of the cycle
     only. When a miss has probability zero the conditioning is vacuous and
     the target's unconditioned cycle moments are returned, flagged
     degenerate.
     """
-    p, po, own, other = _inputs(s, target)
+    p, po = s.mix.prob(target), s.mix.prob(target.other)
+    if p <= 0:
+        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
+    own, other = (_threshold_moments(s.delay(x), s.threshold(x), s.n)
+                  for x in (target, target.other))
     r, m1, var = _missed_cycle(p, po, own, other)
     if r == 0:
         _, e, v, _ = own

@@ -249,7 +249,7 @@ def test_criterion_09_brute_force_optimality():
 
 def test_criterion_10_geometric_retry_statistic():
     s = Scenario(10, 3, 5, DELAY_I, DELAY_II, StreamMix(0.6))
-    cfg = SimConfig(s, cycles=700_000, seed=1010, replications=1, warmup_cycles=1000)
+    cfg = SimConfig(s, cycles=700_000, seed=1010, replications=1)
     gaps = empirical_cycle_gaps(cfg, Stream.TYPE_I)
     assert gaps.size >= 100_000
     p = 0.6 * 3 / 10

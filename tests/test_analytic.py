@@ -451,6 +451,15 @@ class TestAgePair:
         assert pair.age_I == age(s, Stream.TYPE_I)
         assert pair.age_II == age(s, Stream.TYPE_II)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_in_every_entry(self):
+        # (p1 k1 / n)^2 underflows to 0 in the kernel, so age_I is nan.
+        s = Scenario(20, 3, 5, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(1e-300))
+        for call in (age_pair, lambda s: age(s, Stream.TYPE_I),
+                     lambda s: s_moments(s, Stream.TYPE_I)):
+            with pytest.raises(ValueError, match="age_I is nan"):
+                call(s)
+
     def test_approx_dispatch(self):
         sa = ScenarioApprox(
             0.3, 0.6, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.4),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -116,7 +117,7 @@ class TestEval:
         ["eval"],
         ["pareto", "--betas", "0.5"],
         ["sweep", "--param", "p1", "--values", "0.5"],
-        ["simulate", "--cycles", "2000", "--warmup", "10"],
+        ["simulate", "--cycles", "2000"],
     ], ids=lambda v: v[0])
     @pytest.mark.parametrize("field", ["rate", "shift"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -215,10 +216,18 @@ class TestSimulate:
             assert abs(sim[key] - exact[key]) <= tol
 
     @pytest.mark.parametrize("verb", ["simulate", "validate"])
+    def test_warmup_option_gone(self, scenario_file, capsys, verb):
+        rc = main([verb, scenario_file(SCENARIO), "--warmup", "10"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--warmup" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["simulate", "validate"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, scenario_file, capsys, verb, threads):
         rc = main([verb, scenario_file(SCENARIO), "--cycles", "2000",
-                   "--warmup", "10", "--threads", threads])
+                   "--threads", threads])
         captured = capsys.readouterr()
         assert rc == 2
         assert "threads" in captured.err
@@ -258,19 +267,15 @@ class TestValidate:
         assert out["result"] == "PASS"
 
     def test_fail_on_corrupted_threshold(self, scenario_file, capsys):
-        # negative control: simulate k1=3 but judge against k1=9 closed form
+        # negative control: simulate k1=9 but judge against the k1=3 closed form
         import aoi_multicast.cli as cli_mod
-        from aoi_multicast.sim import SimConfig, simulate
+        from aoi_multicast.sim import simulate
 
         path = scenario_file(SCENARIO)
 
         def corrupted(cfg, threads=1):
-            bad = cfg.scenario.__class__(
-                cfg.scenario.n, 9, cfg.scenario.k2, cfg.scenario.delay_I,
-                cfg.scenario.delay_II, cfg.scenario.mix, cfg.scenario.mode,
-            )
-            return simulate(SimConfig(bad, cfg.cycles, cfg.seed,
-                                      cfg.warmup_cycles, cfg.replications))
+            bad = dataclasses.replace(cfg.scenario, k1=9)
+            return simulate(dataclasses.replace(cfg, scenario=bad))
 
         orig = cli_mod.simulate
         cli_mod.simulate = corrupted

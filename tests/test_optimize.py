@@ -120,6 +120,48 @@ class TestOptimizeExact:
             assert (k1, k2) == (a.k1, a.k2) == (b.k1, b.k2)
 
 
+class TestIntegerAxis:
+    """The coarse-to-fine axes are built in integer arithmetic at every n."""
+
+    def test_equals_rounded_linspace_below_2_to_40(self):
+        rng = np.random.default_rng(81)
+        his = np.concatenate([rng.integers(1, 2**40, 500, endpoint=True),
+                              rng.integers(1, 4096, 500, endpoint=True), [2**40]])
+        for hi in his.tolist():
+            lo = int(rng.integers(1, hi, endpoint=True))
+            expect = np.unique(np.rint(np.linspace(lo, hi, 33)).astype(np.int64))
+            np.testing.assert_array_equal(opt_mod._int_axis(lo, hi), expect)
+
+    def test_top_of_int64(self):
+        n = 2**63 - 1
+        ks = opt_mod._int_axis(1, n)
+        assert ks.dtype == np.int64 and ks.size == 33
+        assert ks[0] == 1 and ks[-1] == n and np.all(np.diff(ks) > 0)
+
+    @pytest.mark.parametrize("n", [2**56, 2**63 - 1])
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(0.5)], ids=["atwill", "exo"])
+    def test_search_ends_above_float_precision(self, monkeypatch, n, mode):
+        # Above 2^53 float64 cannot list every integer of a window, so a float
+        # axis never narrowed to one integer per point and the zoom never ended.
+        zoom = opt_mod._exact_zoom
+
+        def bounded_zoom(round_idx, *cell):
+            assert round_idx < 64, "the zoom does not converge"
+            return zoom(round_idx, *cell)
+
+        monkeypatch.setattr(opt_mod, "_exact_zoom", bounded_zoom)
+        tpl = asymmetric_template(n=n, mode=mode)
+        points = pareto_frontier(tpl, [0.0, 0.5, 1.0])
+        for p in points:
+            assert 1 <= p.k1 <= n and 1 <= p.k2 <= n
+            assert math.isfinite(p.objective)
+        # The large-n optimum sets the threshold ratios.
+        approx = optimize(tpl, 0.5, evaluator="approx")
+        mid = optimize(tpl, 0.5)
+        assert mid.k1 / n == pytest.approx(approx.alpha1, abs=0.01)
+        assert mid.k2 / n == pytest.approx(approx.alpha2, abs=0.01)
+
+
 class TestSearchGrid:
     """Grid entries of the search equal scalar age_pair calls bit for bit."""
 

@@ -45,6 +45,15 @@ class TestShiftedExp:
         assert d.mean == 2.0
         assert d.second_moment == 5.0
 
+    def test_integer_parameters_stored_as_floats(self):
+        # k * rate on int64 thresholds would wrap at k > 2^62 for an int rate.
+        d = ShiftedExp(2, 1)
+        assert type(d.rate) is float and type(d.shift) is float
+        k = np.array([2**62 + 1, 2**63 - 2])
+        np.testing.assert_array_equal(mean_first_k(d, k, 2**63 - 1),
+                                      mean_first_k(ShiftedExp(2.0, 1.0), k, 2**63 - 1))
+        assert np.all(mean_first_k(d, k, 2**63 - 1) > 1.0)
+
 
 class TestHarmonic:
     def test_trivial_values(self):
@@ -97,6 +106,14 @@ class TestOrderStatMoments:
             os_second_moment(d, 0, n)
         with pytest.raises(ValueError):
             mean_first_k(d, n + 1, n)
+
+    def test_out_of_range_names_first_bad_k(self):
+        d = ShiftedExp(1, 1)
+        ks = np.concatenate([np.arange(1, 1001), [0, 2000]])
+        with pytest.raises(ValueError, match=r"^need 1 <= k <= n, got k=0, n=1000$"):
+            os_mean(d, ks, 1000)
+        with pytest.raises(ValueError, match=r"got k=1001, n=1000$"):
+            os_mean(d, np.array([[5, 1001], [0, 7]]), 1000)
 
     @given(
         n=st.integers(1, 400),

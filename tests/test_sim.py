@@ -15,6 +15,7 @@ from aoi_multicast.analytic import (
     Stream,
     StreamMix,
     age,
+    age_pair,
     s_moments,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_mean
@@ -143,46 +144,42 @@ class TestBlocks:
     @pytest.mark.parametrize("block", [1000, sim_mod._BLOCK])
     def test_fold_matches_one_shot_area(self, monkeypatch, block):
         monkeypatch.setattr(sim_mod, "_BLOCK", block)
-        # Stream II delivers about once per block, so some post-warmup blocks
-        # have none; the warmup spans one and a half blocks.
+        # Stream II delivers about once per block, so some blocks have none.
         n, k2 = 10, 1
         s = Scenario(n, 3, k2, DELAY_I, DELAY_II, StreamMix(1 - n / (k2 * block)),
                      Exogenous(2.0))
-        cfg = SimConfig(s, cycles=10 * block, warmup_cycles=3 * block // 2,
-                        seed=71, replications=3)
+        cfg = SimConfig(s, cycles=10 * block, seed=71, replications=3)
         empty_blocks = 0
         for ss, traces in zip(sim_mod._spawn_seeds(cfg), sim_mod._traces(cfg)):
-            args = (s, cfg.cycles, cfg.warmup_cycles, ss)
-            folded = sim_mod._sim_worker(args)
+            folded = sim_mod._sim_worker((s, cfg.cycles, ss))
             for i, stream in enumerate((Stream.TYPE_I, Stream.TYPE_II)):
                 trace = traces[stream]
                 assert folded[i][1] == trace.delivery_times.size
                 assert folded[i][0] == pytest.approx(_time_average_age(trace), rel=1e-12)
-            blocks = sim_mod._blocks(s, cfg.cycles, cfg.warmup_cycles,
-                                     np.random.default_rng(ss))
+            blocks = sim_mod._blocks(s, cfg.cycles, np.random.default_rng(ss))
             counts = [b[Stream.TYPE_II].delivery_times.size for b, _ in blocks]
-            assert counts[0] == 0 and sum(counts) >= 2
-            empty_blocks += counts[2:-1].count(0)
+            assert sum(counts) >= 2
+            empty_blocks += counts.count(0)
         assert empty_blocks > 0
 
-    def test_warmup_counts_whole_cycles(self, monkeypatch):
+    def test_counts_whole_cycles(self, monkeypatch):
         monkeypatch.setattr(sim_mod, "_BLOCK", 1000)
-        cfg = SimConfig(mixed_scenario(), cycles=5_000, warmup_cycles=2_345,
-                        seed=72, replications=2)
+        cfg = SimConfig(mixed_scenario(), cycles=5_345, seed=72, replications=2)
         for traces in sim_mod._traces(cfg):
             total = sum(trace.type_cycles for trace in traces.values())
-            assert total == cfg.cycles - cfg.warmup_cycles
+            assert total == cfg.cycles
             for trace in traces.values():
-                assert trace.delivery_cycles.min() >= cfg.warmup_cycles
+                assert trace.delivery_cycles.min() >= 0
+                assert trace.delivery_cycles.max() < cfg.cycles
                 assert np.all(np.diff(trace.delivery_cycles) > 0)
 
     def test_memory_does_not_grow_with_cycles(self):
         s = Scenario(5, 2, 3, DELAY_I, DELAY_II, StreamMix(0.9), Exogenous(2.0))
         seed = np.random.SeedSequence(73)
-        sim_mod._sim_worker((s, sim_mod._BLOCK, 1_000, seed))  # one-time allocations
+        sim_mod._sim_worker((s, sim_mod._BLOCK, seed))  # one-time allocations
         peaks = []
         for blocks in (2, 16):
-            args = (s, blocks * sim_mod._BLOCK, 1_000, seed)
+            args = (s, blocks * sim_mod._BLOCK, seed)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -193,29 +190,51 @@ class TestBlocks:
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+class TestRenewal:
+    """The first delivery is a renewal point, so no warmup is needed."""
+
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["atwill", "exo"])
+    def test_first_interval_has_the_law_of_a_later_one(self, mode):
+        # 400 cycles give each stream about 75 deliveries, so the fifth
+        # interval is always complete and the end of the run cuts no interval
+        # the test reads.
+        later = 5
+        cfg = SimConfig(mixed_scenario(mode), cycles=400, seed=74, replications=2_000)
+        samples = {stream: ([], [], [], []) for stream in Stream}
+        for rep in sim_mod._traces(cfg):
+            for stream, trace in rep.items():
+                t, a = trace.delivery_times, trace.reset_ages
+                assert t.size > later + 1
+                for sample, value in zip(samples[stream], (
+                        t[1] - t[0], t[later + 1] - t[later], a[0], a[later])):
+                    sample.append(value)
+        for first_gap, later_gap, first_reset, later_reset in samples.values():
+            assert stats.ks_2samp(first_gap, later_gap).pvalue >= 0.01
+            assert stats.ks_2samp(first_reset, later_reset).pvalue >= 0.01
+
+
 class TestConfig:
     def test_rejects_bad_config(self):
         s = mixed_scenario()
-        with pytest.raises(ValueError):
-            SimConfig(s, cycles=100, warmup_cycles=100)
-        with pytest.raises(ValueError):
-            SimConfig(s, replications=0)
-        with pytest.raises(ValueError):
-            SimConfig(s, warmup_cycles=-1)
+        for field in ("cycles", "replications"):
+            for bad in (0, -1):
+                with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                    SimConfig(s, **{field: bad})
+        assert SimConfig(s, cycles=1, replications=1).cycles == 1
 
-    @pytest.mark.parametrize("field", ["cycles", "warmup_cycles", "replications", "seed"])
+    @pytest.mark.parametrize("field", ["cycles", "replications", "seed"])
     @pytest.mark.parametrize("value", [True, 2.5])
     def test_rejects_bool_and_fractional(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(mixed_scenario(), **{field: value})
 
     def test_integral_float_stored_as_int(self):
-        cfg = SimConfig(mixed_scenario(), cycles=20000.0, warmup_cycles=np.int64(10))
+        cfg = SimConfig(mixed_scenario(), cycles=20000.0, replications=np.int64(10))
         assert type(cfg.cycles) is int and cfg.cycles == 20000
-        assert type(cfg.warmup_cycles) is int and cfg.warmup_cycles == 10
+        assert type(cfg.replications) is int and cfg.replications == 10
 
     def test_rejects_threads_below_one(self):
-        cfg = SimConfig(mixed_scenario(), cycles=2_000, warmup_cycles=10, replications=2)
+        cfg = SimConfig(mixed_scenario(), cycles=2_000, replications=2)
         with pytest.raises(ValueError, match="threads"):
             simulate(cfg, threads=0)
 
@@ -295,11 +314,38 @@ class TestSimulate:
         assert res.age_II_hat >= 0.5
 
     def test_too_few_cycles_errors(self):
-        # p1 q1 = 0.003: 150 post-warmup cycles rarely deliver twice
+        # p1 q1 = 0.003: 10 cycles rarely deliver twice
         s = Scenario(100, 1, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(0.3))
         with pytest.raises(RuntimeError):
-            simulate(SimConfig(s, cycles=160, seed=1, warmup_cycles=150,
-                               replications=2))
+            simulate(SimConfig(s, cycles=10, seed=1, replications=2))
+
+
+def random_scenario(i):
+    """The i-th seeded random scenario: asymmetric delay laws with rates and
+    shifts spanning decades, p1 in [0.05, 0.95], n log-uniform in the i-th of
+    eight strata up to 10^6, p k / n >= 0.01 for both streams, and odd i
+    exogenous with mu spanning decades."""
+    rng = np.random.default_rng([2026, i])
+    delays = [ShiftedExp(10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-3, 1)) for _ in range(2)]
+    mix = StreamMix(rng.uniform(0.05, 0.95))
+    n = max(1, round(10 ** rng.uniform(0.75 * i, 0.75 * (i + 1))))
+    ks = []
+    for p in (mix.p1, mix.p2):
+        lo = math.ceil(0.01 * n / p)
+        ks.append(min(n, round(math.exp(rng.uniform(math.log(lo), math.log(n + 1))))))
+    mode = Exogenous(10 ** rng.uniform(-2, 2)) if i % 2 else AtWill()
+    return Scenario(n, *ks, *delays, mix, mode)
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_matches_exact_on_random_scenarios(i):
+    s = random_scenario(i)
+    assert min(s.mix.p1 * s.k1, s.mix.p2 * s.k2) >= 0.01 * s.n
+    res = simulate(SimConfig(s, cycles=300_000, seed=2100 + i, replications=10))
+    exact = age_pair(s)
+    for stream in Stream:
+        tol = max(0.01 * exact.age(stream), 3 * res.se(stream))
+        assert abs(res.age(stream) - exact.age(stream)) <= tol, (s, stream)
 
 
 class TestEmpiricalStatistics:
@@ -311,7 +357,7 @@ class TestEmpiricalStatistics:
     def test_delivery_probability_three_of_ten(self):
         cfg = SimConfig(mixed_scenario(), cycles=200_000, seed=62, replications=5)
         p = empirical_delivery_probability(cfg, Stream.TYPE_I)
-        n_cycles = 0.6 * 5 * 199_000  # rough count of type-I cycles
+        n_cycles = 0.6 * 5 * 200_000  # rough count of type-I cycles
         se = math.sqrt(0.3 * 0.7 / n_cycles)
         assert abs(p - 0.3) <= 3 * se
 
@@ -319,7 +365,7 @@ class TestEmpiricalStatistics:
         s = Scenario(2, 1, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(0.5))
         cfg = SimConfig(s, cycles=200_000, seed=63, replications=3)
         p = empirical_delivery_probability(cfg, Stream.TYPE_I)
-        se = math.sqrt(0.25 / (0.5 * 3 * 199_000))
+        se = math.sqrt(0.25 / (0.5 * 3 * 200_000))
         assert abs(p - 0.5) <= 3 * se
 
     def test_interarrival_single_stream_full_threshold(self):
@@ -327,7 +373,7 @@ class TestEmpiricalStatistics:
         cfg = SimConfig(s, cycles=100_000, seed=64, replications=3)
         m = empirical_interarrival_moments(cfg, Stream.TYPE_I)
         expect = os_mean(ShiftedExp(1, 1), 6, 6)
-        se = math.sqrt(m.var / (3 * 99_000))
+        se = math.sqrt(m.var / (3 * 100_000))
         assert abs(m.m1 - expect) <= 3 * se
 
     def test_interarrival_symmetric_streams_agree(self):
@@ -336,7 +382,7 @@ class TestEmpiricalStatistics:
         cfg = SimConfig(s, cycles=150_000, seed=65, replications=4)
         m1 = empirical_interarrival_moments(cfg, Stream.TYPE_I)
         m2 = empirical_interarrival_moments(cfg, Stream.TYPE_II)
-        count = 0.5 * 0.4 * 0.5 * 4 * 149_000
+        count = 0.5 * 0.4 * 0.5 * 4 * 150_000
         joint_se = math.sqrt((m1.var + m2.var) / count)
         assert abs(m1.m1 - m2.m1) <= 3 * joint_se
 
@@ -346,7 +392,7 @@ class TestEmpiricalStatistics:
         cfg = SimConfig(s, cycles=200_000, seed=66, replications=5)
         analytic = s_moments(s, Stream.TYPE_I)
         m = empirical_interarrival_moments(cfg, Stream.TYPE_I)
-        n_gaps = 0.18 * 5 * 199_000
+        n_gaps = 0.18 * 5 * 200_000
         se1 = math.sqrt(m.var / n_gaps)
         assert abs(m.m1 - analytic.m1) <= 3 * se1
         assert abs(m.m2 - analytic.m2) / analytic.m2 < 0.03
