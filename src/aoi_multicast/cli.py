@@ -4,6 +4,12 @@ Scenario input is JSON, structured results go to stdout as JSON, and table
 outputs (pareto, sweep) are CSV files. All randomness is seed-explicit;
 the default seed is a fixed constant, never environment entropy.
 
+Every verb builds its scenarios through `parse_scenario`: it checks the JSON
+types and keys, and the dataclasses check the value ranges, so an error
+names the offending key (`delay_I.rate`, `alpha1`, ...). `sweep` sets the
+swept key in a copy of the document and parses each copy, so its values pass
+the same checks as the file; `--alpha1/--alpha2` must lie in (0, 1).
+
 Exit codes: 0 success, 1 validation failure, 2 usage or schema error.
 """
 
@@ -63,7 +69,10 @@ def _number(doc: dict, key: str, required: bool = True):
         return None
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise SchemaError(key, f"must be a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(key, "must be finite, got an integer beyond the float range") from None
 
 
 def _integer(doc: dict, key: str, required: bool = True):
@@ -133,15 +142,18 @@ def parse_scenario(doc: dict, need_thresholds: bool = True):
     return template, k1, k2
 
 
-def load_scenario_file(path: str, need_thresholds: bool = True):
+def _load_json(path: str):
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except OSError as e:
         raise SchemaError("<file>", str(e))
     except json.JSONDecodeError as e:
         raise SchemaError("<file>", f"invalid JSON: {e}")
-    return parse_scenario(doc, need_thresholds=need_thresholds)
+
+
+def load_scenario_file(path: str, need_thresholds: bool = True):
+    return parse_scenario(_load_json(path), need_thresholds=need_thresholds)
 
 
 def _age_json(age: float):
@@ -158,7 +170,7 @@ def _cmd_eval(args) -> int:
         if args.alpha1 is None or args.alpha2 is None:
             print("eval: --approx requires --alpha1 and --alpha2", file=sys.stderr)
             return EXIT_USAGE
-        scenario = template.with_alphas(args.alpha1, args.alpha2)
+        scenario = _build("", template.with_alphas, args.alpha1, args.alpha2)
     else:
         scenario = template.with_thresholds(k1, k2)
     pair = age_pair(scenario)
@@ -252,65 +264,55 @@ def _csv_cell(v):
     return repr(v) if isinstance(v, float) else v
 
 
+def _write_table(path: str, header, rows) -> None:
+    """Write header and rows as CSV to path, and report the row count on stdout."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([_csv_cell(v) for v in row] for row in rows)
+    print(f"{len(rows)} rows")
+
+
 def _cmd_pareto(args) -> int:
     template, _, _ = load_scenario_file(args.scenario, need_thresholds=False)
     betas = _parse_betas(args.betas)
     frontier = pareto_frontier(template, betas, evaluator=args.evaluator, grid=args.grid)
     x1, x2 = ("alpha1", "alpha2") if args.evaluator == "approx" else ("k1", "k2")
-    header = ["beta", x1, x2, "age_I", "age_II", "objective"]
-    rows = [
+    _write_table(args.out, ["beta", x1, x2, "age_I", "age_II", "objective"], [
         [p.beta, getattr(p, x1), getattr(p, x2), p.age_I, p.age_II, p.objective]
         for p in frontier
-    ]
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_csv_cell(v) for v in row])
-    print(f"{len(rows)} rows")
+    ])
     return EXIT_OK
 
 
 _SWEEP_PARAMS = ("n", "k1", "k2", "p1", "mu", "alpha1", "alpha2")
 
 
-def _sweep_point(template, k1, k2, args, param, value):
-    """One (age_I, age_II) evaluation with `param` overridden to `value`."""
-    if param in ("alpha1", "alpha2"):
-        a1 = value if param == "alpha1" else args.alpha1
-        a2 = value if param == "alpha2" else args.alpha2
-        if a1 is None or a2 is None:
+def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float):
+    """age_pair of the scenario document with args.param set to value.
+
+    An n sweep with both ratios fixed sets k = max(1, round(alpha * n)).
+    """
+    param = args.param
+    alphas = {"alpha1": args.alpha1, "alpha2": args.alpha2}
+    if param in alphas:
+        alphas[param] = value
+        if None in alphas.values():
             raise SchemaError(param, "sweeping one alpha requires fixing the other "
                                      "via --alpha1/--alpha2")
-        return age_pair(template.with_alphas(a1, a2))
-
-    n, p1, mode = template.n, template.mix.p1, template.mode
-    if param == "n":
-        n = int(value)
-        if args.alpha1 is not None and args.alpha2 is not None:
-            k1 = max(1, round(args.alpha1 * n))
-            k2 = max(1, round(args.alpha2 * n))
-    elif param == "k1":
-        k1 = int(value)
-    elif param == "k2":
-        k2 = int(value)
-    elif param == "p1":
-        p1 = float(value)
-    elif param == "mu":
-        if not isinstance(mode, Exogenous):
-            raise SchemaError("mu", "sweeping mu requires mode = exogenous")
-        mode = Exogenous(float(value))
-    if k1 is None or k2 is None:
-        raise SchemaError("k1", "sweep over this parameter needs k1 and k2 "
-                                "(or --alpha1/--alpha2 when sweeping n)")
-    scenario = Scenario(
-        n, k1, k2, template.delay_I, template.delay_II, StreamMix(p1), mode
-    )
-    return age_pair(scenario)
+        return age_pair(_build("", template.with_alphas, **alphas))
+    point = dict(doc, **{param: int(value) if param in ("n", "k1", "k2") else value})
+    if param == "n" and None not in alphas.values():
+        ratios = _build("", template.with_alphas, **alphas)
+        point.update(k1=max(1, round(ratios.alpha1 * point["n"])),
+                     k2=max(1, round(ratios.alpha2 * point["n"])))
+    point_template, k1, k2 = parse_scenario(point)
+    return age_pair(point_template.with_thresholds(k1, k2))
 
 
 def _cmd_sweep(args) -> int:
-    template, k1, k2 = load_scenario_file(args.scenario, need_thresholds=False)
+    doc = _load_json(args.scenario)
+    template, _, _ = parse_scenario(doc, need_thresholds=False)
     try:
         values = [float(tok) for tok in args.values.split(",") if tok.strip()]
     except ValueError:
@@ -322,16 +324,9 @@ def _cmd_sweep(args) -> int:
         if bad:
             raise SchemaError("values", f"{args.param} needs integers, got {bad[0]!r}")
 
-    rows = []
-    for v in values:
-        pair = _sweep_point(template, k1, k2, args, args.param, v)
-        rows.append([v, _csv_cell(pair.age_I), _csv_cell(pair.age_II)])
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["param_value", "age_I", "age_II"])
-        for row in rows:
-            w.writerow([_csv_cell(row[0]), row[1], row[2]])
-    print(f"{len(rows)} rows")
+    pairs = [_sweep_point(doc, template, args, v) for v in values]
+    _write_table(args.out, ["param_value", "age_I", "age_II"],
+                 [[v, p.age_I, p.age_II] for v, p in zip(values, pairs)])
     return EXIT_OK
 
 

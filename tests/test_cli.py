@@ -1,13 +1,16 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from aoi_multicast.analytic import Exogenous, Scenario, ScenarioApprox, StreamMix, age_pair
 from aoi_multicast.cli import main
+from aoi_multicast.orderstats import ShiftedExp
 
 SCENARIO = {
     "n": 10,
@@ -143,6 +146,10 @@ class TestEval:
             ({"delay_I": {"rate": 1e-200, "shift": 1.0}}, "delay_I.rate"),
             ({"delay_I": {"rate": 1.0, "shift": 1e308}}, "delay_I.shift"),
             ({"mode": "exogenous", "mu": 1e-200}, "mu"),
+            # JSON integers of 401 digits, beyond the float range.
+            ({"delay_I": {"rate": 10**400, "shift": 1.0}}, "delay_I.rate"),
+            ({"p1": 10**400}, "p1"),
+            ({"mode": "exogenous", "mu": 10**400}, "mu"),
         ],
     )
     def test_overflowing_input_rejected(self, scenario_file, tmp_path, capsys,
@@ -390,7 +397,83 @@ def test_given_thresholds_range_checked(scenario_file, tmp_path, capsys, verb, p
     assert captured.out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("verb", [
+    ["sweep", "--param", "n", "--values", "100"],
+    ["eval", "--approx"],
+], ids=lambda v: v[0])
+@pytest.mark.parametrize("alpha1", ["-0.5", "1.5", "inf", "nan"])
+def test_bad_ratio_rejected(scenario_file, tmp_path, capsys, verb, alpha1):
+    out_path = tmp_path / "x.csv"
+    rc = run_verb([*verb, "--alpha1", alpha1, "--alpha2", "0.5"],
+                  scenario_file(SCENARIO), out_path)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: alpha1: must lie in (0, 1)")
+    assert captured.out == "" and not out_path.exists()
+
+
+D_I, D_II, MIX = ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.6)
+EXOGENOUS = dict(SCENARIO, mode="exogenous", mu=1.0)
+
+# (param, values, options, scenario document, the scenario of one value built
+# directly from the library's constructors)
+SWEEP_CASES = [
+    pytest.param("n", "5,10,1e3", (), SCENARIO,
+                 lambda v: Scenario(int(v), 3, 5, D_I, D_II, MIX), id="n"),
+    pytest.param("n", "1,3,1e2,1e7", ("--alpha1", "0.3", "--alpha2", "0.57"), SCENARIO,
+                 lambda v: Scenario(int(v), max(1, round(0.3 * v)), max(1, round(0.57 * v)),
+                                    D_I, D_II, MIX), id="n-fixed-alphas"),
+    pytest.param("k1", "1,2,10", (), SCENARIO,
+                 lambda v: Scenario(10, int(v), 5, D_I, D_II, MIX), id="k1"),
+    pytest.param("k2", "1,5,10", (), SCENARIO,
+                 lambda v: Scenario(10, 3, int(v), D_I, D_II, MIX), id="k2"),
+    pytest.param("p1", "0,0.05,0.5,1", (), SCENARIO,
+                 lambda v: Scenario(10, 3, 5, D_I, D_II, StreamMix(v)), id="p1"),
+    pytest.param("mu", "0.5,2,1e6", (), EXOGENOUS,
+                 lambda v: Scenario(10, 3, 5, D_I, D_II, MIX, Exogenous(v)), id="mu"),
+    pytest.param("alpha1", "0.1,0.5,0.9", ("--alpha2", "0.5"), SCENARIO,
+                 lambda v: ScenarioApprox(v, 0.5, D_I, D_II, MIX), id="alpha1"),
+    pytest.param("alpha2", "0.1,0.9", ("--alpha1", "0.3"), EXOGENOUS,
+                 lambda v: ScenarioApprox(0.3, v, D_I, D_II, MIX, Exogenous(1.0)),
+                 id="alpha2"),
+]
+
+
 class TestSweep:
+    @pytest.mark.parametrize("param,values,options,doc,build", SWEEP_CASES)
+    def test_rows_equal_direct_age_pair(self, scenario_file, tmp_path,
+                                        param, values, options, doc, build):
+        out_path = tmp_path / "s.csv"
+        rc = main(["sweep", scenario_file(doc), "--param", param, "--values", values,
+                   *options, "--out", str(out_path)])
+        assert rc == 0
+        with open(out_path, newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        expected = []
+        for v in map(float, values.split(",")):
+            pair = age_pair(build(v))
+            expected.append([repr(v), *("infinite" if math.isinf(a) else repr(a)
+                                        for a in (pair.age_I, pair.age_II))])
+        assert rows == expected
+
+    @pytest.mark.parametrize("param,values,doc,message", [
+        pytest.param("p1", "0.5,1.5", SCENARIO, "p1: must lie in [0, 1]", id="p1-range"),
+        pytest.param("mu", "1", SCENARIO, "mu: only valid with mode = exogenous",
+                     id="mu-at-will"),
+        pytest.param("p1", "0.5", {k: v for k, v in SCENARIO.items() if k != "k2"},
+                     "k2: missing required key", id="k2-missing"),
+        pytest.param("n", "2", SCENARIO, "k1: must lie in [1, 2]", id="n-below-k1"),
+    ])
+    def test_point_errors_name_the_key(self, scenario_file, tmp_path, capsys,
+                                       param, values, doc, message):
+        out_path = tmp_path / "x.csv"
+        rc = main(["sweep", scenario_file(doc), "--param", param, "--values", values,
+                   "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == "" and not out_path.exists()
+
     def test_sweep_k1_single_stream_interior_minimum(self, scenario_file, tmp_path):
         doc = dict(SCENARIO, n=100, k1=1, k2=1, p1=1.0)
         out_path = tmp_path / "k1.csv"
