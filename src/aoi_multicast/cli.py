@@ -8,7 +8,8 @@ Every verb builds its scenarios through `parse_scenario`: it checks the JSON
 types and keys, and the dataclasses check the value ranges, so an error
 names the offending key (`delay_I.rate`, `alpha1`, ...). `sweep` sets the
 swept key in a copy of the document and parses each copy, so its values pass
-the same checks as the file; `--alpha1/--alpha2` must lie in (0, 1).
+the same checks as the file; `--alpha1/--alpha2` must lie in (0, 1), and a
+ratio the sweep does not use is an error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or schema error.
 """
@@ -148,7 +149,7 @@ def _load_json(path: str):
             return json.load(f)
     except OSError as e:
         raise SchemaError("<file>", str(e))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer beyond Python's digit limit
         raise SchemaError("<file>", f"invalid JSON: {e}")
 
 
@@ -249,13 +250,15 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _parse_betas(spec: str | None):
-    if spec is None:
-        return list(np.linspace(0.0, 1.0, 33))
+def _float_list(key: str, spec: str) -> list[float]:
+    """The nonempty comma-separated floats of an option value."""
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
-        raise SchemaError("betas", f"could not parse {spec!r} as comma-separated floats")
+        raise SchemaError(key, f"could not parse {spec!r} as comma-separated floats") from None
+    if not values:
+        raise SchemaError(key, "need a nonempty comma-separated list")
+    return values
 
 
 def _csv_cell(v):
@@ -275,7 +278,8 @@ def _write_table(path: str, header, rows) -> None:
 
 def _cmd_pareto(args) -> int:
     template, _, _ = load_scenario_file(args.scenario, need_thresholds=False)
-    betas = _parse_betas(args.betas)
+    betas = (list(np.linspace(0.0, 1.0, 33)) if args.betas is None
+             else _float_list("betas", args.betas))
     frontier = pareto_frontier(template, betas, evaluator=args.evaluator, grid=args.grid)
     x1, x2 = ("alpha1", "alpha2") if args.evaluator == "approx" else ("k1", "k2")
     _write_table(args.out, ["beta", x1, x2, "age_I", "age_II", "objective"], [
@@ -288,6 +292,21 @@ def _cmd_pareto(args) -> int:
 _SWEEP_PARAMS = ("n", "k1", "k2", "p1", "mu", "alpha1", "alpha2")
 
 
+def _check_sweep_ratios(args) -> None:
+    """Reject a --alpha1/--alpha2 that the sweep needs and lacks, or has and does
+    not use: an alpha sweep fixes the other ratio, an n sweep both or neither."""
+    param = args.param
+    given = [key for key in ("alpha1", "alpha2") if getattr(args, key) is not None]
+    if param in ("alpha1", "alpha2") and given in ([], [param]):
+        raise SchemaError(param, "sweeping one alpha requires fixing the other "
+                                 "via --alpha1/--alpha2")
+    for key in given:
+        if param == "n" and len(given) == 1:
+            raise SchemaError(key, "a sweep over n takes --alpha1 and --alpha2 together")
+        if param not in ("n", "alpha1", "alpha2") or key == param:
+            raise SchemaError(key, f"not used by a sweep over {param}")
+
+
 def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float):
     """age_pair of the scenario document with args.param set to value.
 
@@ -297,9 +316,6 @@ def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float):
     alphas = {"alpha1": args.alpha1, "alpha2": args.alpha2}
     if param in alphas:
         alphas[param] = value
-        if None in alphas.values():
-            raise SchemaError(param, "sweeping one alpha requires fixing the other "
-                                     "via --alpha1/--alpha2")
         return age_pair(_build("", template.with_alphas, **alphas))
     point = dict(doc, **{param: int(value) if param in ("n", "k1", "k2") else value})
     if param == "n" and None not in alphas.values():
@@ -313,16 +329,12 @@ def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float):
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.scenario)
     template, _, _ = parse_scenario(doc, need_thresholds=False)
-    try:
-        values = [float(tok) for tok in args.values.split(",") if tok.strip()]
-    except ValueError:
-        raise SchemaError("values", f"could not parse {args.values!r}")
-    if not values:
-        raise SchemaError("values", "need a nonempty comma-separated list")
+    values = _float_list("values", args.values)
     if args.param in ("n", "k1", "k2"):
         bad = [v for v in values if not v.is_integer()]
         if bad:
             raise SchemaError("values", f"{args.param} needs integers, got {bad[0]!r}")
+    _check_sweep_ratios(args)
 
     pairs = [_sweep_point(doc, template, args, v) for v in values]
     _write_table(args.out, ["param_value", "age_I", "age_II"],

@@ -206,21 +206,11 @@ def _exact_zoom(round_idx, k1s, k2s, i1, i2):
     return _int_axis(*_neighbours(k1s, i1)), _int_axis(*_neighbours(k2s, i2))
 
 
-def _approx_zoom(lo, hi):
-    """Zoom of the ratio search: REFINE_ROUNDS 33-point rounds inside [lo, hi]."""
-
-    def refine(xs, i):
-        if xs.size == 1:
-            return xs
-        w_lo, w_hi = _neighbours(xs, i)
-        return np.linspace(max(w_lo, lo), min(w_hi, hi), 33)
-
-    def zoom(round_idx, a1s, a2s, i1, i2):
-        if round_idx == REFINE_ROUNDS:
-            return None
-        return refine(a1s, i1), refine(a2s, i2)
-
-    return zoom
+def _approx_zoom(round_idx, a1s, a2s, i1, i2):
+    """REFINE_ROUNDS rounds of 33 ratios between the best cell's neighbours."""
+    if round_idx == REFINE_ROUNDS:
+        return None
+    return np.linspace(*_neighbours(a1s, i1), 33), np.linspace(*_neighbours(a2s, i2), 33)
 
 
 def _point(scenario, beta, **thresholds) -> ParetoPoint:
@@ -234,9 +224,7 @@ def _point(scenario, beta, **thresholds) -> ParetoPoint:
     )
 
 
-def _optimize_all(
-    template, betas, evaluator="exact", grid=512, fixed_alpha1=None, fixed_alpha2=None
-):
+def _optimize_all(template, betas, evaluator="exact", grid=512):
     """One ParetoPoint per (already checked) beta."""
     if evaluator == "exact":
         n = template.n
@@ -252,13 +240,10 @@ def _optimize_all(
         if grid < 1:
             raise ValueError(f"grid must be >= 1, got {grid}")
         # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement
-        # zooms into the winning cell but never leaves these bounds, so a
-        # corner optimum lands exactly on the minimal grid point.
-        lo = 1.0 / (grid + 1)
-        hi = grid / (grid + 1)
-        a1s = np.array([fixed_alpha1]) if fixed_alpha1 is not None else np.linspace(lo, hi, grid)
-        a2s = np.array([fixed_alpha2]) if fixed_alpha2 is not None else np.linspace(lo, hi, grid)
-        best = _search(template, None, (a1s, a2s), betas, _approx_zoom(lo, hi))
+        # zooms between two grid points, so it never leaves these bounds and
+        # a corner optimum lands exactly on the minimal grid point.
+        alphas = np.linspace(1.0 / (grid + 1), grid / (grid + 1), grid)
+        best = _search(template, None, (alphas, alphas), betas, _approx_zoom)
         return [
             _point(template.with_alphas(a1, a2), beta, alpha1=a1, alpha2=a2)
             for beta, (a1, a2) in zip(betas, best)
@@ -271,8 +256,6 @@ def optimize(
     beta: float,
     evaluator: str = "exact",
     grid: int = 512,
-    fixed_alpha1: float | None = None,
-    fixed_alpha2: float | None = None,
 ) -> ParetoPoint:
     """Minimize the beta-weighted age over thresholds (exact) or ratios (approx).
 
@@ -282,7 +265,7 @@ def optimize(
     """
     beta = _check_beta(beta)
     _check_starved_objective(template.mix, beta)
-    return _optimize_all(template, [beta], evaluator, grid, fixed_alpha1, fixed_alpha2)[0]
+    return _optimize_all(template, [beta], evaluator, grid)[0]
 
 
 def _dominated(p: ParetoPoint, q: ParetoPoint) -> bool:

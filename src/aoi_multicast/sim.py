@@ -50,9 +50,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "simulate",
-    "empirical_interarrival_moments",
-    "empirical_delivery_probability",
-    "empirical_cycle_gaps",
 ]
 
 DEFAULT_SEED = 20190813
@@ -74,7 +71,7 @@ class SimConfig:
     replications: int = 10
 
     def __post_init__(self) -> None:
-        for name, at_least in (("cycles", 1), ("replications", 1), ("seed", None)):
+        for name, at_least in (("cycles", 1), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), at_least))
 
 
@@ -284,62 +281,3 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
         deliveries_II=deliveries[Stream.TYPE_II],
         sim_time=float(sum(o[2] for o in outs)),
     )
-
-
-def _traces(cfg: SimConfig):
-    """Each replication's {stream: _StreamTrace}, its blocks concatenated."""
-    for ss in _spawn_seeds(cfg):
-        rng = np.random.default_rng(ss)
-        blocks = [t for t, _ in _blocks(cfg.scenario, cfg.cycles, rng)]
-        yield {
-            stream: _StreamTrace(
-                delivery_times=np.concatenate([b[stream].delivery_times for b in blocks]),
-                delivery_cycles=np.concatenate([b[stream].delivery_cycles for b in blocks]),
-                reset_ages=np.concatenate([b[stream].reset_ages for b in blocks]),
-                type_cycles=sum(b[stream].type_cycles for b in blocks),
-            )
-            for stream in (Stream.TYPE_I, Stream.TYPE_II)
-        }
-
-
-def empirical_interarrival_moments(cfg: SimConfig, target: Stream):
-    """Sample mean and second moment of tagged-node inter-delivery times."""
-    from .analytic import Moments2
-
-    gaps = []
-    for rep in _traces(cfg):
-        t = rep[target].delivery_times
-        if t.size >= 2:
-            gaps.append(np.diff(t))
-    if not gaps:
-        raise RuntimeError(f"no inter-delivery gaps observed for stream {target.value}")
-    g = np.concatenate(gaps)
-    return Moments2(float(g.mean()), float(np.mean(g * g)))
-
-
-def empirical_delivery_probability(cfg: SimConfig, target: Stream) -> float:
-    """Fraction of target-type cycles delivered to the tagged node."""
-    delivered = 0
-    total = 0
-    for rep in _traces(cfg):
-        trace = rep[target]
-        delivered += trace.delivery_times.size
-        total += trace.type_cycles
-    if total == 0:
-        raise RuntimeError(f"no cycles of type {target.value}")
-    return delivered / total
-
-
-def empirical_cycle_gaps(cfg: SimConfig, target: Stream) -> np.ndarray:
-    """Cycle-index gaps between consecutive deliveries of the target stream.
-
-    Distributed Geometric(p * k / n) on {1, 2, ...} under the protocol.
-    """
-    gaps = []
-    for rep in _traces(cfg):
-        cyc = rep[target].delivery_cycles
-        if cyc.size >= 2:
-            gaps.append(np.diff(cyc))
-    if not gaps:
-        raise RuntimeError(f"no delivery gaps observed for stream {target.value}")
-    return np.concatenate(gaps)

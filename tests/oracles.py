@@ -1,15 +1,19 @@
 """Moment formulas that only the tests use, kept here as oracles for the
-package's closed forms."""
+package's closed forms, and a replay of the simulator's deliveries."""
 
 from typing import NamedTuple
+
+import numpy as np
 
 from aoi_multicast.analytic import (
     Moments2,
     StarvedStreamError,
+    Stream,
     _missed_cycle,
     _threshold_moments,
 )
 from aoi_multicast.orderstats import _check_order, _harmonic_diffs
+from aoi_multicast.sim import _blocks, _spawn_seeds, _StreamTrace
 
 
 def os_second_moment(d, k, n) -> float:
@@ -53,3 +57,18 @@ def ybar_moments(s, target) -> MissedCycleMoments:
         _, e, v, _ = own
         return MissedCycleMoments(float(e), float(v + e * e), True)
     return MissedCycleMoments(float(m1), float(var + m1 * m1), False)
+
+
+def replication_traces(cfg):
+    """Each replication's {stream: _StreamTrace}, its blocks concatenated.
+
+    Replays `sim._blocks` from the seeds that `simulate` spawns, so the
+    deliveries are those that `simulate(cfg)` folds.
+    """
+    fields = ("delivery_times", "delivery_cycles", "reset_ages")
+    for ss in _spawn_seeds(cfg):
+        blocks = [t for t, _ in _blocks(cfg.scenario, cfg.cycles, np.random.default_rng(ss))]
+        yield {stream: _StreamTrace(
+            *(np.concatenate([getattr(b[stream], f) for b in blocks]) for f in fields),
+            type_cycles=sum(b[stream].type_cycles for b in blocks),
+        ) for stream in (Stream.TYPE_I, Stream.TYPE_II)}

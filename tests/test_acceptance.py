@@ -28,11 +28,14 @@ from aoi_multicast.analytic import (
 from aoi_multicast.cli import main as cli_main
 from aoi_multicast.optimize import (
     ScenarioTemplate,
+    _approx_zoom,
+    _search,
     lemma1_monotonicity_check,
     optimize,
 )
 from aoi_multicast.orderstats import ShiftedExp
-from aoi_multicast.sim import SimConfig, empirical_cycle_gaps, simulate
+from aoi_multicast.sim import SimConfig, simulate
+from oracles import replication_traces
 
 DELAY_I = ShiftedExp(1.0, 1.0)
 DELAY_II = ShiftedExp(2.0, 0.5)
@@ -114,15 +117,17 @@ def test_criterion_03_approximation_convergence():
 
 
 def test_criterion_04_lemma1_corners():
+    # The approx search with the weighted ratio held at one point.
     tpl = ScenarioTemplate(ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(0.5), AtWill())
     grid = 128
     floor = 1 / (grid + 1)
+    axis = np.linspace(floor, grid / (grid + 1), grid)
     for a1 in (0.1, 0.3, 0.5, 0.7, 0.9):
-        pt = optimize(tpl, 1.0, evaluator="approx", grid=grid, fixed_alpha1=a1)
-        assert pt.alpha2 == pytest.approx(floor, abs=1e-15)
+        (_, alpha2), = _search(tpl, None, (np.array([a1]), axis), [1.0], _approx_zoom)
+        assert alpha2 == pytest.approx(floor, abs=1e-15)
     for a2 in (0.1, 0.3, 0.5, 0.7, 0.9):
-        pt = optimize(tpl, 0.0, evaluator="approx", grid=grid, fixed_alpha2=a2)
-        assert pt.alpha1 == pytest.approx(floor, abs=1e-15)
+        (alpha1, _), = _search(tpl, None, (axis, np.array([a2])), [0.0], _approx_zoom)
+        assert alpha1 == pytest.approx(floor, abs=1e-15)
     rep = lemma1_monotonicity_check(tpl, alpha1=0.5, alpha2_grid=np.linspace(0.01, 0.99, 99))
     assert rep.strictly_increasing
     _report("criterion 4 (beta corner solutions + monotonicity): PASS")
@@ -250,7 +255,8 @@ def test_criterion_09_brute_force_optimality():
 def test_criterion_10_geometric_retry_statistic():
     s = Scenario(10, 3, 5, DELAY_I, DELAY_II, StreamMix(0.6))
     cfg = SimConfig(s, cycles=700_000, seed=1010, replications=1)
-    gaps = empirical_cycle_gaps(cfg, Stream.TYPE_I)
+    (rep,) = replication_traces(cfg)
+    gaps = np.diff(rep[Stream.TYPE_I].delivery_cycles)
     assert gaps.size >= 100_000
     p = 0.6 * 3 / 10
     # bin 1..K individually, pool the geometric tail so expected counts stay large

@@ -240,6 +240,12 @@ class TestSimulate:
         assert "threads" in captured.err
         assert captured.out == ""
 
+    def test_negative_seed_rejected(self, scenario_file, capsys):
+        rc = main(["simulate", scenario_file(SCENARIO), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: seed must be >= 0, got -1")
+
 
 class TestValidate:
     def test_short_run_reports_se_and_z(self, scenario_file, capsys):
@@ -364,11 +370,13 @@ class TestPareto:
         assert rows[0][:3] == ["beta", "alpha1", "alpha2"]
 
     def test_bad_betas(self, scenario_file, tmp_path, capsys):
-        rc = main(
-            ["pareto", scenario_file(SCENARIO), "--betas", "0.5,boom",
-             "--out", str(tmp_path / "x.csv")]
-        )
-        assert rc == 2
+        out_path = tmp_path / "x.csv"
+        for spec, message in [(",", "need a nonempty comma-separated list"),
+                              ("0.5,boom", "could not parse '0.5,boom'")]:
+            rc = main(["pareto", scenario_file(SCENARIO), "--betas", spec,
+                       "--out", str(out_path)])
+            assert rc == 2 and not out_path.exists()
+            assert capsys.readouterr().err.startswith(f"error: betas: {message}")
 
     @pytest.mark.parametrize("grid", ["0", "-1"])
     def test_grid_below_one_rejected(self, scenario_file, tmp_path, capsys, grid):
@@ -410,6 +418,18 @@ def test_bad_ratio_rejected(scenario_file, tmp_path, capsys, verb, alpha1):
     assert rc == 2
     assert captured.err.startswith("error: alpha1: must lie in (0, 1)")
     assert captured.out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("verb", [["eval"], ["sweep", "--param", "p1", "--values", "0.5"]],
+                         ids=lambda v: v[0])
+def test_integer_beyond_the_digit_limit_names_the_file(tmp_path, capsys, verb):
+    # json.load refuses integers longer than Python's 4300-digit limit.
+    path, out_path = tmp_path / "scen.json", tmp_path / "x.csv"
+    path.write_text(json.dumps(SCENARIO).replace('"p1": 0.6', '"p1": ' + "1" * 5001))
+    rc = run_verb(verb, str(path), out_path)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out_path.exists()
+    assert captured.err.startswith("error: <file>: invalid JSON: ")
 
 
 D_I, D_II, MIX = ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.6)
@@ -463,6 +483,11 @@ class TestSweep:
         pytest.param("p1", "0.5", {k: v for k, v in SCENARIO.items() if k != "k2"},
                      "k2: missing required key", id="k2-missing"),
         pytest.param("n", "2", SCENARIO, "k1: must lie in [1, 2]", id="n-below-k1"),
+        pytest.param("p1", ",", SCENARIO, "values: need a nonempty comma-separated list",
+                     id="values-empty"),
+        pytest.param("p1", "0.5,boom", SCENARIO,
+                     "values: could not parse '0.5,boom' as comma-separated floats",
+                     id="values-not-a-float"),
     ])
     def test_point_errors_name_the_key(self, scenario_file, tmp_path, capsys,
                                        param, values, doc, message):
@@ -473,6 +498,24 @@ class TestSweep:
         assert rc == 2
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("param,options,message", [
+        ("n", "--alpha1 0.3", "alpha1: a sweep over n takes --alpha1 and --alpha2 together"),
+        ("n", "--alpha2 0.5", "alpha2: a sweep over n takes --alpha1 and --alpha2 together"),
+        ("p1", "--alpha2 0.5", "alpha2: not used by a sweep over p1"),
+        ("k1", "--alpha1 0.3 --alpha2 0.5", "alpha1: not used by a sweep over k1"),
+        ("alpha1", "--alpha1 0.9 --alpha2 0.5", "alpha1: not used by a sweep over alpha1"),
+        ("alpha2", "", "alpha2: sweeping one alpha requires fixing the other"),
+    ], ids=["n-alpha1-only", "n-alpha2-only", "p1", "k1", "alpha1-swept", "alpha2-no-other"])
+    def test_ratio_options_match_the_param(self, scenario_file, tmp_path, capsys,
+                                           param, options, message):
+        out_path = tmp_path / "x.csv"
+        rc = main(["sweep", scenario_file(SCENARIO), "--param", param, "--values",
+                   "10" if param in ("n", "k1") else "0.5", *options.split(),
+                   "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out_path.exists()
+        assert captured.err.startswith(f"error: {message}")
 
     def test_sweep_k1_single_stream_interior_minimum(self, scenario_file, tmp_path):
         doc = dict(SCENARIO, n=100, k1=1, k2=1, p1=1.0)

@@ -243,11 +243,12 @@ class TestBlocks:
         return n, (ks, ks), opt_mod._exact_zoom
 
     @staticmethod
-    def approx_axes(grid, fixed_alpha1=None, fixed_alpha2=None):
-        lo, hi = 1 / (grid + 1), grid / (grid + 1)
-        a1s = np.linspace(lo, hi, grid) if fixed_alpha1 is None else np.array([fixed_alpha1])
-        a2s = np.linspace(lo, hi, grid) if fixed_alpha2 is None else np.array([fixed_alpha2])
-        return None, (a1s, a2s), opt_mod._approx_zoom(lo, hi)
+    def approx_axes(grid, alpha1=None, alpha2=None):
+        """The approx grid; a given ratio holds its axis at one point."""
+        alphas = np.linspace(1 / (grid + 1), grid / (grid + 1), grid)
+        a1s = alphas if alpha1 is None else np.array([alpha1])
+        a2s = alphas if alpha2 is None else np.array([alpha2])
+        return None, (a1s, a2s), opt_mod._approx_zoom
 
     def check(self, monkeypatch, template, n, axes, zoom, betas):
         want = full_grid_search(template, n, axes, betas, zoom)
@@ -258,8 +259,8 @@ class TestBlocks:
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
     def test_random_templates_match_full_grid(self, monkeypatch, mode):
         # Block sizes 1 and 7 split each grid into many row blocks; a row of
-        # n <= 7 cells, or of one cell with a fixed alpha2, packs several rows
-        # into a block and leaves a partial last block.
+        # n <= 7 cells, or of one cell on a one-point alpha2 axis, packs
+        # several rows into a block and leaves a partial last block.
         rng = np.random.default_rng(808)
 
         def log_uniform(lo, hi):
@@ -271,8 +272,8 @@ class TestBlocks:
             tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.05, 0.95)), mode, n=n)
             self.check(monkeypatch, tpl, *self.exact_axes(n), self.BETAS)
             self.check(monkeypatch, tpl, *self.approx_axes(n), self.BETAS)
-            self.check(monkeypatch, tpl, *self.approx_axes(n, fixed_alpha2=0.4), self.BETAS)
-            self.check(monkeypatch, tpl, *self.approx_axes(n, fixed_alpha1=0.6), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(n, alpha2=0.4), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(n, alpha1=0.6), self.BETAS)
 
     @pytest.mark.parametrize("p1,beta", [(1.0, 1.0), (0.0, 0.0)])
     def test_starved_stream_at_zero_weight(self, monkeypatch, p1, beta):
@@ -339,12 +340,6 @@ class TestOptimizeApprox:
         pt = optimize(symmetric_template(), 0.5, evaluator="approx", grid=128)
         assert pt.alpha1 == pytest.approx(pt.alpha2, abs=1e-12)
         assert float(pt.age_I) == pytest.approx(float(pt.age_II), rel=1e-12)
-
-    def test_fixed_alpha1(self):
-        tpl = symmetric_template()
-        pt = optimize(tpl, 1.0, evaluator="approx", grid=64, fixed_alpha1=0.37)
-        assert pt.alpha1 == 0.37
-        assert pt.alpha2 == pytest.approx(1 / 65, abs=1e-15)
 
     @pytest.mark.parametrize("grid", [0, -3])
     def test_grid_below_one_rejected(self, grid):

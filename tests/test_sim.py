@@ -11,6 +11,7 @@ from aoi_multicast.analytic import (
     INFINITE_AGE,
     AtWill,
     Exogenous,
+    Moments2,
     Scenario,
     Stream,
     StreamMix,
@@ -19,13 +20,8 @@ from aoi_multicast.analytic import (
     s_moments,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_mean
-from aoi_multicast.sim import (
-    SimConfig,
-    empirical_cycle_gaps,
-    empirical_delivery_probability,
-    empirical_interarrival_moments,
-    simulate,
-)
+from aoi_multicast.sim import SimConfig, simulate
+from oracles import replication_traces
 
 
 DELAY_I = ShiftedExp(1.0, 1.0)
@@ -150,7 +146,7 @@ class TestBlocks:
                      Exogenous(2.0))
         cfg = SimConfig(s, cycles=10 * block, seed=71, replications=3)
         empty_blocks = 0
-        for ss, traces in zip(sim_mod._spawn_seeds(cfg), sim_mod._traces(cfg)):
+        for ss, traces in zip(sim_mod._spawn_seeds(cfg), replication_traces(cfg)):
             folded = sim_mod._sim_worker((s, cfg.cycles, ss))
             for i, stream in enumerate((Stream.TYPE_I, Stream.TYPE_II)):
                 trace = traces[stream]
@@ -165,7 +161,7 @@ class TestBlocks:
     def test_counts_whole_cycles(self, monkeypatch):
         monkeypatch.setattr(sim_mod, "_BLOCK", 1000)
         cfg = SimConfig(mixed_scenario(), cycles=5_345, seed=72, replications=2)
-        for traces in sim_mod._traces(cfg):
+        for traces in replication_traces(cfg):
             total = sum(trace.type_cycles for trace in traces.values())
             assert total == cfg.cycles
             for trace in traces.values():
@@ -201,7 +197,7 @@ class TestRenewal:
         later = 5
         cfg = SimConfig(mixed_scenario(mode), cycles=400, seed=74, replications=2_000)
         samples = {stream: ([], [], [], []) for stream in Stream}
-        for rep in sim_mod._traces(cfg):
+        for rep in replication_traces(cfg):
             for stream, trace in rep.items():
                 t, a = trace.delivery_times, trace.reset_ages
                 assert t.size > later + 1
@@ -221,6 +217,9 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{field} must be >= 1"):
                     SimConfig(s, **{field: bad})
         assert SimConfig(s, cycles=1, replications=1).cycles == 1
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SimConfig(s, seed=-1)
+        assert SimConfig(s, seed=0).seed == 0
 
     @pytest.mark.parametrize("field", ["cycles", "replications", "seed"])
     @pytest.mark.parametrize("value", [True, 2.5])
@@ -349,14 +348,26 @@ def test_matches_exact_on_random_scenarios(i):
 
 
 class TestEmpiricalStatistics:
+    @staticmethod
+    def delivery_probability(cfg, stream):
+        traces = [rep[stream] for rep in replication_traces(cfg)]
+        return (sum(t.delivery_times.size for t in traces)
+                / sum(t.type_cycles for t in traces))
+
+    @staticmethod
+    def interarrival_moments(cfg, stream):
+        g = np.concatenate([np.diff(rep[stream].delivery_times)
+                            for rep in replication_traces(cfg)])
+        return Moments2(float(g.mean()), float(np.mean(g * g)))
+
     def test_delivery_probability_full_threshold(self):
         s = Scenario(4, 4, 4, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(0.5))
         cfg = SimConfig(s, cycles=20_000, seed=61, replications=2)
-        assert empirical_delivery_probability(cfg, Stream.TYPE_I) == 1.0
+        assert self.delivery_probability(cfg, Stream.TYPE_I) == 1.0
 
     def test_delivery_probability_three_of_ten(self):
         cfg = SimConfig(mixed_scenario(), cycles=200_000, seed=62, replications=5)
-        p = empirical_delivery_probability(cfg, Stream.TYPE_I)
+        p = self.delivery_probability(cfg, Stream.TYPE_I)
         n_cycles = 0.6 * 5 * 200_000  # rough count of type-I cycles
         se = math.sqrt(0.3 * 0.7 / n_cycles)
         assert abs(p - 0.3) <= 3 * se
@@ -364,14 +375,14 @@ class TestEmpiricalStatistics:
     def test_delivery_probability_half(self):
         s = Scenario(2, 1, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(0.5))
         cfg = SimConfig(s, cycles=200_000, seed=63, replications=3)
-        p = empirical_delivery_probability(cfg, Stream.TYPE_I)
+        p = self.delivery_probability(cfg, Stream.TYPE_I)
         se = math.sqrt(0.25 / (0.5 * 3 * 200_000))
         assert abs(p - 0.5) <= 3 * se
 
     def test_interarrival_single_stream_full_threshold(self):
         s = Scenario(6, 6, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0))
         cfg = SimConfig(s, cycles=100_000, seed=64, replications=3)
-        m = empirical_interarrival_moments(cfg, Stream.TYPE_I)
+        m = self.interarrival_moments(cfg, Stream.TYPE_I)
         expect = os_mean(ShiftedExp(1, 1), 6, 6)
         se = math.sqrt(m.var / (3 * 100_000))
         assert abs(m.m1 - expect) <= 3 * se
@@ -380,8 +391,8 @@ class TestEmpiricalStatistics:
         d = ShiftedExp(1, 1)
         s = Scenario(10, 4, 4, d, d, StreamMix(0.5))
         cfg = SimConfig(s, cycles=150_000, seed=65, replications=4)
-        m1 = empirical_interarrival_moments(cfg, Stream.TYPE_I)
-        m2 = empirical_interarrival_moments(cfg, Stream.TYPE_II)
+        m1 = self.interarrival_moments(cfg, Stream.TYPE_I)
+        m2 = self.interarrival_moments(cfg, Stream.TYPE_II)
         count = 0.5 * 0.4 * 0.5 * 4 * 150_000
         joint_se = math.sqrt((m1.var + m2.var) / count)
         assert abs(m1.m1 - m2.m1) <= 3 * joint_se
@@ -391,7 +402,7 @@ class TestEmpiricalStatistics:
         s = mixed_scenario(mode)
         cfg = SimConfig(s, cycles=200_000, seed=66, replications=5)
         analytic = s_moments(s, Stream.TYPE_I)
-        m = empirical_interarrival_moments(cfg, Stream.TYPE_I)
+        m = self.interarrival_moments(cfg, Stream.TYPE_I)
         n_gaps = 0.18 * 5 * 200_000
         se1 = math.sqrt(m.var / n_gaps)
         assert abs(m.m1 - analytic.m1) <= 3 * se1
@@ -399,7 +410,8 @@ class TestEmpiricalStatistics:
 
     def test_cycle_gaps_look_geometric(self):
         cfg = SimConfig(mixed_scenario(), cycles=100_000, seed=67, replications=2)
-        gaps = empirical_cycle_gaps(cfg, Stream.TYPE_I)
+        gaps = np.concatenate([np.diff(rep[Stream.TYPE_I].delivery_cycles)
+                               for rep in replication_traces(cfg)])
         assert np.all(gaps >= 1)
         # success probability p1 * k1 / n = 0.18
         assert gaps.mean() == pytest.approx(1 / 0.18, rel=0.02)
