@@ -200,54 +200,28 @@ def _threshold_moments(d: ShiftedExp, x, n):
     return (x / n, *_moments(d, x, n))
 
 
-def _missed_cycle(p, po, own, other):
-    """(r, mean, variance) of a cycle that misses the target at the tagged receiver.
-
-    r = po + p (1 - q) is the miss probability 1 - pq without its
-    cancellation. The missed cycle carries the target with weight
-    p (1 - q) / r and the other stream with po / r; both weights are 0 when
-    r = 0. The variance is the mixture's, free of E[Y^2] - E[Y]^2.
-    """
-    q, e_t, v_t, _ = own
-    _, e_o, v_o, _ = other
-    w_t = p * (1.0 - q)
-    r = po + w_t
-    r_pos = np.where(r > 0.0, r, 1.0)
-    b_t, b_o = w_t / r_pos, po / r_pos
-    gap = e_t - e_o
-    return r, b_t * e_t + b_o * e_o, b_t * v_t + b_o * v_o + b_t * b_o * (gap * gap)
-
-
-def _renewal(p, po, own, other, ez, vz):
+def _renewal(p, po, own, other):
     """(age, E[S], E[S^2]) of the target stream; every input broadcasts.
 
     p and po are the target's and the other stream's shares, own and other
-    their ``_threshold_moments``, ez and vz the mean and variance of the
-    idle gap Z before each cycle (both 0 at will). The tagged receiver gets
-    the target in a cycle with probability pq, so S spans M ~ Geometric(pq)
-    cycles: M - 1 missed cycles Y, the delivering cycle X and M idle gaps.
+    their ``_threshold_moments`` with the idle gap before each cycle folded
+    into the cycle's mean and variance (the gap is independent of the busy
+    time that follows it). The tagged receiver gets the target in a cycle
+    with probability g = pq, so S is the delivering cycle X plus M - 1
+    missed cycles Y, with M ~ Geometric(g). A missed cycle carries the
+    target with weight w_t = p (1 - q) and the other stream with po, out of
+    1 - g, so s1 = E[M - 1] E[Y] and s2 = E[M - 1] E[Y^2] are sums over those
+    weights divided by g, and E[(M - 1)(M - 2)] E[Y]^2 = 2 s1^2. Every term
+    is nonnegative, so nothing cancels.
     """
     q, e_t, v_t, delivered = own
-    r, y1, yvar = _missed_cycle(p, po, own, other)
-    pq = np.multiply(p, q)  # a float64 even for scalars, so x / 0 is inf, not an error
-    pq2 = pq * pq
-    em = 1.0 / pq  # E[M]
-    em1 = r / pq  # E[M - 1]
-    em1sq = r * (1.0 + r) / pq2  # E[(M - 1)^2]
-    emm = 2.0 * r / pq2  # E[M (M - 1)]
-    em2 = (1.0 + r) / pq2  # E[M^2]
-    m1 = e_t + em1 * y1 + em * ez
-    m2 = (
-        v_t
-        + e_t * e_t
-        + 2.0 * em1 * e_t * y1
-        + 2.0 * em * e_t * ez
-        + em * vz
-        + em1 * yvar
-        + em1sq * (y1 * y1)
-        + 2.0 * emm * y1 * ez
-        + em2 * ez * ez
-    )
+    _, e_o, v_o, _ = other
+    g = np.multiply(p, q)  # a float64 even for scalars, so x / 0 is inf, not an error
+    w_t = p * (1.0 - q)
+    s1 = (w_t * e_t + po * e_o) / g
+    s2 = (w_t * (v_t + e_t * e_t) + po * (v_o + e_o * e_o)) / g
+    m1 = e_t + s1
+    m2 = v_t + e_t * e_t + 2.0 * e_t * s1 + s2 + 2.0 * s1 * s1
     return delivered + m2 / (2.0 * m1), m1, m2
 
 
@@ -261,17 +235,18 @@ def _idle_gap(mode: Mode) -> tuple[float, float]:
 def _renewals(s, n, x1, x2):
     """Yield the ``_renewal`` triples of streams I and II at thresholds x1
     and x2, broadcast together, one at a time; None for a starved stream.
+    Each stream's cycle is its idle gap plus its busy time.
 
     s supplies delay_I, delay_II, mix and mode (a Scenario, ScenarioApprox
     or optimizer template); x1 and x2 are thresholds k, or ratios alpha when
     n is None.
     """
-    m_I = _threshold_moments(s.delay_I, x1, n)
-    m_II = _threshold_moments(s.delay_II, x2, n)
     ez, vz = _idle_gap(s.mode)
+    m_I, m_II = ((q, e + ez, v + vz, delivered) for q, e, v, delivered in
+                 (_threshold_moments(s.delay_I, x1, n), _threshold_moments(s.delay_II, x2, n)))
     p1, p2 = s.mix.p1, s.mix.p2
-    yield _renewal(p1, p2, m_I, m_II, ez, vz) if p1 > 0 else None
-    yield _renewal(p2, p1, m_II, m_I, ez, vz) if p2 > 0 else None
+    yield _renewal(p1, p2, m_I, m_II) if p1 > 0 else None
+    yield _renewal(p2, p1, m_II, m_I) if p2 > 0 else None
 
 
 def _pair_ages(s, n, x1, x2):

@@ -9,7 +9,7 @@ types and keys, and the dataclasses check the value ranges, so an error
 names the offending key (`delay_I.rate`, `alpha1`, ...). `sweep` sets the
 swept key in a copy of the document and parses each copy, so its values pass
 the same checks as the file; `--alpha1/--alpha2` must lie in (0, 1), and a
-ratio the sweep does not use is an error.
+ratio that `sweep` or `eval` does not use is an error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or schema error.
 """
@@ -165,14 +165,16 @@ def _age_json(age: float):
 
 
 def _cmd_eval(args) -> int:
-    need_k = not args.approx
-    template, k1, k2 = load_scenario_file(args.scenario, need_thresholds=need_k)
+    template, k1, k2 = load_scenario_file(args.scenario, need_thresholds=not args.approx)
     if args.approx:
         if args.alpha1 is None or args.alpha2 is None:
             print("eval: --approx requires --alpha1 and --alpha2", file=sys.stderr)
             return EXIT_USAGE
         scenario = _build("", template.with_alphas, args.alpha1, args.alpha2)
     else:
+        for key in ("alpha1", "alpha2"):
+            if getattr(args, key) is not None:
+                raise SchemaError(key, "used only with --approx")
         scenario = template.with_thresholds(k1, k2)
     pair = age_pair(scenario)
     print(json.dumps({"age_I": _age_json(pair.age_I), "age_II": _age_json(pair.age_II)}))
@@ -364,8 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the closed-form ages")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--approx", action="store_true", help="use the large-n forms")
-    p.add_argument("--alpha1", type=float, help="threshold ratio for type I")
-    p.add_argument("--alpha2", type=float, help="threshold ratio for type II")
+    p.add_argument("--alpha1", type=float, help="threshold ratio for type I (--approx)")
+    p.add_argument("--alpha2", type=float, help="threshold ratio for type II (--approx)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("simulate", parents=[sim_args], help="Monte Carlo age estimate")
@@ -380,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario template JSON (k1/k2 ignored)")
     p.add_argument("--betas", help="comma-separated weights; default 33 even values")
     p.add_argument("--evaluator", choices=("exact", "approx"), default="exact")
-    p.add_argument("--grid", type=int, default=512, help="alpha grid size (approx)")
+    p.add_argument("--grid", type=int, default=512, help="alpha grid size (approx, 1 to 32768)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_pareto)
 

@@ -6,7 +6,8 @@ evaluator). Both searches evaluate the two age grids with the closed-form
 kernel, take the first row-major argmin of the objective per beta and zoom
 into the winning cell. The first grid does not depend on beta: it is
 searched in blocks of about _BLOCK_CELLS cells, each serving all betas, so
-memory is O(block + betas). The integer search lists every (k1, k2) up to
+memory is O(block + betas); a ratio grid has at most _BLOCK_CELLS points per
+axis, so one row fits a block. The integer search lists every (k1, k2) up to
 n = EXHAUSTIVE_LIMIT; above that it starts from a 33-point grid per axis.
 The ratio search refines its grid with REFINE_ROUNDS 33-point rounds around
 the winning cell.
@@ -224,33 +225,6 @@ def _point(scenario, beta, **thresholds) -> ParetoPoint:
     )
 
 
-def _optimize_all(template, betas, evaluator="exact", grid=512):
-    """One ParetoPoint per (already checked) beta."""
-    if evaluator == "exact":
-        n = template.n
-        if n is None:
-            raise ValueError("exact evaluator needs n in the template")
-        ks = np.arange(1, n + 1) if n <= EXHAUSTIVE_LIMIT else _int_axis(1, n)
-        best = _search(template, n, (ks, ks), betas, _exact_zoom)
-        return [
-            _point(template.with_thresholds(k1, k2), beta, k1=k1, k2=k2)
-            for beta, (k1, k2) in zip(betas, best)
-        ]
-    if evaluator == "approx":
-        if grid < 1:
-            raise ValueError(f"grid must be >= 1, got {grid}")
-        # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement
-        # zooms between two grid points, so it never leaves these bounds and
-        # a corner optimum lands exactly on the minimal grid point.
-        alphas = np.linspace(1.0 / (grid + 1), grid / (grid + 1), grid)
-        best = _search(template, None, (alphas, alphas), betas, _approx_zoom)
-        return [
-            _point(template.with_alphas(a1, a2), beta, alpha1=a1, alpha2=a2)
-            for beta, (a1, a2) in zip(betas, best)
-        ]
-    raise ValueError(f"unknown evaluator {evaluator!r}")
-
-
 def optimize(
     template: ScenarioTemplate,
     beta: float,
@@ -261,11 +235,10 @@ def optimize(
 
     beta = 1 excludes age_II from the objective entirely (and symmetrically
     for beta = 0), so a starved unweighted stream cannot poison the search.
-    Integer ties break to the lexicographically smallest (k1, k2).
+    Integer ties break to the lexicographically smallest (k1, k2). This is
+    pareto_frontier with one beta.
     """
-    beta = _check_beta(beta)
-    _check_starved_objective(template.mix, beta)
-    return _optimize_all(template, [beta], evaluator, grid)[0]
+    return pareto_frontier(template, [beta], evaluator, grid)[0]
 
 
 def _dominated(p: ParetoPoint, q: ParetoPoint) -> bool:
@@ -278,19 +251,38 @@ def pareto_frontier(
     template: ScenarioTemplate,
     betas,
     evaluator: str = "exact",
-    **kwargs,
+    grid: int = 512,
 ) -> list[ParetoPoint]:
     """optimize() for every beta, filtered to the non-dominated set.
 
     Output is sorted by age_I ascending; duplicate optima (several betas
-    landing on the same thresholds) are collapsed to one point.
+    landing on the same thresholds) are collapsed to one point. grid, the
+    approx evaluator's ratio count per axis, lies in [1, 2^15].
     """
     betas = [_check_beta(b) for b in betas]
     if not betas:
         raise ValueError("betas must be nonempty")
     for b in betas:
         _check_starved_objective(template.mix, b)
-    points = _optimize_all(template, betas, evaluator, **kwargs)
+    if evaluator == "exact":
+        n = template.n
+        if n is None:
+            raise ValueError("exact evaluator needs n in the template")
+        ks = np.arange(1, n + 1) if n <= EXHAUSTIVE_LIMIT else _int_axis(1, n)
+        axes, zoom = (ks, ks), _exact_zoom
+        build, names = template.with_thresholds, ("k1", "k2")
+    elif evaluator == "approx":
+        grid, n = _check_integer("grid", grid, 1, _BLOCK_CELLS), None
+        # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement
+        # zooms between two grid points, so it never leaves these bounds and
+        # a corner optimum lands exactly on the minimal grid point.
+        alphas = np.linspace(1.0 / (grid + 1), grid / (grid + 1), grid)
+        axes, zoom = (alphas, alphas), _approx_zoom
+        build, names = template.with_alphas, ("alpha1", "alpha2")
+    else:
+        raise ValueError(f"unknown evaluator {evaluator!r}")
+    points = [_point(build(*x), beta, **dict(zip(names, x)))
+              for beta, x in zip(betas, _search(template, n, axes, betas, zoom))]
 
     seen = set()
     unique = []

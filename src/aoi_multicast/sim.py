@@ -240,8 +240,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
 
     Replications own independent random streams spawned deterministically
     from (seed, replication index); merging is a fixed-order reduction, so
-    parallel and serial runs produce identical results. `threads` is the
-    number of worker processes; 1 runs in this process.
+    parallel and serial runs produce identical results. At most `threads`
+    worker processes run, one per replication; 1 runs in this process.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -249,7 +249,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+        with ProcessPoolExecutor(max_workers=min(threads, cfg.replications)) as ex:
             outs = list(ex.map(_sim_worker, args))
     else:
         outs = [_sim_worker(a) for a in args]

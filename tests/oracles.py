@@ -9,7 +9,6 @@ from aoi_multicast.analytic import (
     Moments2,
     StarvedStreamError,
     Stream,
-    _missed_cycle,
     _threshold_moments,
 )
 from aoi_multicast.orderstats import _check_order, _harmonic_diffs
@@ -50,13 +49,15 @@ def ybar_moments(s, target) -> MissedCycleMoments:
     p, po = s.mix.prob(target), s.mix.prob(target.other)
     if p <= 0:
         raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    own, other = (_threshold_moments(s.delay(x), s.threshold(x), s.n)
-                  for x in (target, target.other))
-    r, m1, var = _missed_cycle(p, po, own, other)
+    (q, e_t, v_t, _), (_, e_o, v_o, _) = (_threshold_moments(s.delay(x), s.threshold(x), s.n)
+                                          for x in (target, target.other))
+    w_t = p * (1.0 - q)
+    r = po + w_t  # the miss probability 1 - pq, without its cancellation
     if r == 0:
-        _, e, v, _ = own
-        return MissedCycleMoments(float(e), float(v + e * e), True)
-    return MissedCycleMoments(float(m1), float(var + m1 * m1), False)
+        return MissedCycleMoments(float(e_t), float(v_t + e_t * e_t), True)
+    m1 = (w_t * e_t + po * e_o) / r
+    m2 = (w_t * (v_t + e_t * e_t) + po * (v_o + e_o * e_o)) / r
+    return MissedCycleMoments(float(m1), float(m2), False)
 
 
 def replication_traces(cfg):

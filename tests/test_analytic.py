@@ -453,11 +453,12 @@ class TestAgePair:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_in_every_entry(self):
-        # (p1 k1 / n)^2 underflows to 0 in the kernel, so age_I is nan.
+        # E[M - 1] E[Y] ~ n E[Y] / (p1 k1) is finite, but its square overflows,
+        # so age_I is inf.
         s = Scenario(20, 3, 5, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(1e-300))
         for call in (age_pair, lambda s: age(s, Stream.TYPE_I),
                      lambda s: s_moments(s, Stream.TYPE_I)):
-            with pytest.raises(ValueError, match="age_I is nan"):
+            with pytest.raises(ValueError, match="age_I is inf"):
                 call(s)
 
     def test_approx_dispatch(self):
@@ -550,6 +551,17 @@ class TestExactKernelAccuracy:
                + 2 * emm1 * ez * ey + 2 * em * ez * ex + 2 * em1 * ey * ex)
         return delivered + es2 / (2 * es)
 
+    @staticmethod
+    def law(mp, d, k, n):
+        """(q, E[X], E[X^2], mean delivered delay) of the k-th of n draws of d."""
+        dh = mp.harmonic(n) - mp.harmonic(n - k)
+        dg = mp.psi(1, n - k + 1) - mp.psi(1, n + 1)
+        rate, shift = mp.mpf(d.rate), mp.mpf(d.shift)
+        mean = shift + dh / rate
+        # sum_{i<=k} (H_n - H_{n-i}) = k - (n - k) (H_n - H_{n-k})
+        delivered = shift + (k - (n - k) * dh) / (k * rate)
+        return mp.mpf(k) / n, mean, mean * mean + dg / rate**2, delivered
+
     def test_relative_error_below_1e_14(self):
         mpmath = pytest.importorskip("mpmath")
         laws = [
@@ -562,16 +574,8 @@ class TestExactKernelAccuracy:
             cache = {}
 
             def law(d, k, n):
-                """(q, E[X], E[X^2], mean delivered delay) of the k-th of n draws of d."""
                 if (d, k, n) not in cache:
-                    dh = mpmath.harmonic(n) - mpmath.harmonic(n - k)
-                    dg = mpmath.psi(1, n - k + 1) - mpmath.psi(1, n + 1)
-                    rate, shift = mpmath.mpf(d.rate), mpmath.mpf(d.shift)
-                    mean = shift + dh / rate
-                    # sum_{i<=k} (H_n - H_{n-i}) = k - (n - k) (H_n - H_{n-k})
-                    delivered = shift + (k - (n - k) * dh) / (k * rate)
-                    cache[d, k, n] = (mpmath.mpf(k) / n, mean, mean * mean + dg / rate**2,
-                                      delivered)
+                    cache[d, k, n] = self.law(mpmath, d, k, n)
                 return cache[d, k, n]
 
             for n in (10**3, 10**6, 10**12):
@@ -585,6 +589,19 @@ class TestExactKernelAccuracy:
                         err = abs(mpmath.mpf(pair.age(t)) - want) / want
                         worst = max(worst, float(err))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(1e12)], ids=["atwill", "exo"])
+    def test_near_starved_stream(self, mode):
+        # With g = p1 k1 / n = 1e-154, E[M^2] ~ 2 / g^2 overflows, while
+        # E[S^2] ~ 2 (n E[Y] / (p1 k1))^2 does not.
+        mpmath = pytest.importorskip("mpmath")
+        s = Scenario(20, 2, 1, ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(1e-153),
+                     mode)
+        pair = age_pair(s)
+        with mpmath.workdps(60):
+            for t in Stream:
+                want = self.renewal(mpmath, s, t, lambda d, k, n: self.law(mpmath, d, k, n))
+                assert abs(mpmath.mpf(pair.age(t)) - want) / want <= 1e-14
 
 
 class TestExactToApproxConvergence:

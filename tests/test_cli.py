@@ -94,6 +94,13 @@ class TestEval:
         rc = main(["eval", scenario_file(SCENARIO), "--approx"])
         assert rc == 2
 
+    @pytest.mark.parametrize("option", ["alpha1", "alpha2"])
+    def test_alpha_without_approx_rejected(self, scenario_file, capsys, option):
+        rc = main(["eval", scenario_file(SCENARIO), f"--{option}", "0.3"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {option}: used only with --approx")
+
     @pytest.mark.parametrize(
         "patch,key",
         [
@@ -164,8 +171,8 @@ class TestEval:
     @pytest.mark.parametrize(
         "verb,patch,message",
         [
-            # (p1 k1 / n)^2 underflows to 0 in the kernel.
-            (["eval"], {"p1": 1e-300}, "error: age_I is nan"),
+            # E[M - 1] E[Y] ~ n E[Y] / (p1 k1) is finite, but its square overflows.
+            (["eval"], {"p1": 1e-300}, "error: age_I is inf"),
             # 1/rate^2 is finite, but the squared gaps of the sawtooth area overflow.
             (["simulate", "--cycles", "5000", "--replications", "3"],
              {"delay_I": {"rate": 2e-154, "shift": 1.0}}, "error: the simulated age of stream I"),
@@ -378,7 +385,7 @@ class TestPareto:
             assert rc == 2 and not out_path.exists()
             assert capsys.readouterr().err.startswith(f"error: betas: {message}")
 
-    @pytest.mark.parametrize("grid", ["0", "-1"])
+    @pytest.mark.parametrize("grid", ["0", "-1", "32769"])
     def test_grid_below_one_rejected(self, scenario_file, tmp_path, capsys, grid):
         out_path = tmp_path / "x.csv"
         rc = main(["pareto", scenario_file(SCENARIO), "--evaluator", "approx",

@@ -287,11 +287,17 @@ class TestBlocks:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_cells_win_as_in_argmin(self, monkeypatch):
-        # At p1 = 1e-153, (p1 k1 / n)^2 underflows for the smallest k1, whose
-        # objective is NaN; a descending k1 axis puts them in the last blocks.
-        tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(1e-153),
+        # At p1 = 1e-307, E[M - 1] E[Y] ~ n E[Y] / (p1 k1) overflows for the
+        # smallest k1, whose objective is inf / inf = NaN; a descending k1
+        # axis puts them in the last blocks.
+        from aoi_multicast.analytic import _pair_ages
+
+        tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(1e-307),
                                AtWill(), n=20)
         ks = np.arange(1, 21)
+        age_I, age_II = _pair_ages(tpl, 20, ks[:, None], ks[None, :])
+        nan = np.isnan(0.5 * age_I + 0.5 * age_II)
+        assert nan.any() and not nan.all()
         self.check(monkeypatch, tpl, 20, (ks[::-1], ks), opt_mod._exact_zoom, [0.5])
 
     def test_symmetric_ties(self, monkeypatch):
@@ -341,7 +347,7 @@ class TestOptimizeApprox:
         assert pt.alpha1 == pytest.approx(pt.alpha2, abs=1e-12)
         assert float(pt.age_I) == pytest.approx(float(pt.age_II), rel=1e-12)
 
-    @pytest.mark.parametrize("grid", [0, -3])
+    @pytest.mark.parametrize("grid", [0, -3, 32769, 2.5, True])
     def test_grid_below_one_rejected(self, grid):
         tpl = symmetric_template()
         with pytest.raises(ValueError, match="grid"):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -268,6 +269,31 @@ class TestSimulate:
     def test_parallel_equals_serial(self):
         cfg = SimConfig(mixed_scenario(), cycles=20_000, seed=21, replications=4)
         assert simulate(cfg, threads=2) == simulate(cfg, threads=1)
+
+    def test_pool_has_at_most_one_worker_per_replication(self, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            """Records max_workers and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = SimConfig(mixed_scenario(), cycles=2_000, seed=21, replications=3)
+        serial = simulate(cfg, threads=1)
+        assert simulate(cfg, threads=500) == serial
+        assert simulate(cfg, threads=2) == serial
+        assert workers == [3, 2]
 
     def test_tagged_index_irrelevant(self, monkeypatch):
         # The reference sampler agrees with itself whichever receiver it tags.
