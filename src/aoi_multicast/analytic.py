@@ -3,12 +3,12 @@
 Every age, exact or large-n and in either generation mode, comes from one
 broadcastable renewal kernel: age = mean delivered delay + E[S^2] / (2 E[S]),
 where S is the tagged receiver's inter-delivery time of the stream. The
-kernel reads the order-statistic moments of both streams from
-``orderstats``: harmonic sums at thresholds k, or their large-n limits at
-ratios alpha = k / n, where the completion time has zero variance. At-will
-generation is the Poisson-arrival case with a zero idle gap. Scalar calls
-and the optimizer's threshold grids run the same kernel, so a grid entry
-equals the scalar age bit for bit.
+kernel reads both streams' order-statistic moments from
+``orderstats.os_moments``: harmonic sums at thresholds k, or their large-n
+limits at ratios alpha = k / n, where the completion time has zero variance.
+At-will generation is the Poisson-arrival case with a zero idle gap. Scalar
+calls and the optimizer's threshold grids run the same kernel, so a grid
+entry equals the scalar age bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .orderstats import ShiftedExp, _moments, delta_threshold, mean_first_k_approx
+from .orderstats import ShiftedExp, os_moments
 
 __all__ = [
     "Stream",
@@ -70,8 +70,8 @@ class Exogenous:
     mu: float
 
     def __post_init__(self) -> None:
-        if not (self.mu > 0 and 1.0 / self.mu / self.mu < math.inf):
-            raise ValueError(f"mu must be > 0 with a finite 1 / mu^2, got {self.mu}")
+        if not (0.0 < self.mu < math.inf and 1.0 / self.mu / self.mu < math.inf):
+            raise ValueError(f"mu must be finite and > 0 with a finite 1 / mu^2, got {self.mu}")
 
 
 Mode = AtWill | Exogenous
@@ -195,9 +195,7 @@ def _threshold_moments(d: ShiftedExp, x, n):
     ratio alpha (a float or a float array) when n is None, where the
     large-n completion time concentrates at delta(alpha).
     """
-    if n is None:
-        return x, delta_threshold(d, x), 0.0, mean_first_k_approx(d, x)
-    return (x / n, *_moments(d, x, n))
+    return (x if n is None else x / n, *os_moments(d, x, n))
 
 
 def _renewal(p, po, own, other):

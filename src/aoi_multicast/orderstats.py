@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ShiftedExp",
-    "harmonic",
-    "gen_harmonic",
-    "os_mean",
-    "os_var",
-    "mean_first_k",
-    "mean_first_k_approx",
-    "delta_threshold",
-]
+__all__ = ["ShiftedExp", "os_moments"]
 
 
 @dataclass(frozen=True)
@@ -99,14 +90,6 @@ def _harmonic_diffs(n, m):
     return dh, dg
 
 
-def _check_nonneg_int(n) -> int:
-    if not isinstance(n, numbers.Integral):
-        raise TypeError(f"n must be an integer, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return int(n)
-
-
 def _check_order(k, n):
     """(k, n) with k an int or an int64 array, every entry in [1, n]."""
     if not isinstance(n, numbers.Integral):
@@ -134,27 +117,32 @@ def _check_alpha(alpha):
     return a[()]
 
 
-def harmonic(n) -> float:
-    """H_n = sum_{j=1}^{n} 1/j, with harmonic(0) = 0."""
-    return float(_harmonic_diffs(_check_nonneg_int(n), 0)[0])
+def os_moments(d: ShiftedExp, x, n=None):
+    """(mean, variance, mean_first_k) of the k-th smallest of n draws of d.
 
-
-def gen_harmonic(n) -> float:
-    """G_n = sum_{j=1}^{n} 1/j^2, with gen_harmonic(0) = 0. Bounded by pi^2/6."""
-    return float(_harmonic_diffs(_check_nonneg_int(n), 0)[1])
-
-
-def _moments(d: ShiftedExp, k, n):
-    """(os_mean, os_var, mean_first_k) of one (k, n), from one harmonic difference.
-
-    mean_first_k is shift + S / (k rate), S = sum_{i<=k} (H_n - H_{n-i}) =
-    k - m (H_n - H_m), m = n - k (Concrete Mathematics, eq. 2.36). For
-    m >= M that difference cancels; there, with a = m + 1/2, t = k / a and
-    L = log1p(t), S is summed as the nonnegative
+    With n given, x is the order k (an int or an int array, 1 <= k <= n) and,
+    with m = n - k, the mean is shift + (H_n - H_m) / rate and the variance
+    (G_n - G_m) / rate^2. mean_first_k, the average of the k smallest
+    order-statistic means and so the expected delay of a delivered update
+    under earliest-k stopping, is shift + S / (k rate) with
+    S = sum_{i<=k} (H_n - H_{n-i}) = k - m (H_n - H_m) (Concrete Mathematics,
+    eq. 2.36). For m >= M that difference cancels; there, with a = m + 1/2,
+    t = k / a and L = log1p(t), S is summed as the nonnegative
     a (t - L) + L / 2 + m (c(a) - c(n + 1/2)), with
     t - L = sum_{j>=2} L^j / j! for t < 1/4.
+
+    With n None, x is the ratio alpha = k / n (a float or a float array in
+    (0, 1)) and the result is the large-n limit: the mean
+    delta(alpha) = shift - log(1 - alpha) / rate, a variance of 0, and
+    mean_first_k = shift + 1/rate + ((1 - alpha) / (alpha rate)) log(1 - alpha).
+    delta diverges as alpha -> 1; the open interval is enforced, not clamped.
     """
-    k, n = _check_order(k, n)
+    if n is None:
+        alpha = _check_alpha(x)
+        log1m = np.log1p(-alpha)
+        return (d.shift - log1m / d.rate, 0.0,
+                d.shift + 1.0 / d.rate + (1.0 - alpha) / (alpha * d.rate) * log1m)
+    k, n = _check_order(x, n)
     m = n - k
     dh, dg = _harmonic_diffs(n, m)
     a = np.maximum(m + 0.5, _M + 0.5)
@@ -165,42 +153,3 @@ def _moments(d: ShiftedExp, k, n):
     large_m = a * np.where(t < 0.25, series, t - lt) + 0.5 * lt + (a - 0.5) * c_drop
     s = np.where(m < _M, k - m * dh, large_m)
     return d.shift + dh / d.rate, dg / d.rate**2, d.shift + s / (k * d.rate)
-
-
-def os_mean(d: ShiftedExp, k, n) -> float:
-    """Mean of the k-th smallest of n i.i.d. draws: shift + (H_n - H_{n-k}) / rate."""
-    return _moments(d, k, n)[0]
-
-
-def os_var(d: ShiftedExp, k, n) -> float:
-    """Variance of the k-th smallest of n i.i.d. draws: (G_n - G_{n-k}) / rate^2."""
-    return _moments(d, k, n)[1]
-
-
-def mean_first_k(d: ShiftedExp, k, n) -> float:
-    """Average of the k smallest order-statistic means out of n draws.
-
-    The expected delay of a delivered update under earliest-k stopping:
-    shift + sum_{i<=k} (H_n - H_{n-i}) / (k rate), summed without
-    cancellation (see `_moments`).
-    """
-    return _moments(d, k, n)[2]
-
-
-def mean_first_k_approx(d: ShiftedExp, alpha: float) -> float:
-    """Large-n limit of ``mean_first_k`` with k = alpha * n.
-
-    shift + 1/rate + ((1 - alpha) / (alpha * rate)) * log(1 - alpha).
-    """
-    alpha = _check_alpha(alpha)
-    return d.shift + 1.0 / d.rate + (1.0 - alpha) / (alpha * d.rate) * np.log1p(-alpha)
-
-
-def delta_threshold(d: ShiftedExp, alpha: float) -> float:
-    """Large-n mean of the (alpha*n)-th smallest of n draws.
-
-    shift - log(1 - alpha) / rate. Diverges as alpha -> 1; the open-interval
-    precondition is enforced, not clamped.
-    """
-    alpha = _check_alpha(alpha)
-    return d.shift - np.log1p(-alpha) / d.rate

@@ -20,7 +20,7 @@ from aoi_multicast.analytic import (
     age_pair,
     s_moments,
 )
-from aoi_multicast.orderstats import ShiftedExp, mean_first_k, os_mean
+from aoi_multicast.orderstats import ShiftedExp, os_moments
 from oracles import geometric_moments, os_second_moment, ybar_moments
 
 # Mixed-stream reference scenario used throughout; the analytic ages were
@@ -54,12 +54,12 @@ def age_atwill_expanded(s, target):
         raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
     po = s.mix.prob(target.other)
     n, k, ko = s.n, s.threshold(target), s.threshold(target.other)
-    e1 = os_mean(s.delay(target), k, n)
+    e1 = os_moments(s.delay(target), k, n)[0]
     e2 = os_second_moment(s.delay(target), k, n)
-    f1 = os_mean(s.delay(target.other), ko, n)
+    f1 = os_moments(s.delay(target.other), ko, n)[0]
     f2 = os_second_moment(s.delay(target.other), ko, n)
     mix1 = p * e1 + po * f1
-    t1 = mean_first_k(s.delay(target), k, n)
+    t1 = os_moments(s.delay(target), k, n)[2]
     t2 = (p * e2 + po * f2) / (2.0 * mix1)
     t3 = (po**2 * n * f1**2 + p * po * (2 * n - k) * e1 * f1) / (p * k * mix1)
     t4 = (p**2 * (n - k) * e1**2) / (p * k * mix1)
@@ -103,6 +103,8 @@ class TestTypes:
             Scenario(5, 1, 6, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5))
         with pytest.raises(ValueError):
             Exogenous(0.0)
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            Exogenous(math.inf)
 
     def test_scenario_approx_validation(self):
         with pytest.raises(ValueError):
@@ -159,7 +161,7 @@ class TestYbarMoments:
         s = Scenario(4, 4, 2, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0))
         m = ybar_moments(s, Stream.TYPE_I)
         assert m.degenerate
-        assert m.m1 == pytest.approx(os_mean(ShiftedExp(1, 1), 4, 4))
+        assert m.m1 == pytest.approx(os_moments(ShiftedExp(1, 1), 4, 4)[0])
         assert m.m2 == pytest.approx(os_second_moment(ShiftedExp(1, 1), 4, 4))
 
     def test_q_one_collapses_to_other_stream(self):
@@ -167,7 +169,7 @@ class TestYbarMoments:
         s = Scenario(4, 4, 2, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.3))
         m = ybar_moments(s, Stream.TYPE_I)
         assert not m.degenerate
-        assert m.m1 == pytest.approx(os_mean(ShiftedExp(2, 0.5), 2, 4))
+        assert m.m1 == pytest.approx(os_moments(ShiftedExp(2, 0.5), 2, 4)[0])
         assert m.m2 == pytest.approx(os_second_moment(ShiftedExp(2, 0.5), 2, 4))
 
     def test_starved(self):
@@ -193,7 +195,7 @@ class TestInterarrivalMoments:
     def test_single_stream_full_threshold(self):
         s = Scenario(6, 6, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0))
         m = s_moments(s, Stream.TYPE_I)
-        assert m.m1 == pytest.approx(os_mean(ShiftedExp(1, 1), 6, 6))
+        assert m.m1 == pytest.approx(os_moments(ShiftedExp(1, 1), 6, 6)[0])
         assert m.m2 == pytest.approx(os_second_moment(ShiftedExp(1, 1), 6, 6))
 
     def test_single_node_even_split(self):
@@ -227,7 +229,7 @@ class TestInterarrivalMoments:
             5, 5, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0), Exogenous(2.0)
         )
         m = s_moments(s, Stream.TYPE_I)
-        assert m.m1 == pytest.approx(os_mean(ShiftedExp(1, 1), 5, 5) + 0.5)
+        assert m.m1 == pytest.approx(os_moments(ShiftedExp(1, 1), 5, 5)[0] + 0.5)
 
     def test_exogenous_against_simulation(self):
         s = ref_scenario(Exogenous(2.0))
@@ -681,5 +683,5 @@ class TestMetamorphic:
         # Jensen: E[S^2] / (2 E[S]) >= E[S] / 2.
         s = _scenario(x)
         for t in Stream:
-            bound = mean_first_k(s.delay(t), s.threshold(t), s.n) + s_moments(s, t).m1 / 2
+            bound = os_moments(s.delay(t), s.threshold(t), s.n)[2] + s_moments(s, t).m1 / 2
             assert age(s, t) >= bound * (1 - 1e-12)

@@ -49,6 +49,14 @@ def run_verb(verb, scenario_path, out_path):
     return main([verb[0], scenario_path, *verb[1:], *extra])
 
 
+EVERY_VERB = pytest.mark.parametrize("verb", [
+    ["eval"],
+    ["pareto", "--betas", "0.5"],
+    ["sweep", "--param", "p1", "--values", "0.5"],
+    ["simulate", "--cycles", "2000"],
+], ids=lambda v: v[0])
+
+
 class TestEval:
     def test_single_node_zero_wait(self, scenario_file, capsys):
         rc = main(["eval", scenario_file(SINGLE_NODE)])
@@ -123,12 +131,7 @@ class TestEval:
         assert rc == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", [
-        ["eval"],
-        ["pareto", "--betas", "0.5"],
-        ["sweep", "--param", "p1", "--values", "0.5"],
-        ["simulate", "--cycles", "2000"],
-    ], ids=lambda v: v[0])
+    @EVERY_VERB
     @pytest.mark.parametrize("field", ["rate", "shift"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_delay_rejected(self, scenario_file, tmp_path, capsys,
@@ -141,6 +144,17 @@ class TestEval:
         assert rc == 2
         assert captured.err.startswith(f"error: delay_I.{field}: must be finite")
         assert captured.err.count(field) == 1
+        assert captured.out == "" and not out_path.exists()
+
+    @EVERY_VERB
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_mu_rejected(self, scenario_file, tmp_path, capsys, verb, bad):
+        doc = dict(SCENARIO, mode="exogenous", mu=bad)
+        out_path = tmp_path / "x.csv"
+        rc = run_verb(verb, scenario_file(doc), out_path)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: mu: must be finite")
         assert captured.out == "" and not out_path.exists()
 
     @pytest.mark.parametrize("verb", [["eval"], ["simulate", "--cycles", "2000"]],
@@ -490,6 +504,7 @@ class TestSweep:
         pytest.param("p1", "0.5", {k: v for k, v in SCENARIO.items() if k != "k2"},
                      "k2: missing required key", id="k2-missing"),
         pytest.param("n", "2", SCENARIO, "k1: must lie in [1, 2]", id="n-below-k1"),
+        pytest.param("mu", "1e400", EXOGENOUS, "mu: must be finite", id="mu-infinite"),
         pytest.param("p1", ",", SCENARIO, "values: need a nonempty comma-separated list",
                      id="values-empty"),
         pytest.param("p1", "0.5,boom", SCENARIO,

@@ -412,6 +412,26 @@ class TestLemma1:
             rep = lemma1_monotonicity_check(tpl, alpha1=rng.uniform(0.05, 0.95))
             assert rep.passed, tpl
 
+    def test_exact_grids_random_templates(self):
+        # Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1.
+        from aoi_multicast.analytic import _pair_ages
+
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+
+            def log_uniform(lo, hi):
+                return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+            delays = [ShiftedExp(log_uniform(1e-2, 1e2), log_uniform(1e-3, 10.0))
+                      for _ in range(2)]
+            mode = Exogenous(log_uniform(1e-2, 1e2)) if seed % 2 else AtWill()
+            n = int(rng.integers(2, 161))
+            tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.02, 0.98)), mode, n=n)
+            ks = np.arange(1, n + 1)
+            age_I, age_II = _pair_ages(tpl, n, ks[:, None], ks[None, :])
+            assert np.all(np.diff(age_I, axis=1) >= -1e-13 * age_I[:, :-1]), tpl
+            assert np.all(np.diff(age_II, axis=0) >= -1e-13 * age_II[:-1]), tpl
+
     def test_asymmetric_laws(self):
         tpl = ScenarioTemplate(
             ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.8), AtWill()

@@ -20,7 +20,7 @@ from aoi_multicast.analytic import (
     age_pair,
     s_moments,
 )
-from aoi_multicast.orderstats import ShiftedExp, os_mean
+from aoi_multicast.orderstats import ShiftedExp, os_moments
 from aoi_multicast.sim import SimConfig, simulate
 from oracles import replication_traces
 
@@ -324,7 +324,7 @@ class TestSimulate:
         s = mixed_scenario()
         cfg = SimConfig(s, cycles=100_000, seed=41, replications=4)
         res = simulate(cfg)
-        ey = 0.6 * os_mean(s.delay_I, 3, 10) + 0.4 * os_mean(s.delay_II, 5, 10)
+        ey = 0.6 * os_moments(s.delay_I, 3, 10)[0] + 0.4 * os_moments(s.delay_II, 5, 10)[0]
         per_cycle = res.sim_time / (cfg.cycles * cfg.replications)
         assert per_cycle == pytest.approx(ey, rel=0.01)
         # exogenous adds E[Z] = 1/mu per cycle
@@ -409,7 +409,7 @@ class TestEmpiricalStatistics:
         s = Scenario(6, 6, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0))
         cfg = SimConfig(s, cycles=100_000, seed=64, replications=3)
         m = self.interarrival_moments(cfg, Stream.TYPE_I)
-        expect = os_mean(ShiftedExp(1, 1), 6, 6)
+        expect = os_moments(ShiftedExp(1, 1), 6, 6)[0]
         se = math.sqrt(m.var / (3 * 100_000))
         assert abs(m.m1 - expect) <= 3 * se
 
