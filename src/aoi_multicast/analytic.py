@@ -34,7 +34,6 @@ __all__ = [
     "AgePair",
     "Moments2",
     "s_moments",
-    "age",
     "age_pair",
 ]
 
@@ -269,34 +268,25 @@ def _scenario_renewals(s: "Scenario | ScenarioApprox") -> dict:
     return out
 
 
-def _target_renewal(s: "Scenario | ScenarioApprox", target: Stream):
-    r = _scenario_renewals(s)[target]
-    if r is None:
-        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    return r
-
-
 # -- public API --------------------------------------------------------------
 
 
 def s_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:
-    """Moments of the tagged-node inter-delivery time of the target stream."""
-    _, m1, m2 = _target_renewal(s, target)
-    return Moments2(float(m1), float(m2))
-
-
-def age(s: "Scenario | ScenarioApprox", target: Stream) -> float:
-    """Average age of the target stream: exact for a Scenario, large-n for a
-    ScenarioApprox, in the scenario's generation mode.
+    """Moments of the tagged-node inter-delivery time of the target stream.
 
     Raises StarvedStreamError when the target stream has zero share, and
     ValueError when the age of either stream overflows.
     """
-    return float(_target_renewal(s, target)[0])
+    r = _scenario_renewals(s)[target]
+    if r is None:
+        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
+    return Moments2(float(r[1]), float(r[2]))
 
 
 def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
-    """Both stream ages for a scenario; a starved stream maps to INFINITE_AGE,
-    and the overflow of another stream's age raises ValueError."""
+    """Both stream ages for a scenario: exact for a Scenario and large-n for
+    a ScenarioApprox, in the scenario's generation mode. A starved stream
+    maps to INFINITE_AGE, and the overflow of another stream's age raises
+    ValueError."""
     return AgePair(*(INFINITE_AGE if r is None else float(r[0])
                      for r in _scenario_renewals(s).values()))

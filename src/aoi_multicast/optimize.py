@@ -34,14 +34,7 @@ from .analytic import (
 )
 from .orderstats import ShiftedExp
 
-__all__ = [
-    "ScenarioTemplate",
-    "ParetoPoint",
-    "MonotonicityReport",
-    "optimize",
-    "pareto_frontier",
-    "lemma1_monotonicity_check",
-]
+__all__ = ["ScenarioTemplate", "ParetoPoint", "pareto_frontier"]
 
 EXHAUSTIVE_LIMIT = 512
 REFINE_ROUNDS = 2
@@ -86,24 +79,6 @@ class ParetoPoint:
     k2: int | None = None
     alpha1: float | None = None
     alpha2: float | None = None
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Outcome of the type-I-age-vs-alpha2 monotonicity check."""
-
-    alpha1: float
-    alpha2_grid: np.ndarray
-    ages: np.ndarray
-    strictly_increasing: bool
-    degenerate: bool = False
-
-    @property
-    def passed(self) -> bool:
-        if self.degenerate:
-            # Single-stream case: the age must simply not depend on alpha2.
-            return bool(np.ptp(self.ages) == 0.0)
-        return self.strictly_increasing
 
 
 def _check_beta(beta: float) -> float:
@@ -225,22 +200,6 @@ def _point(scenario, beta, **thresholds) -> ParetoPoint:
     )
 
 
-def optimize(
-    template: ScenarioTemplate,
-    beta: float,
-    evaluator: str = "exact",
-    grid: int = 512,
-) -> ParetoPoint:
-    """Minimize the beta-weighted age over thresholds (exact) or ratios (approx).
-
-    beta = 1 excludes age_II from the objective entirely (and symmetrically
-    for beta = 0), so a starved unweighted stream cannot poison the search.
-    Integer ties break to the lexicographically smallest (k1, k2). This is
-    pareto_frontier with one beta.
-    """
-    return pareto_frontier(template, [beta], evaluator, grid)[0]
-
-
 def _dominated(p: ParetoPoint, q: ParetoPoint) -> bool:
     """True when q is at least as good as p in both ages and better in one."""
     qi, qii, pi, pii = q.age_I, q.age_II, p.age_I, p.age_II
@@ -253,7 +212,12 @@ def pareto_frontier(
     evaluator: str = "exact",
     grid: int = 512,
 ) -> list[ParetoPoint]:
-    """optimize() for every beta, filtered to the non-dominated set.
+    """Minimize the beta-weighted age over thresholds (exact) or ratios
+    (approx) for every beta, filtered to the non-dominated set.
+
+    beta = 1 leaves age_II out of the objective, and beta = 0 leaves age_I
+    out, so a starved stream with zero weight cannot poison the search.
+    Integer ties break to the lexicographically smallest (k1, k2).
 
     Output is sorted by age_I ascending; duplicate optima (several betas
     landing on the same thresholds) are collapsed to one point. grid, the
@@ -296,30 +260,3 @@ def pareto_frontier(
     ]
     return sorted(frontier, key=lambda p: p.age_I)
 
-
-def lemma1_monotonicity_check(
-    template: ScenarioTemplate,
-    alpha1: float = 0.5,
-    alpha2_grid=None,
-) -> MonotonicityReport:
-    """Verify Lemma 1: with alpha1 fixed, the large-n type-I age grows
-    strictly with alpha2.
-
-    The type-I ages are evaluated on alpha2_grid by the closed-form kernel,
-    in the template's generation mode and with its delay laws. With p1 = 1
-    the age is constant in alpha2 (degenerate case).
-    """
-    if alpha2_grid is None:
-        alpha2_grid = np.linspace(0.01, 0.99, 99)
-    alpha2_grid = np.asarray(alpha2_grid, dtype=float)
-    if template.mix.p1 <= 0.0:
-        raise StarvedStreamError("type I is starved (p1 = 0)")
-
-    ages = _pair_ages(template, None, alpha1, alpha2_grid)[0]
-    return MonotonicityReport(
-        alpha1=alpha1,
-        alpha2_grid=alpha2_grid,
-        ages=ages,
-        strictly_increasing=bool(np.all(np.diff(ages) > 0.0)),
-        degenerate=template.mix.p2 <= 0.0,
-    )

@@ -240,16 +240,17 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
 
     Replications own independent random streams spawned deterministically
     from (seed, replication index); merging is a fixed-order reduction, so
-    parallel and serial runs produce identical results. At most `threads`
-    worker processes run, one per replication; 1 runs in this process.
+    parallel and serial runs produce identical results. min(threads,
+    replications) worker processes run; when that is 1, none is started.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     args = [(cfg.scenario, cfg.cycles, ss) for ss in _spawn_seeds(cfg)]
-    if threads > 1:
+    workers = min(threads, cfg.replications)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, cfg.replications)) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             outs = list(ex.map(_sim_worker, args))
     else:
         outs = [_sim_worker(a) for a in args]

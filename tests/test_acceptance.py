@@ -22,17 +22,11 @@ from aoi_multicast.analytic import (
     ScenarioApprox,
     Stream,
     StreamMix,
-    age,
+    _pair_ages,
     age_pair,
 )
 from aoi_multicast.cli import main as cli_main
-from aoi_multicast.optimize import (
-    ScenarioTemplate,
-    _approx_zoom,
-    _search,
-    lemma1_monotonicity_check,
-    optimize,
-)
+from aoi_multicast.optimize import ScenarioTemplate, _approx_zoom, _search, pareto_frontier
 from aoi_multicast.orderstats import ShiftedExp
 from aoi_multicast.sim import SimConfig, simulate
 from oracles import replication_traces
@@ -57,10 +51,6 @@ def _case_id(s):
     return f"n{s.n}-{mode}-k{s.k1}.{s.k2}-p{s.mix.p1}"
 
 
-def _exact_age(s, stream):
-    return age(s, stream)
-
-
 def _report(line):
     print(f"[acceptance] {line}")
 
@@ -72,7 +62,7 @@ def test_criterion_01_oracle_grid(scenario):
     cfg = SimConfig(scenario, cycles=1_000_000, seed=1001, replications=10)
     res = simulate(cfg)
     for stream in Stream:
-        exact = _exact_age(scenario, stream)
+        exact = age_pair(scenario).age(stream)
         err = abs(float(res.age(stream)) - exact)
         tol = max(0.01 * exact, 3 * res.se(stream))
         assert err <= tol, (
@@ -92,7 +82,7 @@ def test_criterion_01_runtime_budget():
 
 def test_criterion_02_single_node_anchor():
     s = Scenario(1, 1, 1, ShiftedExp(1, 0), ShiftedExp(1, 0), StreamMix(1.0))
-    assert age(s, Stream.TYPE_I) == 2.0
+    assert age_pair(s).age(Stream.TYPE_I) == 2.0
     res = simulate(SimConfig(s, cycles=1_000_000, seed=1042, replications=10))
     assert abs(res.age_I_hat - 2.0) <= 3 * res.se_I
     _report("criterion 2 (single-node zero-wait anchor 2.0): PASS")
@@ -109,8 +99,8 @@ def test_criterion_03_approximation_convergence():
                     s = Scenario(n, k1, k2, DELAY_I, DELAY_II, StreamMix(p1), mode)
                     sa = ScenarioApprox(a1, a2, DELAY_I, DELAY_II, StreamMix(p1), mode)
                     for stream in Stream:
-                        exact = _exact_age(s, stream)
-                        gap = abs(exact - age(sa, stream)) / exact
+                        exact = age_pair(s).age(stream)
+                        gap = abs(exact - age_pair(sa).age(stream)) / exact
                         worst = max(worst, gap)
                         assert gap <= 0.02
     _report(f"criterion 3 (approximation gap, worst {worst:.2e} <= 2%): PASS")
@@ -128,8 +118,10 @@ def test_criterion_04_lemma1_corners():
     for a2 in (0.1, 0.3, 0.5, 0.7, 0.9):
         (alpha1, _), = _search(tpl, None, (axis, np.array([a2])), [0.0], _approx_zoom)
         assert alpha1 == pytest.approx(floor, abs=1e-15)
-    rep = lemma1_monotonicity_check(tpl, alpha1=0.5, alpha2_grid=np.linspace(0.01, 0.99, 99))
-    assert rep.strictly_increasing
+    # Lemma 1 and its mirror: age_I grows with alpha2, and age_II with alpha1.
+    grid = np.linspace(0.01, 0.99, 99)
+    assert np.all(np.diff(_pair_ages(tpl, None, 0.5, grid)[0]) > 0)
+    assert np.all(np.diff(_pair_ages(tpl, None, grid, 0.5)[1]) > 0)
     _report("criterion 4 (beta corner solutions + monotonicity): PASS")
 
 
@@ -142,20 +134,14 @@ def test_criterion_05_single_stream_reduction():
         a2 = float(rng.uniform(0.05, 0.95))
         d2 = ShiftedExp(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.0, 3.0)))
         evaluations = {
-            "thm1": age(
-                Scenario(n, k1, k2, DELAY_I, d2, StreamMix(1.0)), Stream.TYPE_I
-            ),
-            "thm2": age(
-                Scenario(n, k1, k2, DELAY_I, d2, StreamMix(1.0), Exogenous(2.0)),
-                Stream.TYPE_I,
-            ),
-            "corr1": age(
-                ScenarioApprox(a1, a2, DELAY_I, d2, StreamMix(1.0)), Stream.TYPE_I
-            ),
-            "corr2": age(
-                ScenarioApprox(a1, a2, DELAY_I, d2, StreamMix(1.0), Exogenous(2.0)),
-                Stream.TYPE_I,
-            ),
+            "thm1": age_pair(Scenario(n, k1, k2, DELAY_I, d2, StreamMix(1.0))).age_I,
+            "thm2": age_pair(
+                Scenario(n, k1, k2, DELAY_I, d2, StreamMix(1.0), Exogenous(2.0))
+            ).age_I,
+            "corr1": age_pair(ScenarioApprox(a1, a2, DELAY_I, d2, StreamMix(1.0))).age_I,
+            "corr2": age_pair(
+                ScenarioApprox(a1, a2, DELAY_I, d2, StreamMix(1.0), Exogenous(2.0))
+            ).age_I,
         }
         for name, value in evaluations.items():
             if name not in refs:
@@ -169,7 +155,7 @@ def test_criterion_06_scale_free_age():
         ages = {}
         for n in (1_000, 10_000):
             s = Scenario(n, n // 2, n // 2, DELAY_I, DELAY_II, StreamMix(0.6), mode)
-            ages[n] = [_exact_age(s, t) for t in Stream]
+            ages[n] = [age_pair(s).age(t) for t in Stream]
         for a, b in zip(ages[1_000], ages[10_000]):
             assert abs(a - b) / b < 0.01
     _report("criterion 6 (scale-free age at alpha = 0.5): PASS")
@@ -224,8 +210,8 @@ def test_criterion_08_exogenous_limit():
             Exogenous(1e6),
         )
         for stream in Stream:
-            aw = age(base, stream)
-            exo = age(fast, stream)
+            aw = age_pair(base).age(stream)
+            exo = age_pair(fast).age(stream)
             assert abs(exo - aw) / aw <= 1e-3
     _report("criterion 8 (mu = 1e6 exogenous matches at-will <= 0.1%): PASS")
 
@@ -246,7 +232,7 @@ def test_criterion_09_brute_force_optimality():
                         obj = beta * float(pair.age_I) + (1 - beta) * float(pair.age_II)
                     if best is None or obj < best[0]:
                         best = (obj, k1, k2)
-            pt = optimize(tpl, beta)
+            pt = pareto_frontier(tpl, [beta])[0]
             assert (pt.k1, pt.k2) == (best[1], best[2])
             assert pt.objective == best[0]
     _report("criterion 9 (optimizer matches exhaustive double loop): PASS")

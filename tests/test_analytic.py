@@ -16,7 +16,7 @@ from aoi_multicast.analytic import (
     StarvedStreamError,
     Stream,
     StreamMix,
-    age,
+    _pair_ages,
     age_pair,
     s_moments,
 )
@@ -45,7 +45,7 @@ def ref_scenario(mode=AtWill()):
 
 
 def age_atwill_expanded(s, target):
-    """Fully expanded at-will age expression: an oracle for age() that does
+    """Fully expanded at-will age expression: an oracle for age_pair that does
     not go through the renewal kernel."""
     if not isinstance(s.mode, AtWill):
         raise ValueError("age_atwill_expanded requires at-will mode")
@@ -266,18 +266,18 @@ class TestInterarrivalMoments:
 class TestAgeAtWill:
     def test_zero_wait_anchor(self):
         s = Scenario(1, 1, 1, ShiftedExp(1, 0), ShiftedExp(1, 0), StreamMix(1.0))
-        assert age(s, Stream.TYPE_I) == pytest.approx(2.0)
+        assert age_pair(s).age(Stream.TYPE_I) == pytest.approx(2.0)
 
     def test_shifted_anchor(self):
         s = Scenario(1, 1, 1, ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0))
-        assert age(s, Stream.TYPE_I) == pytest.approx(3.25)
+        assert age_pair(s).age(Stream.TYPE_I) == pytest.approx(3.25)
 
     def test_regression_constants(self):
         s = ref_scenario()
-        assert age(s, Stream.TYPE_I) == pytest.approx(
+        assert age_pair(s).age(Stream.TYPE_I) == pytest.approx(
             REF_AGE_I_ATWILL, rel=1e-12
         )
-        assert age(s, Stream.TYPE_II) == pytest.approx(
+        assert age_pair(s).age(Stream.TYPE_II) == pytest.approx(
             REF_AGE_II_ATWILL, rel=1e-12
         )
 
@@ -297,7 +297,7 @@ class TestAgeAtWill:
         s = Scenario(n, k1, k2, ShiftedExp(rate1, shift1), ShiftedExp(rate2, shift2),
                      StreamMix(p1))
         for t in (Stream.TYPE_I, Stream.TYPE_II):
-            a = age(s, t)
+            a = age_pair(s).age(t)
             b = age_atwill_expanded(s, t)
             assert abs(a - b) <= 64 * math.ulp(max(abs(a), abs(b)))
 
@@ -306,12 +306,8 @@ class TestAgeAtWill:
         swapped = Scenario(
             s.n, s.k2, s.k1, s.delay_II, s.delay_I, StreamMix(s.mix.p2)
         )
-        assert age(s, Stream.TYPE_I) == age(
-            swapped, Stream.TYPE_II
-        )
-        assert age(s, Stream.TYPE_II) == age(
-            swapped, Stream.TYPE_I
-        )
+        assert age_pair(s).age(Stream.TYPE_I) == age_pair(swapped).age(Stream.TYPE_II)
+        assert age_pair(s).age(Stream.TYPE_II) == age_pair(swapped).age(Stream.TYPE_I)
 
     def test_single_stream_invariant_to_other_params(self):
         rng = np.random.default_rng(9)
@@ -320,7 +316,7 @@ class TestAgeAtWill:
             k2 = int(rng.integers(1, 11))
             d2 = ShiftedExp(float(rng.uniform(0.2, 5)), float(rng.uniform(0, 3)))
             s = Scenario(10, 3, k2, ShiftedExp(1, 1), d2, StreamMix(1.0))
-            a = age(s, Stream.TYPE_I)
+            a = age_pair(s).age(Stream.TYPE_I)
             if base is None:
                 base = a
             assert abs(a - base) <= 8 * math.ulp(base)
@@ -329,7 +325,7 @@ class TestAgeAtWill:
         s = ref_scenario()
         starved = Scenario(s.n, s.k1, s.k2, s.delay_I, s.delay_II, StreamMix(1.0))
         with pytest.raises(StarvedStreamError):
-            age(starved, Stream.TYPE_II)
+            s_moments(starved, Stream.TYPE_II)
 
 
 class TestAgeAtWillApprox:
@@ -337,7 +333,7 @@ class TestAgeAtWillApprox:
         a1 = 0.4
         d = ShiftedExp(1.0, 1.0)
         sa = ScenarioApprox(a1, 0.7, d, ShiftedExp(3, 2), StreamMix(1.0))
-        got = age(sa, Stream.TYPE_I)
+        got = age_pair(sa).age(Stream.TYPE_I)
         delta1 = 1 - math.log(1 - a1)
         want = (
             1 + 1 + (1 - a1) / a1 * math.log(1 - a1) + (2 - a1) * delta1 / (2 * a1)
@@ -347,16 +343,14 @@ class TestAgeAtWillApprox:
     def test_symmetry(self):
         d = ShiftedExp(1, 1)
         sa = ScenarioApprox(0.5, 0.5, d, d, StreamMix(0.5))
-        assert age(sa, Stream.TYPE_I) == age(
-            sa, Stream.TYPE_II
-        )
+        assert age_pair(sa).age(Stream.TYPE_I) == age_pair(sa).age(Stream.TYPE_II)
 
     def test_matches_exact_at_large_n(self):
         d = ShiftedExp(1, 1)
         sa = ScenarioApprox(0.5, 0.5, d, d, StreamMix(0.5))
         s = Scenario(10_000, 5000, 5000, d, d, StreamMix(0.5))
-        approx = age(sa, Stream.TYPE_I)
-        exact = age(s, Stream.TYPE_I)
+        approx = age_pair(sa).age(Stream.TYPE_I)
+        exact = age_pair(s).age(Stream.TYPE_I)
         assert abs(exact - approx) / exact < 0.01
 
     def test_scale_free_age(self):
@@ -364,7 +358,7 @@ class TestAgeAtWillApprox:
         ages = {}
         for n in (1000, 10_000):
             s = Scenario(n, n // 2, n // 2, d1, d2, StreamMix(0.6))
-            ages[n] = [age(s, t) for t in Stream]
+            ages[n] = [age_pair(s).age(t) for t in Stream]
         for a, b in zip(ages[1000], ages[10_000]):
             assert abs(a - b) / b < 0.01
 
@@ -374,22 +368,22 @@ class TestAgeExogenous:
         s = Scenario(
             1, 1, 1, ShiftedExp(1, 0), ShiftedExp(1, 0), StreamMix(1.0), Exogenous(1.0)
         )
-        assert age(s, Stream.TYPE_I) == pytest.approx(2.5)
+        assert age_pair(s).age(Stream.TYPE_I) == pytest.approx(2.5)
 
     def test_regression_constants(self):
         s = ref_scenario(Exogenous(2.0))
-        assert age(s, Stream.TYPE_I) == pytest.approx(
+        assert age_pair(s).age(Stream.TYPE_I) == pytest.approx(
             REF_AGE_I_EXO_MU2, rel=1e-12
         )
-        assert age(s, Stream.TYPE_II) == pytest.approx(
+        assert age_pair(s).age(Stream.TYPE_II) == pytest.approx(
             REF_AGE_II_EXO_MU2, rel=1e-12
         )
 
     def test_high_rate_limit_matches_atwill(self):
         s = ref_scenario(Exogenous(1e6))
         for t in (Stream.TYPE_I, Stream.TYPE_II):
-            a = age(s, t)
-            b = age(ref_scenario(), t)
+            a = age_pair(s).age(t)
+            b = age_pair(ref_scenario()).age(t)
             assert abs(a - b) / b < 1e-3
 
     def test_approx_high_rate_limit(self):
@@ -397,8 +391,8 @@ class TestAgeExogenous:
         sa_exo = ScenarioApprox(0.4, 0.6, d1, d2, StreamMix(0.5), Exogenous(1e6))
         sa_aw = ScenarioApprox(0.4, 0.6, d1, d2, StreamMix(0.5))
         for t in (Stream.TYPE_I, Stream.TYPE_II):
-            a = age(sa_exo, t)
-            b = age(sa_aw, t)
+            a = age_pair(sa_exo).age(t)
+            b = age_pair(sa_aw).age(t)
             assert abs(a - b) / b < 1e-3
 
     def test_approx_single_stream_invariance(self):
@@ -409,7 +403,7 @@ class TestAgeExogenous:
             d2 = ShiftedExp(float(rng.uniform(0.2, 5)), float(rng.uniform(0, 3)))
             sa = ScenarioApprox(0.4, a2, ShiftedExp(1, 1), d2, StreamMix(1.0),
                                 Exogenous(2.0))
-            a = age(sa, Stream.TYPE_I)
+            a = age_pair(sa).age(Stream.TYPE_I)
             if base is None:
                 base = a
             assert abs(a - base) <= 8 * math.ulp(base)
@@ -418,8 +412,8 @@ class TestAgeExogenous:
         d = ShiftedExp(1, 1)
         sa = ScenarioApprox(0.5, 0.5, d, d, StreamMix(0.5), Exogenous(2.0))
         s = Scenario(10_000, 5000, 5000, d, d, StreamMix(0.5), Exogenous(2.0))
-        approx = age(sa, Stream.TYPE_I)
-        exact = age(s, Stream.TYPE_I)
+        approx = age_pair(sa).age(Stream.TYPE_I)
+        exact = age_pair(s).age(Stream.TYPE_I)
         assert abs(exact - approx) / exact < 0.01
 
 
@@ -447,19 +441,12 @@ class TestAgePair:
         assert pair.age_II == INFINITE_AGE
         assert isinstance(pair.age_I, float)
 
-    def test_matches_per_stream_calls(self):
-        s = ref_scenario()
-        pair = age_pair(s)
-        assert pair.age_I == age(s, Stream.TYPE_I)
-        assert pair.age_II == age(s, Stream.TYPE_II)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_in_every_entry(self):
         # E[M - 1] E[Y] ~ n E[Y] / (p1 k1) is finite, but its square overflows,
         # so age_I is inf.
         s = Scenario(20, 3, 5, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(1e-300))
-        for call in (age_pair, lambda s: age(s, Stream.TYPE_I),
-                     lambda s: s_moments(s, Stream.TYPE_I)):
+        for call in (age_pair, lambda s: s_moments(s, Stream.TYPE_I)):
             with pytest.raises(ValueError, match="age_I is inf"):
                 call(s)
 
@@ -469,8 +456,7 @@ class TestAgePair:
             Exogenous(2.0),
         )
         pair = age_pair(sa)
-        assert pair.age_I == age(sa, Stream.TYPE_I)
-        assert pair.age_II == age(sa, Stream.TYPE_II)
+        assert (pair.age_I, pair.age_II) == _pair_ages(sa, None, 0.3, 0.6)
 
 
 class TestLargeNAccuracy:
@@ -517,7 +503,7 @@ class TestLargeNAccuracy:
                                     if sa.mix.prob(t) <= 0:
                                         continue
                                     want = self.closed_form(mpmath, sa, t)
-                                    err = float(abs(age(sa, t) - want) / want)
+                                    err = float(abs(age_pair(sa).age(t) - want) / want)
                                     worst = max(worst, err)
         assert worst <= 1e-14
 
@@ -675,7 +661,7 @@ class TestMetamorphic:
         # With p1 = 1 every cycle carries stream I: k2 and delay_II weigh nothing.
         other = dict(x, u2=u2, rate2=rate2, shift2=shift2)
         a, b = (dataclasses.replace(_scenario(y), mix=StreamMix(1.0)) for y in (x, other))
-        assert age(a, Stream.TYPE_I) == age(b, Stream.TYPE_I)
+        assert age_pair(a).age(Stream.TYPE_I) == age_pair(b).age(Stream.TYPE_I)
 
     @given(x=scenarios)
     @settings(max_examples=100, deadline=None)
@@ -684,4 +670,4 @@ class TestMetamorphic:
         s = _scenario(x)
         for t in Stream:
             bound = os_moments(s.delay(t), s.threshold(t), s.n)[2] + s_moments(s, t).m1 / 2
-            assert age(s, t) >= bound * (1 - 1e-12)
+            assert age_pair(s).age(t) >= bound * (1 - 1e-12)

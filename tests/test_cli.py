@@ -72,22 +72,14 @@ class TestEval:
         assert out["age_I"] == out["age_II"]
 
     def test_matches_library_call(self, scenario_file, capsys):
-        from aoi_multicast.analytic import (
-            Scenario,
-            Stream,
-            StreamMix,
-            age,
-        )
-        from aoi_multicast.orderstats import ShiftedExp
-
         rc = main(["eval", scenario_file(SCENARIO)])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         s = Scenario(
             10, 3, 5, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.6)
         )
-        assert out["age_I"] == age(s, Stream.TYPE_I)
-        assert out["age_II"] == age(s, Stream.TYPE_II)
+        pair = age_pair(s)
+        assert (out["age_I"], out["age_II"]) == (pair.age_I, pair.age_II)
 
     def test_approx_mode(self, scenario_file, capsys):
         rc = main(
@@ -584,13 +576,9 @@ class TestSweep:
             rows = list(csv.reader(f))
         ages = [float(r[1]) for r in rows[1:]]
         assert all(a > b for a, b in zip(ages, ages[1:]))
-        from aoi_multicast.analytic import Scenario, Stream, StreamMix, age
-        from aoi_multicast.orderstats import ShiftedExp
-
-        aw = age(
-            Scenario(10, 3, 5, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.6)),
-            Stream.TYPE_I,
-        )
+        aw = age_pair(
+            Scenario(10, 3, 5, ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.6))
+        ).age_I
         assert ages[-1] == pytest.approx(aw, rel=1e-3)
 
     def test_unknown_param(self, scenario_file, tmp_path):

@@ -1,28 +1,23 @@
-import importlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import aoi_multicast.optimize as opt_mod
 from aoi_multicast.analytic import (
     AtWill,
     Exogenous,
     StarvedStreamError,
-    Stream,
     StreamMix,
+    _pair_ages,
     age_pair,
 )
-from aoi_multicast.optimize import (
-    ScenarioTemplate,
-    lemma1_monotonicity_check,
-    optimize,
-    pareto_frontier,
-)
+from aoi_multicast.optimize import ScenarioTemplate, pareto_frontier
 from aoi_multicast.orderstats import ShiftedExp
 
-# The module, not the function that the package exports under the same name.
-opt_mod = importlib.import_module("aoi_multicast.optimize")
+# The ratio axis of the Lemma 1 checks.
+ALPHAS = np.linspace(0.01, 0.99, 99)
 
 
 def symmetric_template(n=30, mode=AtWill()):
@@ -70,19 +65,19 @@ class TestOptimizeExact:
     def test_matches_brute_force(self, beta, mode):
         tpl = asymmetric_template(n=12, mode=mode)
         obj, k1, k2 = brute_force(tpl, beta)
-        pt = optimize(tpl, beta)
+        pt = pareto_frontier(tpl, [beta])[0]
         assert (pt.k1, pt.k2) == (k1, k2)
         assert pt.objective == obj
 
     def test_symmetric_half_beta_on_diagonal(self):
-        pt = optimize(symmetric_template(), 0.5)
+        pt = pareto_frontier(symmetric_template(), [0.5])[0]
         assert pt.k1 == pt.k2
         assert pt.age_I == pt.age_II
 
     def test_objective_validity(self):
         tpl = asymmetric_template()
         for beta in (0.1, 0.5, 0.9):
-            pt = optimize(tpl, beta)
+            pt = pareto_frontier(tpl, [beta])[0]
             pair = age_pair(tpl.with_thresholds(pt.k1, pt.k2))
             want = beta * float(pair.age_I) + (1 - beta) * float(pair.age_II)
             assert abs(pt.objective - want) <= 8 * math.ulp(want)
@@ -92,7 +87,7 @@ class TestOptimizeExact:
         tpl = ScenarioTemplate(
             ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0), AtWill(), n=20
         )
-        pt = optimize(tpl, 1.0)
+        pt = pareto_frontier(tpl, [1.0])[0]
         assert isinstance(float(pt.objective), float)
         assert math.isfinite(pt.objective)
 
@@ -101,22 +96,20 @@ class TestOptimizeExact:
             ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0), AtWill(), n=20
         )
         with pytest.raises(StarvedStreamError):
-            optimize(tpl, 0.5)
+            pareto_frontier(tpl, [0.5])
 
     def test_bad_beta_rejected(self):
         with pytest.raises(ValueError):
-            optimize(symmetric_template(), 1.5)
+            pareto_frontier(symmetric_template(), [1.5])
 
     def test_coarse_to_fine_agrees_with_exhaustive(self):
         tpl = asymmetric_template(n=60)
         for beta in (0.3, 0.7):
-            a = optimize(tpl, beta)
-            b = optimize(tpl, beta)
+            a = pareto_frontier(tpl, [beta])[0]
+            b = pareto_frontier(tpl, [beta])[0]
             # force the multi-resolution path explicitly
-            from aoi_multicast.optimize import _exact_zoom, _int_axis, _search
-
-            ks = _int_axis(1, tpl.n)
-            k1, k2 = _search(tpl, tpl.n, (ks, ks), [beta], _exact_zoom)[0]
+            ks = opt_mod._int_axis(1, tpl.n)
+            (k1, k2), = opt_mod._search(tpl, tpl.n, (ks, ks), [beta], opt_mod._exact_zoom)
             assert (k1, k2) == (a.k1, a.k2) == (b.k1, b.k2)
 
 
@@ -156,8 +149,8 @@ class TestIntegerAxis:
             assert 1 <= p.k1 <= n and 1 <= p.k2 <= n
             assert math.isfinite(p.objective)
         # The large-n optimum sets the threshold ratios.
-        approx = optimize(tpl, 0.5, evaluator="approx")
-        mid = optimize(tpl, 0.5)
+        approx = pareto_frontier(tpl, [0.5], evaluator="approx")[0]
+        mid = pareto_frontier(tpl, [0.5])[0]
         assert mid.k1 / n == pytest.approx(approx.alpha1, abs=0.01)
         assert mid.k2 / n == pytest.approx(approx.alpha2, abs=0.01)
 
@@ -168,8 +161,6 @@ class TestSearchGrid:
     @pytest.mark.parametrize("p1", [0.6, 1.0])
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)])
     def test_exact_grid_equals_scalar_calls(self, mode, p1):
-        from aoi_multicast.analytic import _pair_ages
-
         n = 30
         tpl = ScenarioTemplate(
             ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode, n=n
@@ -185,8 +176,6 @@ class TestSearchGrid:
     @pytest.mark.parametrize("p1", [0.6, 1.0])
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)])
     def test_approx_grid_equals_scalar_calls(self, mode, p1):
-        from aoi_multicast.analytic import _pair_ages
-
         tpl = ScenarioTemplate(
             ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode
         )
@@ -208,8 +197,6 @@ class TestSearchGrid:
 def full_grid_search(template, n, axes, betas, zoom):
     """Reference search: per beta, np.argmin over each whole grid, zoomed as
     _search zooms."""
-    from aoi_multicast.analytic import _pair_ages
-
     best = []
     for beta in betas:
         (x1, x2), round_idx = axes, 0
@@ -290,8 +277,6 @@ class TestBlocks:
         # At p1 = 1e-307, E[M - 1] E[Y] ~ n E[Y] / (p1 k1) overflows for the
         # smallest k1, whose objective is inf / inf = NaN; a descending k1
         # axis puts them in the last blocks.
-        from aoi_multicast.analytic import _pair_ages
-
         tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(1e-307),
                                AtWill(), n=20)
         ks = np.arange(1, 21)
@@ -301,8 +286,6 @@ class TestBlocks:
         self.check(monkeypatch, tpl, 20, (ks[::-1], ks), opt_mod._exact_zoom, [0.5])
 
     def test_symmetric_ties(self, monkeypatch):
-        from aoi_multicast.analytic import _pair_ages
-
         # At beta = 0.5 the objective at (a, b) equals the one at (b, a).
         tpl = symmetric_template(n=16)
         ks = np.arange(1, 17)
@@ -333,17 +316,17 @@ class TestOptimizeApprox:
     def test_beta_one_selects_minimal_alpha2(self):
         tpl = symmetric_template()
         grid = 128
-        pt = optimize(tpl, 1.0, evaluator="approx", grid=grid)
+        pt = pareto_frontier(tpl, [1.0], evaluator="approx", grid=grid)[0]
         assert pt.alpha2 == pytest.approx(1 / (grid + 1), abs=1e-15)
 
     def test_beta_zero_selects_minimal_alpha1(self):
         tpl = symmetric_template()
         grid = 128
-        pt = optimize(tpl, 0.0, evaluator="approx", grid=grid)
+        pt = pareto_frontier(tpl, [0.0], evaluator="approx", grid=grid)[0]
         assert pt.alpha1 == pytest.approx(1 / (grid + 1), abs=1e-15)
 
     def test_symmetric_half_beta(self):
-        pt = optimize(symmetric_template(), 0.5, evaluator="approx", grid=128)
+        pt = pareto_frontier(symmetric_template(), [0.5], evaluator="approx", grid=128)[0]
         assert pt.alpha1 == pytest.approx(pt.alpha2, abs=1e-12)
         assert float(pt.age_I) == pytest.approx(float(pt.age_II), rel=1e-12)
 
@@ -351,11 +334,11 @@ class TestOptimizeApprox:
     def test_grid_below_one_rejected(self, grid):
         tpl = symmetric_template()
         with pytest.raises(ValueError, match="grid"):
-            optimize(tpl, 0.5, evaluator="approx", grid=grid)
+            pareto_frontier(tpl, [0.5], evaluator="approx", grid=grid)
         with pytest.raises(ValueError, match="grid"):
             pareto_frontier(tpl, [0.2, 0.8], evaluator="approx", grid=grid)
         # one point per axis, at the middle of the open domain
-        assert optimize(tpl, 0.5, evaluator="approx", grid=1).alpha1 == 0.5
+        assert pareto_frontier(tpl, [0.5], evaluator="approx", grid=1)[0].alpha1 == 0.5
 
 
 class TestParetoFrontier:
@@ -393,12 +376,13 @@ class TestParetoFrontier:
 
 class TestLemma1:
     def test_strictly_increasing(self):
-        rep = lemma1_monotonicity_check(symmetric_template(), alpha1=0.5)
-        assert rep.strictly_increasing
-        assert rep.passed
+        ages = _pair_ages(symmetric_template(), None, 0.5, ALPHAS)[0]
+        assert np.all(np.diff(ages) > 0)
 
     def test_random_templates(self):
-        # Asymmetric laws over decades of rate, shift and mu, half exogenous.
+        # Asymmetric laws over decades of rate, shift and mu, half exogenous:
+        # age_I grows with alpha2 at fixed alpha1, and age_II with alpha1 at
+        # fixed alpha2.
         rng = np.random.default_rng(1101)
 
         def log_uniform(lo, hi):
@@ -409,13 +393,15 @@ class TestLemma1:
                       for _ in range(2)]
             mode = Exogenous(log_uniform(1e-2, 1e2)) if i % 2 else AtWill()
             tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.02, 0.98)), mode)
-            rep = lemma1_monotonicity_check(tpl, alpha1=rng.uniform(0.05, 0.95))
-            assert rep.passed, tpl
+            a = rng.uniform(0.05, 0.95)
+            assert np.all(np.diff(_pair_ages(tpl, None, a, ALPHAS)[0]) > 0), tpl
+            assert np.all(np.diff(_pair_ages(tpl, None, ALPHAS, a)[1]) > 0), tpl
 
     def test_exact_grids_random_templates(self):
         # Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1.
-        from aoi_multicast.analytic import _pair_ages
-
+        # Both ages are submodular: the mixed second difference is at most 0,
+        # so by Topkis' theorem each row's first argmin of any beta-weighted
+        # objective is non-decreasing in k1.
         for seed in range(60):
             rng = np.random.default_rng(seed)
 
@@ -431,32 +417,19 @@ class TestLemma1:
             age_I, age_II = _pair_ages(tpl, n, ks[:, None], ks[None, :])
             assert np.all(np.diff(age_I, axis=1) >= -1e-13 * age_I[:, :-1]), tpl
             assert np.all(np.diff(age_II, axis=0) >= -1e-13 * age_II[:-1]), tpl
+            for f in (age_I, age_II):
+                mixed = f[1:, 1:] + f[:-1, :-1] - f[1:, :-1] - f[:-1, 1:]
+                assert np.all(mixed <= 1e-13 * f[:-1, :-1]), tpl
 
     def test_asymmetric_laws(self):
         tpl = ScenarioTemplate(
             ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.8), AtWill()
         )
-        rep = lemma1_monotonicity_check(tpl, alpha1=0.3)
-        assert rep.passed
+        assert np.all(np.diff(_pair_ages(tpl, None, 0.3, ALPHAS)[0]) > 0)
 
     def test_degenerate_single_stream(self):
+        # With p1 = 1 the type-I age does not depend on alpha2.
         tpl = ScenarioTemplate(
             ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0), AtWill()
         )
-        rep = lemma1_monotonicity_check(tpl, alpha1=0.5)
-        assert rep.degenerate
-        assert rep.passed  # constant in alpha2
-
-    def test_monotone_values_match_direct_evaluation(self):
-        from aoi_multicast.analytic import ScenarioApprox, age
-
-        tpl = symmetric_template()
-        rep = lemma1_monotonicity_check(tpl, alpha1=0.5)
-        direct = [
-            age(
-                ScenarioApprox(0.5, a2, tpl.delay_I, tpl.delay_II, tpl.mix),
-                Stream.TYPE_I,
-            )
-            for a2 in rep.alpha2_grid
-        ]
-        assert np.allclose(rep.ages, direct, rtol=0, atol=0)
+        assert np.ptp(_pair_ages(tpl, None, 0.5, ALPHAS)[0]) == 0

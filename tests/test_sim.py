@@ -16,7 +16,6 @@ from aoi_multicast.analytic import (
     Scenario,
     Stream,
     StreamMix,
-    age,
     age_pair,
     s_moments,
 )
@@ -254,7 +253,7 @@ class TestSimulate:
         s = mixed_scenario()
         res = simulate(SimConfig(s, cycles=200_000, seed=11, replications=10))
         for stream in Stream:
-            exact = age(s, stream)
+            exact = age_pair(s).age(stream)
             tol = max(3 * res.se(stream), 0.01 * exact)
             assert abs(res.age(stream) - exact) <= tol
 
@@ -262,7 +261,7 @@ class TestSimulate:
         s = mixed_scenario(Exogenous(2.0))
         res = simulate(SimConfig(s, cycles=200_000, seed=12, replications=10))
         for stream in Stream:
-            exact = age(s, stream)
+            exact = age_pair(s).age(stream)
             tol = max(3 * res.se(stream), 0.01 * exact)
             assert abs(res.age(stream) - exact) <= tol
 
@@ -294,6 +293,10 @@ class TestSimulate:
         assert simulate(cfg, threads=500) == serial
         assert simulate(cfg, threads=2) == serial
         assert workers == [3, 2]
+        # One replication runs in this process: no pool of one worker.
+        one = SimConfig(mixed_scenario(), cycles=2_000, seed=21, replications=1)
+        assert simulate(one, threads=4) == simulate(one, threads=1)
+        assert workers == [3, 2]
 
     def test_tagged_index_irrelevant(self, monkeypatch):
         # The reference sampler agrees with itself whichever receiver it tags.
@@ -315,7 +318,7 @@ class TestSimulate:
         s = Scenario(10**6, 300_000, 500_000, DELAY_I, DELAY_II, StreamMix(0.6), mode)
         res = simulate(SimConfig(s, cycles=200_000, seed=13, replications=10))
         for stream in Stream:
-            exact = age(s, stream)
+            exact = age_pair(s).age(stream)
             tol = max(3 * res.se(stream), 0.01 * exact)
             assert abs(res.age(stream) - exact) <= tol
 
