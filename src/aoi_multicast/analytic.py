@@ -210,6 +210,23 @@ def _renewal(p, po, own, other):
     1 - g, so s1 = E[M - 1] E[Y] and s2 = E[M - 1] E[Y^2] are sums over those
     weights divided by g, and E[(M - 1)(M - 2)] E[Y]^2 = 2 s1^2. Every term
     is nonnegative, so nothing cancels.
+
+    Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1, for
+    exact and large-n ages in both modes. The other stream's threshold
+    reaches the target's age only through e_o and v_o, which both grow with
+    it, and the delivered delay does not depend on it. Let c = po / g >= 0.
+    v_o enters only s2, with weight c, so the age grows with v_o. In e_o,
+    dm1 = c and dm2 = 2c (e_t + e_o + 2 s1), so m2 / m1 grows with e_o when
+
+        D = (e_t^2 - v_t) + 2 e_t e_o + 2 e_t s1 + 2 s1^2
+            + [2 s1 (e_t + e_o) - s2] >= 0.
+
+    Every term of D, the bracket included, is >= 0 when v <= e^2 holds for
+    both cycles, and raising e_o at fixed v_o keeps that. X_(k) meets it:
+    its mean is the shift plus a sum of terms whose squares sum to its
+    variance. Folding in the idle gap, whose variance is its squared mean,
+    keeps it, and the large-n variance is 0. Where v_t exceeds e_t^2, D can
+    be negative.
     """
     q, e_t, v_t, delivered = own
     _, e_o, v_o, _ = other

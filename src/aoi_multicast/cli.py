@@ -167,9 +167,9 @@ def _age_json(age: float):
 def _cmd_eval(args) -> int:
     template, k1, k2 = load_scenario_file(args.scenario, need_thresholds=not args.approx)
     if args.approx:
-        if args.alpha1 is None or args.alpha2 is None:
-            print("eval: --approx requires --alpha1 and --alpha2", file=sys.stderr)
-            return EXIT_USAGE
+        for key in ("alpha1", "alpha2"):
+            if getattr(args, key) is None:
+                raise SchemaError(key, "required with --approx")
         scenario = _build("", template.with_alphas, args.alpha1, args.alpha2)
     else:
         for key in ("alpha1", "alpha2"):
@@ -280,9 +280,12 @@ def _write_table(path: str, header, rows) -> None:
 
 def _cmd_pareto(args) -> int:
     template, _, _ = load_scenario_file(args.scenario, need_thresholds=False)
+    if args.grid is not None and args.evaluator != "approx":
+        raise SchemaError("grid", "used only with --evaluator approx")
     betas = (list(np.linspace(0.0, 1.0, 33)) if args.betas is None
              else _float_list("betas", args.betas))
-    frontier = pareto_frontier(template, betas, evaluator=args.evaluator, grid=args.grid)
+    grid = {} if args.grid is None else {"grid": args.grid}
+    frontier = pareto_frontier(template, betas, evaluator=args.evaluator, **grid)
     x1, x2 = ("alpha1", "alpha2") if args.evaluator == "approx" else ("k1", "k2")
     _write_table(args.out, ["beta", x1, x2, "age_I", "age_II", "objective"], [
         [p.beta, getattr(p, x1), getattr(p, x2), p.age_I, p.age_II, p.objective]
@@ -382,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario template JSON (k1/k2 ignored)")
     p.add_argument("--betas", help="comma-separated weights; default 33 even values")
     p.add_argument("--evaluator", choices=("exact", "approx"), default="exact")
-    p.add_argument("--grid", type=int, default=512, help="alpha grid size (approx, 1 to 32768)")
+    p.add_argument("--grid", type=int,
+                   help="alpha grid size (approx only, 1 to 32768; default 512)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_pareto)
 

@@ -7,10 +7,10 @@ kernel, take the first row-major argmin of the objective per beta and zoom
 into the winning cell. The first grid does not depend on beta: it is
 searched in blocks of about _BLOCK_CELLS cells, each serving all betas, so
 memory is O(block + betas); a ratio grid has at most _BLOCK_CELLS points per
-axis, so one row fits a block. The integer search lists every (k1, k2) up to
-n = EXHAUSTIVE_LIMIT; above that it starts from a 33-point grid per axis.
-The ratio search refines its grid with REFINE_ROUNDS 33-point rounds around
-the winning cell.
+axis, so one row fits a block. Then each beta zooms on its own. The integer
+search lists every (k1, k2) up to n = EXHAUSTIVE_LIMIT; above that it starts
+from a 33-point grid per axis. The ratio search refines its grid with
+REFINE_ROUNDS 33-point rounds around the winning cell.
 """
 
 from __future__ import annotations
@@ -128,36 +128,25 @@ def _first_argmins(template, n, x1, x2, betas):
     return [divmod(f, x2.size) for f in flat]
 
 
-def _stack(axes):
-    """The axes as rows of one array, each padded by repeating its last point."""
-    width = max(x.size for x in axes)
-    return np.stack([np.pad(x, (0, width - x.size), mode="edge") for x in axes])
-
-
 def _search(template, n, axes, betas, zoom):
     """Best (x1, x2) per beta on the grid axes[0] x axes[1], zoomed while
     ``zoom(round, x1, x2, i1, i2)`` returns new axes.
 
     Thresholds are k with n receivers, or ratios alpha when n is None. Ties
     break to the first row-major argmin: the lexicographically smallest
-    (x1, x2). The first grid is searched in blocks for all betas at once.
-    Each round evaluates the zoomed grids of every beta still refining in
-    one kernel call, on axes padded to one length; a padded cell repeats a
-    real cell that comes first in row-major order, so it never wins.
+    (x1, x2). The first grid is searched in blocks for all betas at once;
+    then each beta zooms on its own.
     """
-    x1, x2 = axes
-    cells = [(x1, x2, *ij) for ij in _first_argmins(template, n, x1, x2, betas)]
-    live = range(len(betas))
-    for round_idx in itertools.count():
-        zoomed = {b: zoom(round_idx, *cells[b]) for b in live}
-        live = [b for b, z in zoomed.items() if z is not None]
-        if not live:
-            return [(x1[i1].item(), x2[i2].item()) for x1, x2, i1, i2 in cells]
-        x1s, x2s = (_stack([zoomed[b][axis] for b in live]) for axis in (0, 1))
-        age_I, age_II = _pair_ages(template, n, x1s[:, :, None], x2s[:, None, :])
-        for j, b in enumerate(live):
-            i = int(np.argmin(_weighted(age_I[j], age_II[j], betas[b])))
-            cells[b] = (*zoomed[b], *divmod(i, x2s.shape[1]))
+    best = []
+    for beta, (i1, i2) in zip(betas, _first_argmins(template, n, *axes, betas)):
+        x1, x2 = axes
+        for round_idx in itertools.count():
+            if (zoomed := zoom(round_idx, x1, x2, i1, i2)) is None:
+                break
+            x1, x2 = zoomed
+            (i1, i2), = _first_argmins(template, n, x1, x2, [beta])
+        best.append((x1[i1].item(), x2[i2].item()))
+    return best
 
 
 def _neighbours(xs, i):

@@ -91,8 +91,12 @@ class TestEval:
         assert out["age_I"] > 0 and out["age_II"] > 0
 
     def test_approx_missing_alphas(self, scenario_file, capsys):
-        rc = main(["eval", scenario_file(SCENARIO), "--approx"])
-        assert rc == 2
+        for given, missing in [((), "alpha1"), (("--alpha1", "0.3"), "alpha2"),
+                               (("--alpha2", "0.5"), "alpha1")]:
+            rc = main(["eval", scenario_file(SCENARIO), "--approx", *given])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            assert captured.err.startswith(f"error: {missing}: required with --approx")
 
     @pytest.mark.parametrize("option", ["alpha1", "alpha2"])
     def test_alpha_without_approx_rejected(self, scenario_file, capsys, option):
@@ -400,6 +404,18 @@ class TestPareto:
         assert rc == 2
         assert "grid" in captured.err
         assert captured.out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("evaluator", [(), ("--evaluator", "exact")],
+                             ids=["default", "exact"])
+    @pytest.mark.parametrize("grid", ["64", "0"])
+    def test_grid_without_approx_rejected(self, scenario_file, tmp_path, capsys,
+                                          grid, evaluator):
+        out_path = tmp_path / "x.csv"
+        rc = main(["pareto", scenario_file(SCENARIO), *evaluator,
+                   "--grid", grid, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out_path.exists()
+        assert captured.err.startswith("error: grid: used only with --evaluator approx")
 
 
 @pytest.mark.parametrize("verb", [
