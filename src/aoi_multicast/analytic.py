@@ -42,10 +42,6 @@ class Stream(Enum):
     TYPE_I = "I"
     TYPE_II = "II"
 
-    @property
-    def other(self) -> "Stream":
-        return Stream.TYPE_II if self is Stream.TYPE_I else Stream.TYPE_I
-
 
 class StarvedStreamError(ValueError):
     """The requested stream has zero delivery probability; its age diverges."""
@@ -154,12 +150,6 @@ class ScenarioApprox:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {a}")
 
-    def alpha(self, stream: Stream) -> float:
-        return self.alpha1 if stream is Stream.TYPE_I else self.alpha2
-
-    def delay(self, stream: Stream) -> ShiftedExp:
-        return self.delay_I if stream is Stream.TYPE_I else self.delay_II
-
 
 @dataclass(frozen=True)
 class AgePair:
@@ -178,10 +168,6 @@ class Moments2:
 
     m1: float
     m2: float
-
-    @property
-    def var(self) -> float:
-        return self.m2 - self.m1 * self.m1
 
 
 # -- the renewal kernel ------------------------------------------------------

@@ -160,8 +160,10 @@ def _int_axis(lo, hi):
     axis lists every integer of a narrow window at any n."""
     lo, hi = int(lo), int(hi)
     xs = range(32 * lo, 32 * hi + 1, hi - lo) if hi > lo else [32 * lo]  # each point times 32
-    points = [q + (r > 16 or (r == 16 and q % 2)) for q, r in (divmod(x, 32) for x in xs)]
-    return np.unique(np.array(points, dtype=np.int64))
+    points = {q + (r > 16 or (r == 16 and q % 2)) for q, r in (divmod(x, 32) for x in xs)}
+    # Deduplicated in Python: the first np.unique of a process imports
+    # numpy.ma, which costs more than the whole n = 2048 search.
+    return np.array(sorted(points), dtype=np.int64)
 
 
 def _exact_zoom(round_idx, k1s, k2s, i1, i2):

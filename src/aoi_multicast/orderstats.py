@@ -80,6 +80,12 @@ def _asymptotic(y):
             r / y * (1 / 12 - r * (7 / 240 - r * (31 / 1344 - r * (127 / 3840)))))
 
 
+def _expm1_minus(L):
+    """expm1(L) - L = sum_{j>=2} L^j / j!, for 0 <= expm1(L) < 1/4, where it
+    is summed to about 1e-16 relative accuracy without cancellation."""
+    return L * L * sum(coef * L**j for j, coef in enumerate(_EXPM1_TAYLOR))
+
+
 def _harmonic_diffs(n, m):
     """(H_n - H_m, G_n - G_m) for an int n and an int or int64 array 0 <= m <= n."""
     tab = _TAIL[np.minimum(m, _M)] - _TAIL[min(n, _M)]
@@ -129,27 +135,33 @@ def os_moments(d: ShiftedExp, x, n=None):
     eq. 2.36). For m >= M that difference cancels; there, with a = m + 1/2,
     t = k / a and L = log1p(t), S is summed as the nonnegative
     a (t - L) + L / 2 + m (c(a) - c(n + 1/2)), with
-    t - L = sum_{j>=2} L^j / j! for t < 1/4.
+    t - L = expm1(L) - L summed as a series for t < 1/4.
 
     With n None, x is the ratio alpha = k / n (a float or a float array in
     (0, 1)) and the result is the large-n limit: the mean
     delta(alpha) = shift - log(1 - alpha) / rate, a variance of 0, and
     mean_first_k = shift + 1/rate + ((1 - alpha) / (alpha rate)) log(1 - alpha).
     delta diverges as alpha -> 1; the open interval is enforced, not clamped.
+    With L = -log1p(-alpha) and t = expm1(L) = alpha / (1 - alpha),
+    mean_first_k is shift + (t - L) / (t rate), whose numerator cancels as
+    alpha -> 0; below alpha = 0.2, where t < 1/4, it is summed as a series too.
     """
     if n is None:
         alpha = _check_alpha(x)
         log1m = np.log1p(-alpha)
-        return (d.shift - log1m / d.rate, 0.0,
-                d.shift + 1.0 / d.rate + (1.0 - alpha) / (alpha * d.rate) * log1m)
+        first_k = d.shift + 1.0 / d.rate + (1.0 - alpha) / (alpha * d.rate) * log1m
+        # The series costs more than the rest of the call; most ratios skip it.
+        if np.any(small := alpha < 0.2):
+            L = -log1m
+            first_k = np.where(small, d.shift + _expm1_minus(L) / (np.expm1(L) * d.rate), first_k)
+        return d.shift - log1m / d.rate, 0.0, first_k
     k, n = _check_order(x, n)
     m = n - k
     dh, dg = _harmonic_diffs(n, m)
     a = np.maximum(m + 0.5, _M + 0.5)
     t = k / a
     lt = np.log1p(t)
-    series = lt * lt * sum(coef * lt**j for j, coef in enumerate(_EXPM1_TAYLOR))
     c_drop = _asymptotic(a)[0] - _asymptotic(n + 0.5)[0]
-    large_m = a * np.where(t < 0.25, series, t - lt) + 0.5 * lt + (a - 0.5) * c_drop
+    large_m = a * np.where(t < 0.25, _expm1_minus(lt), t - lt) + 0.5 * lt + (a - 0.5) * c_drop
     s = np.where(m < _M, k - m * dh, large_m)
     return d.shift + dh / d.rate, dg / d.rate**2, d.shift + s / (k * d.rate)

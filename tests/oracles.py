@@ -15,6 +15,11 @@ from aoi_multicast.orderstats import _check_order, _harmonic_diffs
 from aoi_multicast.sim import _blocks, _spawn_seeds, _StreamTrace
 
 
+def other(stream: Stream) -> Stream:
+    """The stream that is not ``stream``."""
+    return Stream.TYPE_II if stream is Stream.TYPE_I else Stream.TYPE_I
+
+
 def os_second_moment(d, k, n) -> float:
     """Second moment of the k-th smallest of n draws: os_var + os_mean**2, expanded."""
     k, n = _check_order(k, n)
@@ -46,11 +51,11 @@ def ybar_moments(s, target) -> MissedCycleMoments:
     the target's unconditioned cycle moments are returned, flagged
     degenerate.
     """
-    p, po = s.mix.prob(target), s.mix.prob(target.other)
+    p, po = s.mix.prob(target), s.mix.prob(other(target))
     if p <= 0:
         raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
     (q, e_t, v_t, _), (_, e_o, v_o, _) = (_threshold_moments(s.delay(x), s.threshold(x), s.n)
-                                          for x in (target, target.other))
+                                          for x in (target, other(target)))
     w_t = p * (1.0 - q)
     r = po + w_t  # the miss probability 1 - pq, without its cancellation
     if r == 0:

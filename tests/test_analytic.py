@@ -21,7 +21,7 @@ from aoi_multicast.analytic import (
     s_moments,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_moments
-from oracles import geometric_moments, os_second_moment, ybar_moments
+from oracles import geometric_moments, os_second_moment, other, ybar_moments
 
 # Mixed-stream reference scenario used throughout; the analytic ages were
 # cross-validated against the Monte Carlo oracle (10^6 cycles, agreement
@@ -52,12 +52,12 @@ def age_atwill_expanded(s, target):
     p = s.mix.prob(target)
     if p <= 0:
         raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    po = s.mix.prob(target.other)
-    n, k, ko = s.n, s.threshold(target), s.threshold(target.other)
+    po = s.mix.prob(other(target))
+    n, k, ko = s.n, s.threshold(target), s.threshold(other(target))
     e1 = os_moments(s.delay(target), k, n)[0]
     e2 = os_second_moment(s.delay(target), k, n)
-    f1 = os_moments(s.delay(target.other), ko, n)[0]
-    f2 = os_second_moment(s.delay(target.other), ko, n)
+    f1 = os_moments(s.delay(other(target)), ko, n)[0]
+    f2 = os_second_moment(s.delay(other(target)), ko, n)
     mix1 = p * e1 + po * f1
     t1 = os_moments(s.delay(target), k, n)[2]
     t2 = (p * e2 + po * f2) / (2.0 * mix1)
@@ -465,9 +465,10 @@ class TestLargeNAccuracy:
 
     @staticmethod
     def closed_form(mp, sa, target):
-        p, po = mp.mpf(sa.mix.prob(target)), mp.mpf(sa.mix.prob(target.other))
-        a, ao = mp.mpf(sa.alpha(target)), mp.mpf(sa.alpha(target.other))
-        d, d_o = sa.delay(target), sa.delay(target.other)
+        p, po = mp.mpf(sa.mix.prob(target)), mp.mpf(sa.mix.prob(other(target)))
+        a, ao, d, d_o = mp.mpf(sa.alpha1), mp.mpf(sa.alpha2), sa.delay_I, sa.delay_II
+        if target is Stream.TYPE_II:
+            a, ao, d, d_o = ao, a, d_o, d
         dt = d.shift - mp.log1p(-a) / d.rate
         do = d_o.shift - mp.log1p(-ao) / d_o.rate
         base = d.shift + mp.mpf(1) / d.rate + (1 - a) / (a * d.rate) * mp.log1p(-a)
@@ -523,7 +524,7 @@ class TestExactKernelAccuracy:
         p1 = mp.mpf(s.mix.p1)
         p = p1 if target is Stream.TYPE_I else 1 - p1
         q, ex, ex2, delivered = law(s.delay(target), s.threshold(target), s.n)
-        _, eo, eo2, _ = law(s.delay(target.other), s.threshold(target.other), s.n)
+        _, eo, eo2, _ = law(s.delay(other(target)), s.threshold(other(target)), s.n)
         g = p * q
         w_t, w_o = p * (1 - q) / (1 - g), (1 - p) / (1 - g)
         ey, ey2 = w_t * ex + w_o * eo, w_t * ex2 + w_o * eo2

@@ -647,14 +647,51 @@ class TestSweep:
             assert float(row[2]) == pytest.approx(approx.age_II, rel=rel)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # Neither scipy nor the process pool: only `simulate --threads N > 1` needs one.
-    code = ("import sys, aoi_multicast.cli; "
-            "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)")
+# Modules a verb may load only when it needs them: numpy.ma never (numpy
+# imports it lazily, on the first np.unique of a process), numpy.random for
+# the simulator and the process pool for `--threads N > 1` with more than one
+# replication. scipy, which only the tests use, never.
+LAZY_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures.process", "scipy")
+WIDE = dict(SCENARIO, n=2048)
+
+
+def _lazy_modules_after(statement):
+    """The LAZY_MODULES loaded once a fresh interpreter has imported the CLI
+    and run ``statement``."""
+    code = (f"import json, sys, aoi_multicast.cli as cli; {statement}; "
+            f"print(json.dumps([m for m in {LAZY_MODULES!r} if m in sys.modules]))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False"]
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _lazy_modules_after("pass") == []
+
+
+@pytest.mark.parametrize("doc,verb,expect", [
+    (SCENARIO, ["eval"], []),
+    (SCENARIO, ["eval", "--approx", "--alpha1", "0.3", "--alpha2", "0.5"], []),
+    (SCENARIO, ["pareto", "--betas", "0.5"], []),
+    (WIDE, ["pareto", "--betas", "0.25,0.5,0.75"], []),
+    (SCENARIO, ["pareto", "--evaluator", "approx", "--grid", "64", "--betas", "0.5"], []),
+    (SCENARIO, ["sweep", "--param", "p1", "--values", "0.5"], []),
+    (SCENARIO, ["simulate", "--cycles", "2000"], ["numpy.random"]),
+    (SCENARIO, ["simulate", "--cycles", "2000", "--threads", "2", "--replications", "1"],
+     ["numpy.random"]),
+    (SCENARIO, ["simulate", "--cycles", "2000", "--threads", "2", "--replications", "2"],
+     ["numpy.random", "concurrent.futures.process"]),
+    (SCENARIO, ["validate", "--cycles", "2000", "--replications", "2", "--tolerance", "0.5"],
+     ["numpy.random"]),
+], ids=["eval", "eval_approx", "pareto_exhaustive", "pareto_coarse_to_fine", "pareto_approx",
+        "sweep", "simulate", "simulate_one_replication", "simulate_threads", "validate"])
+def test_verb_loads_only_its_modules(scenario_file, tmp_path, doc, verb, expect):
+    # Each verb in a fresh interpreter, as the installed script runs it.
+    argv = [verb[0], scenario_file(doc), *verb[1:]]
+    if verb[0] in ("pareto", "sweep"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert _lazy_modules_after(f"assert cli.main({argv!r}) == 0") == expect
 
 
 @pytest.mark.parametrize("extra,code", [([], 0), (["--approx"], 2)],

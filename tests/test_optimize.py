@@ -110,6 +110,13 @@ class TestOptimizeExact:
         ks = opt_mod._int_axis(1, tpl.n)
         assert opt_mod._search(tpl, tpl.n, (ks, ks), betas, opt_mod._exact_zoom) == exhaustive
 
+    def test_coarse_to_fine_pinned_at_2048(self):
+        # The benchmark's pareto_c2f rows, which a change to _int_axis or
+        # _exact_zoom could otherwise move unnoticed.
+        points = pareto_frontier(asymmetric_template(n=2048), [0.25, 0.5, 0.75])
+        assert [(p.beta, p.k1, p.k2) for p in points] == [
+            (0.75, 1406, 1553), (0.5, 1181, 1731), (0.25, 889, 1825)]
+
 
 class TestIntegerAxis:
     """The coarse-to-fine axes are built in integer arithmetic at every n."""

@@ -246,7 +246,9 @@ class TestExactOracle:
 
 class TestLargeNAgainstMpmath:
     """Differences H_n - H_{n-k}, G_n - G_{n-k} and the mean_first_k sum against
-    digamma and trigamma at 50 digits, up to n = 10^12."""
+    digamma and trigamma at 50 digits, up to n = 10^12; and the large-n mean
+    and mean_first_k against their closed forms, for alpha from 1e-12 to
+    1 - 1e-12."""
 
     @pytest.mark.parametrize("n", [10**3, 10**6, 10**7, 10**9, 10**12])
     def test_relative_error(self, n):
@@ -262,3 +264,19 @@ class TestLargeNAgainstMpmath:
                                   (k * os_moments(d, k, n)[2], first_k)):
                     err = float(abs(mpmath.mpf(float(got)) - want) / want)
                     assert err <= 1e-14, (n, k, float(got), err)
+
+    def test_large_n_relative_error(self):
+        # Both sides of the series cutoff alpha = 0.2, and alpha near 0 and 1.
+        mpmath = pytest.importorskip("mpmath")
+        alphas = np.concatenate([np.geomspace(1e-12, 0.5, 25), [0.2, np.nextafter(0.2, 0)],
+                                 1 - np.geomspace(1e-12, 0.5, 25)])
+        d = ShiftedExp(1.0, 0.0)
+        mean, _, first_k = os_moments(d, alphas)
+        with mpmath.workdps(50):
+            for a, got_mean, got_first_k in zip(alphas.tolist(), mean, first_k):
+                assert os_moments(d, a)[::2] == (got_mean, got_first_k)  # scalar == array
+                x = mpmath.mpf(a)
+                for got, want in ((got_mean, -mpmath.log1p(-x)),
+                                  (got_first_k, 1 + (1 - x) / x * mpmath.log1p(-x))):
+                    err = float(abs(mpmath.mpf(float(got)) - want) / want)
+                    assert err <= 1e-14, (a, float(got), err)
