@@ -1,12 +1,13 @@
 """Closed-form average age of both update streams at an individual receiver.
 
 Every age, exact or large-n and in either generation mode, comes from one
-broadcastable renewal kernel: age = mean delivered delay + E[S^2] / (2 E[S]),
-where S is the tagged receiver's inter-delivery time of the stream. The
-kernel reads both streams' order-statistic moments from
-``orderstats.os_moments``: harmonic sums at thresholds k, or their large-n
-limits at ratios alpha = k / n, where the completion time has zero variance.
-At-will generation is the Poisson-arrival case with a zero idle gap. Scalar
+broadcastable renewal kernel in two steps. ``_cycles`` gives each stream's
+cycle moments on its threshold axis: the order-statistic moments from
+``orderstats.os_moments`` (harmonic sums at thresholds k, or their large-n
+limits at ratios alpha = k / n, where the completion time has zero
+variance) plus the idle gap, which is zero at will. ``_renewal`` turns both
+streams' cycle moments into age = mean delivered delay + E[S^2] / (2 E[S]),
+where S is the tagged receiver's inter-delivery time of the stream. Scalar
 calls and the optimizer's threshold grids run the same kernel, so a grid
 entry equals the scalar age bit for bit.
 """
@@ -173,23 +174,28 @@ class Moments2:
 # -- the renewal kernel ------------------------------------------------------
 
 
-def _threshold_moments(d: ShiftedExp, x, n):
-    """(q, mean, variance, mean delivered delay) of one stream's cycle.
+def _cycles(s, n, x1, x2):
+    """(q, mean, variance, mean delivered delay) of the cycles of streams I
+    and II at thresholds x1 and x2, each an int or int array k of n
+    receivers, or a ratio alpha (a float or float array) when n is None.
 
-    x is the threshold k (an int or an int array) of n receivers, or the
-    ratio alpha (a float or a float array) when n is None, where the
-    large-n completion time concentrates at delta(alpha).
+    s supplies delay_I, delay_II and mode (a Scenario, ScenarioApprox or
+    optimizer template). A cycle is the idle gap, zero at will, plus the
+    busy time X_(k); the gap is independent of X_(k), so its mean and
+    variance add to X_(k)'s.
     """
-    return (x if n is None else x / n, *os_moments(d, x, n))
+    mu = s.mode.mu if isinstance(s.mode, Exogenous) else math.inf  # at will the gap is 1 / inf = 0
+    ez, vz = 1.0 / mu, 1.0 / (mu * mu)
+    return tuple((x if n is None else x / n, e + ez, v + vz, delivered)
+                 for x, (e, v, delivered) in ((x1, os_moments(s.delay_I, x1, n)),
+                                              (x2, os_moments(s.delay_II, x2, n))))
 
 
 def _renewal(p, po, own, other):
     """(age, E[S], E[S^2]) of the target stream; every input broadcasts.
 
     p and po are the target's and the other stream's shares, own and other
-    their ``_threshold_moments`` with the idle gap before each cycle folded
-    into the cycle's mean and variance (the gap is independent of the busy
-    time that follows it). The tagged receiver gets the target in a cycle
+    their ``_cycles``. The tagged receiver gets the target in a cycle
     with probability g = pq, so S is the delivering cycle X plus M - 1
     missed cycles Y, with M ~ Geometric(g). A missed cycle carries the
     target with weight w_t = p (1 - q) and the other stream with po, out of
@@ -225,46 +231,30 @@ def _renewal(p, po, own, other):
     return delivered + m2 / (2.0 * m1), m1, m2
 
 
-def _idle_gap(mode: Mode) -> tuple[float, float]:
-    """Mean and variance of the idle gap before a cycle."""
-    if isinstance(mode, Exogenous):
-        return 1.0 / mode.mu, 1.0 / (mode.mu * mode.mu)
-    return 0.0, 0.0
+def _renewals(mix: StreamMix, c_I, c_II):
+    """Yield the ``_renewal`` triples of streams I and II on their
+    ``_cycles`` c_I and c_II, which broadcast together, one at a time; None
+    for a starved stream."""
+    p1, p2 = mix.p1, mix.p2
+    yield _renewal(p1, p2, c_I, c_II) if p1 > 0 else None
+    yield _renewal(p2, p1, c_II, c_I) if p2 > 0 else None
 
 
-def _renewals(s, n, x1, x2):
-    """Yield the ``_renewal`` triples of streams I and II at thresholds x1
-    and x2, broadcast together, one at a time; None for a starved stream.
-    Each stream's cycle is its idle gap plus its busy time.
-
-    s supplies delay_I, delay_II, mix and mode (a Scenario, ScenarioApprox
-    or optimizer template); x1 and x2 are thresholds k, or ratios alpha when
-    n is None.
-    """
-    ez, vz = _idle_gap(s.mode)
-    m_I, m_II = ((q, e + ez, v + vz, delivered) for q, e, v, delivered in
-                 (_threshold_moments(s.delay_I, x1, n), _threshold_moments(s.delay_II, x2, n)))
-    p1, p2 = s.mix.p1, s.mix.p2
-    yield _renewal(p1, p2, m_I, m_II) if p1 > 0 else None
-    yield _renewal(p2, p1, m_II, m_I) if p2 > 0 else None
-
-
-def _pair_ages(s, n, x1, x2):
+def _pair_ages(mix: StreamMix, c_I, c_II):
     """Ages of streams I and II, as ``_renewals``; a starved stream's ages are +inf."""
-    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    shape = np.broadcast_shapes(np.shape(c_I[1]), np.shape(c_II[1]))
     # map drops each triple before the next is computed, so no E[S] or
     # E[S^2] grid outlives its stream.
     return tuple(map(lambda r: np.full(shape, np.inf) if r is None else r[0],
-                     _renewals(s, n, x1, x2)))
+                     _renewals(mix, c_I, c_II)))
 
 
 def _scenario_renewals(s: "Scenario | ScenarioApprox") -> dict:
     """{stream: (age, E[S], E[S^2])} of a scenario, None for a starved
     stream; raises ValueError when a stream with nonzero share has an age
     that is not finite."""
-    approx = isinstance(s, ScenarioApprox)
-    x = (None, s.alpha1, s.alpha2) if approx else (s.n, s.k1, s.k2)
-    out = dict(zip(Stream, _renewals(s, *x)))
+    x = (None, s.alpha1, s.alpha2) if isinstance(s, ScenarioApprox) else (s.n, s.k1, s.k2)
+    out = dict(zip(Stream, _renewals(s.mix, *_cycles(s, *x))))
     for stream, r in out.items():
         if r is not None and not math.isfinite(r[0]):
             raise ValueError(f"age_{stream.value} is {float(r[0])}: the inputs overflow")

@@ -280,12 +280,9 @@ def _write_table(path: str, header, rows) -> None:
 
 def _cmd_pareto(args) -> int:
     template, _, _ = load_scenario_file(args.scenario, need_thresholds=False)
-    if args.grid is not None and args.evaluator != "approx":
-        raise SchemaError("grid", "used only with --evaluator approx")
     betas = (list(np.linspace(0.0, 1.0, 33)) if args.betas is None
              else _float_list("betas", args.betas))
-    grid = {} if args.grid is None else {"grid": args.grid}
-    frontier = pareto_frontier(template, betas, evaluator=args.evaluator, **grid)
+    frontier = pareto_frontier(template, betas, evaluator=args.evaluator, grid=args.grid)
     x1, x2 = ("alpha1", "alpha2") if args.evaluator == "approx" else ("k1", "k2")
     _write_table(args.out, ["beta", x1, x2, "age_I", "age_II", "objective"], [
         [p.beta, getattr(p, x1), getattr(p, x2), p.age_I, p.age_II, p.objective]

@@ -4,13 +4,15 @@ The weighted objective beta * age_I + (1 - beta) * age_II is minimized over
 integer thresholds (exact evaluator) or threshold ratios (large-n
 evaluator). Both searches evaluate the two age grids with the closed-form
 kernel, take the first row-major argmin of the objective per beta and zoom
-into the winning cell. The first grid does not depend on beta: it is
-searched in blocks of about _BLOCK_CELLS cells, each serving all betas, so
-memory is O(block + betas); a ratio grid has at most _BLOCK_CELLS points per
-axis, so one row fits a block. Then each beta zooms on its own. The integer
-search lists every (k1, k2) up to n = EXHAUSTIVE_LIMIT; above that it starts
-from a 33-point grid per axis. The ratio search refines its grid with
-REFINE_ROUNDS 33-point rounds around the winning cell.
+into the winning cell. Each axis's cycle moments are computed once per
+grid, and the ages in blocks of whole rows. The first grid does not depend
+on beta: it is searched in blocks of about _BLOCK_CELLS cells, each serving
+all betas, so memory is O(block + axis + betas); a ratio grid has at most
+_BLOCK_CELLS points per axis, so one row fits a block. Then each beta zooms
+on its own. The integer search lists every (k1, k2) up to
+n = EXHAUSTIVE_LIMIT; above that it starts from a 33-point grid per axis.
+The ratio search refines its grid with REFINE_ROUNDS 33-point rounds around
+the winning cell.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .analytic import (
     StreamMix,
     _N_MAX,
     _check_integer,
+    _cycles,
     _pair_ages,
     age_pair,
 )
@@ -113,12 +116,14 @@ def _weighted(age_I, age_II, beta: float):
 def _first_argmins(template, n, x1, x2, betas):
     """Per beta, the (i1, i2) of np.argmin's pick on the grid x1 x x2, from
     blocks of whole rows: a block's pick replaces the running one only when
-    it is smaller, or NaN where the running one is not.
+    it is smaller, or NaN where the running one is not. Each axis's cycle
+    moments are computed once; a block takes a slice of the x1 ones.
     """
     rows = max(1, _BLOCK_CELLS // x2.size)
+    c_I, c_II = _cycles(template, n, x1[:, None], x2[None, :])
     value, flat = [np.inf] * len(betas), [0] * len(betas)
     for r0 in range(0, x1.size, rows):
-        ages = _pair_ages(template, n, x1[r0:r0 + rows, None], x2[None, :])
+        ages = _pair_ages(template.mix, tuple(c[r0:r0 + rows] for c in c_I), c_II)
         for b, beta in enumerate(betas):
             obj = _weighted(*ages, beta)
             i = int(np.argmin(obj))
@@ -201,7 +206,7 @@ def pareto_frontier(
     template: ScenarioTemplate,
     betas,
     evaluator: str = "exact",
-    grid: int = 512,
+    grid: int | None = None,
 ) -> list[ParetoPoint]:
     """Minimize the beta-weighted age over thresholds (exact) or ratios
     (approx) for every beta, filtered to the non-dominated set.
@@ -212,7 +217,8 @@ def pareto_frontier(
 
     Output is sorted by age_I ascending; duplicate optima (several betas
     landing on the same thresholds) are collapsed to one point. grid, the
-    approx evaluator's ratio count per axis, lies in [1, 2^15].
+    approx evaluator's ratio count per axis, lies in [1, 2^15] and defaults
+    to 512; the exact evaluator takes none.
     """
     betas = [_check_beta(b) for b in betas]
     if not betas:
@@ -220,6 +226,8 @@ def pareto_frontier(
     for b in betas:
         _check_starved_objective(template.mix, b)
     if evaluator == "exact":
+        if grid is not None:
+            raise ValueError(f"grid is used only with evaluator 'approx', got {grid!r}")
         n = template.n
         if n is None:
             raise ValueError("exact evaluator needs n in the template")
@@ -227,7 +235,7 @@ def pareto_frontier(
         axes, zoom = (ks, ks), _exact_zoom
         build, names = template.with_thresholds, ("k1", "k2")
     elif evaluator == "approx":
-        grid, n = _check_integer("grid", grid, 1, _BLOCK_CELLS), None
+        grid, n = _check_integer("grid", 512 if grid is None else grid, 1, _BLOCK_CELLS), None
         # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement
         # zooms between two grid points, so it never leaves these bounds and
         # a corner optimum lands exactly on the minimal grid point.

@@ -2,7 +2,7 @@
 
 The k-th smallest of n draws of shift + Exponential(rate) has mean
 shift + (H_n - H_m) / rate and variance (G_n - G_m) / rate^2, m = n - k,
-H_j = sum_{i<=j} 1/i, G_j = sum_{i<=j} 1/i^2. A stateless helper gives both
+H_j = sum_{i<=j} 1/i, G_j = sum_{i<=j} 1/i^2. ``os_moments`` computes both
 for one k or an array in O(1) memory, split at M = 32. Below M it takes two
 rows of a constant table of the tails H_M - H_j and G_M - G_j, held to twice
 float precision so that their difference rounds correctly. Above M, from
@@ -86,16 +86,6 @@ def _expm1_minus(L):
     return L * L * sum(coef * L**j for j, coef in enumerate(_EXPM1_TAYLOR))
 
 
-def _harmonic_diffs(n, m):
-    """(H_n - H_m, G_n - G_m) for an int n and an int or int64 array 0 <= m <= n."""
-    tab = _TAIL[np.minimum(m, _M)] - _TAIL[min(n, _M)]
-    a, b = np.maximum(m + 0.5, _M + 0.5), max(n, _M) + 0.5
-    (ca, ea), (cb, eb) = _asymptotic(a), _asymptotic(b)
-    dh = (tab[..., 0] + tab[..., 1]) + (np.log1p((b - a) / a) + (cb - ca))
-    dg = (tab[..., 2] + tab[..., 3]) + ((b - a) / (a * b) - (ea - eb))
-    return dh, dg
-
-
 def _check_order(k, n):
     """(k, n) with k an int or an int64 array, every entry in [1, n]."""
     if not isinstance(n, numbers.Integral):
@@ -139,7 +129,8 @@ def os_moments(d: ShiftedExp, x, n=None):
 
     With n None, x is the ratio alpha = k / n (a float or a float array in
     (0, 1)) and the result is the large-n limit: the mean
-    delta(alpha) = shift - log(1 - alpha) / rate, a variance of 0, and
+    delta(alpha) = shift - log(1 - alpha) / rate, a variance of 0 (zeros of
+    alpha's shape), and
     mean_first_k = shift + 1/rate + ((1 - alpha) / (alpha rate)) log(1 - alpha).
     delta diverges as alpha -> 1; the open interval is enforced, not clamped.
     With L = -log1p(-alpha) and t = expm1(L) = alpha / (1 - alpha),
@@ -154,14 +145,18 @@ def os_moments(d: ShiftedExp, x, n=None):
         if np.any(small := alpha < 0.2):
             L = -log1m
             first_k = np.where(small, d.shift + _expm1_minus(L) / (np.expm1(L) * d.rate), first_k)
-        return d.shift - log1m / d.rate, 0.0, first_k
+        return d.shift - log1m / d.rate, 0.0 * alpha, first_k
     k, n = _check_order(x, n)
     m = n - k
-    dh, dg = _harmonic_diffs(n, m)
-    a = np.maximum(m + 0.5, _M + 0.5)
+    tab = _TAIL[np.minimum(m, _M)] - _TAIL[min(n, _M)]
+    a, b = np.maximum(m + 0.5, _M + 0.5), max(n, _M) + 0.5
+    (ca, ea), (cb, eb) = _asymptotic(a), _asymptotic(b)
+    dh = (tab[..., 0] + tab[..., 1]) + (np.log1p((b - a) / a) + (cb - ca))  # H_n - H_m
+    dg = (tab[..., 2] + tab[..., 3]) + ((b - a) / (a * b) - (ea - eb))  # G_n - G_m
     t = k / a
     lt = np.log1p(t)
-    c_drop = _asymptotic(a)[0] - _asymptotic(n + 0.5)[0]
-    large_m = a * np.where(t < 0.25, _expm1_minus(lt), t - lt) + 0.5 * lt + (a - 0.5) * c_drop
+    # b = n + 1/2 wherever m >= M, the only cells that keep large_m.
+    large_m = (a * np.where(t < 0.25, _expm1_minus(lt), t - lt) + 0.5 * lt
+               + (a - 0.5) * (ca - cb))
     s = np.where(m < _M, k - m * dh, large_m)
     return d.shift + dh / d.rate, dg / d.rate**2, d.shift + s / (k * d.rate)

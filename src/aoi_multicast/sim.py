@@ -243,8 +243,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     parallel and serial runs produce identical results. min(threads,
     replications) worker processes run; when that is 1, none is started.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = _check_integer("threads", threads, 1)
     args = [(cfg.scenario, cfg.cycles, ss) for ss in _spawn_seeds(cfg)]
     workers = min(threads, cfg.replications)
     if workers > 1:

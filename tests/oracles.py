@@ -9,9 +9,10 @@ from aoi_multicast.analytic import (
     Moments2,
     StarvedStreamError,
     Stream,
-    _threshold_moments,
+    _cycles,
+    _pair_ages,
 )
-from aoi_multicast.orderstats import _check_order, _harmonic_diffs
+from aoi_multicast.orderstats import ShiftedExp, os_moments
 from aoi_multicast.sim import _blocks, _spawn_seeds, _StreamTrace
 
 
@@ -22,9 +23,14 @@ def other(stream: Stream) -> Stream:
 
 def os_second_moment(d, k, n) -> float:
     """Second moment of the k-th smallest of n draws: os_var + os_mean**2, expanded."""
-    k, n = _check_order(k, n)
-    dh, dg = _harmonic_diffs(n, n - k)
+    dh, dg, _ = os_moments(ShiftedExp(1.0), k, n)  # H_n - H_{n-k} and G_n - G_{n-k}
     return d.shift**2 + 2.0 * d.shift * dh / d.rate + (dh * dh + dg) / d.rate**2
+
+
+def grid_ages(s, n, x1, x2):
+    """Ages of streams I and II at thresholds x1 and x2, broadcast together:
+    k of n receivers, or ratios alpha when n is None."""
+    return _pair_ages(s.mix, *_cycles(s, n, x1, x2))
 
 
 def geometric_moments(p: float) -> Moments2:
@@ -54,8 +60,9 @@ def ybar_moments(s, target) -> MissedCycleMoments:
     p, po = s.mix.prob(target), s.mix.prob(other(target))
     if p <= 0:
         raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    (q, e_t, v_t, _), (_, e_o, v_o, _) = (_threshold_moments(s.delay(x), s.threshold(x), s.n)
-                                          for x in (target, other(target)))
+    (e_t, v_t, _), (e_o, v_o, _) = (os_moments(s.delay(x), s.threshold(x), s.n)
+                                    for x in (target, other(target)))
+    q = s.threshold(target) / s.n
     w_t = p * (1.0 - q)
     r = po + w_t  # the miss probability 1 - pq, without its cancellation
     if r == 0:

@@ -22,14 +22,13 @@ from aoi_multicast.analytic import (
     ScenarioApprox,
     Stream,
     StreamMix,
-    _pair_ages,
     age_pair,
 )
 from aoi_multicast.cli import main as cli_main
 from aoi_multicast.optimize import ScenarioTemplate, _approx_zoom, _search, pareto_frontier
 from aoi_multicast.orderstats import ShiftedExp
 from aoi_multicast.sim import SimConfig, simulate
-from oracles import replication_traces
+from oracles import grid_ages, replication_traces
 
 DELAY_I = ShiftedExp(1.0, 1.0)
 DELAY_II = ShiftedExp(2.0, 0.5)
@@ -120,8 +119,8 @@ def test_criterion_04_lemma1_corners():
         assert alpha1 == pytest.approx(floor, abs=1e-15)
     # Lemma 1 and its mirror: age_I grows with alpha2, and age_II with alpha1.
     grid = np.linspace(0.01, 0.99, 99)
-    assert np.all(np.diff(_pair_ages(tpl, None, 0.5, grid)[0]) > 0)
-    assert np.all(np.diff(_pair_ages(tpl, None, grid, 0.5)[1]) > 0)
+    assert np.all(np.diff(grid_ages(tpl, None, 0.5, grid)[0]) > 0)
+    assert np.all(np.diff(grid_ages(tpl, None, grid, 0.5)[1]) > 0)
     _report("criterion 4 (beta corner solutions + monotonicity): PASS")
 
 

@@ -16,12 +16,11 @@ from aoi_multicast.analytic import (
     StarvedStreamError,
     Stream,
     StreamMix,
-    _pair_ages,
     age_pair,
     s_moments,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_moments
-from oracles import geometric_moments, os_second_moment, other, ybar_moments
+from oracles import geometric_moments, grid_ages, os_second_moment, other, ybar_moments
 
 # Mixed-stream reference scenario used throughout; the analytic ages were
 # cross-validated against the Monte Carlo oracle (10^6 cycles, agreement
@@ -456,7 +455,7 @@ class TestAgePair:
             Exogenous(2.0),
         )
         pair = age_pair(sa)
-        assert (pair.age_I, pair.age_II) == _pair_ages(sa, None, 0.3, 0.6)
+        assert (pair.age_I, pair.age_II) == grid_ages(sa, None, 0.3, 0.6)
 
 
 class TestLargeNAccuracy:

@@ -415,7 +415,7 @@ class TestPareto:
                    "--grid", grid, "--out", str(out_path)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "" and not out_path.exists()
-        assert captured.err.startswith("error: grid: used only with --evaluator approx")
+        assert captured.err == f"error: grid is used only with evaluator 'approx', got {grid}\n"
 
 
 @pytest.mark.parametrize("verb", [

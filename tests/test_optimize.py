@@ -4,17 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import aoi_multicast.analytic as analytic_mod
 import aoi_multicast.optimize as opt_mod
 from aoi_multicast.analytic import (
     AtWill,
     Exogenous,
     StarvedStreamError,
     StreamMix,
+    _cycles,
     _pair_ages,
     age_pair,
 )
 from aoi_multicast.optimize import ScenarioTemplate, pareto_frontier
 from aoi_multicast.orderstats import ShiftedExp
+from oracles import grid_ages
 
 # The ratio axis of the Lemma 1 checks.
 ALPHAS = np.linspace(0.01, 0.99, 99)
@@ -171,7 +174,7 @@ class TestSearchGrid:
             ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode, n=n
         )
         ks = np.arange(1, n + 1)
-        age_I, age_II = _pair_ages(tpl, n, ks[:, None], ks[None, :])
+        age_I, age_II = grid_ages(tpl, n, ks[:, None], ks[None, :])
         for k1 in range(1, n + 1):
             for k2 in range(1, n + 1):
                 pair = age_pair(tpl.with_thresholds(k1, k2))
@@ -185,17 +188,37 @@ class TestSearchGrid:
             ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode
         )
         alphas = np.linspace(1 / 18, 17 / 18, 17)
-        age_I, age_II = _pair_ages(tpl, None, alphas[:, None], alphas[None, :])
+        age_I, age_II = grid_ages(tpl, None, alphas[:, None], alphas[None, :])
         for i, a1 in enumerate(alphas):
             for j, a2 in enumerate(alphas):
                 pair = age_pair(tpl.with_alphas(float(a1), float(a2)))
                 assert age_I[i, j] == pair.age_I
                 assert age_II[i, j] == pair.age_II
 
+    @pytest.mark.parametrize("p1", [0.6, 1.0])
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)])
+    @pytest.mark.parametrize("n,xs", [(30, np.arange(1, 31)),
+                                      (None, np.linspace(1 / 18, 17 / 18, 17))],
+                             ids=["exact", "approx"])
+    def test_sliced_cycles_equal_full_grid(self, mode, p1, n, xs):
+        # The search gives each row block a slice of the x1 axis's cycles;
+        # the large-n variance must have the axis's shape to be sliced.
+        tpl = ScenarioTemplate(
+            ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode, n=n
+        )
+        c_I, c_II = _cycles(tpl, n, xs[:, None], xs[None, :])
+        full = _pair_ages(tpl.mix, c_I, c_II)
+        for r0 in range(0, xs.size, 7):
+            rows = _pair_ages(tpl.mix, tuple(c[r0:r0 + 7] for c in c_I), c_II)
+            for got, want in zip(rows, full):
+                assert got.shape == want[r0:r0 + 7].shape
+                assert (got == want[r0:r0 + 7]).all()
+
     @pytest.mark.parametrize("evaluator", ["exact", "approx"])
     def test_points_hold_plain_floats(self, evaluator):
+        grid = 64 if evaluator == "approx" else None
         for pt in pareto_frontier(asymmetric_template(), [0.0, 0.5, 1.0],
-                                  evaluator=evaluator, grid=64):
+                                  evaluator=evaluator, grid=grid):
             assert all(type(v) is float for v in (pt.beta, pt.age_I, pt.age_II, pt.objective))
 
 
@@ -206,7 +229,7 @@ def full_grid_search(template, n, axes, betas, zoom):
     for beta in betas:
         (x1, x2), round_idx = axes, 0
         while True:
-            age_I, age_II = _pair_ages(template, n, x1[:, None], x2[None, :])
+            age_I, age_II = grid_ages(template, n, x1[:, None], x2[None, :])
             if beta == 1.0:
                 obj = age_I
             elif beta == 0.0:
@@ -267,6 +290,25 @@ class TestBlocks:
             self.check(monkeypatch, tpl, *self.approx_axes(n, alpha2=0.4), self.BETAS)
             self.check(monkeypatch, tpl, *self.approx_axes(n, alpha1=0.6), self.BETAS)
 
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
+    def test_one_moment_pass_per_axis(self, monkeypatch, mode):
+        # Each axis's order-statistic moments are computed once per grid,
+        # however many row blocks the grid is split into.
+        calls, os_moments = [], analytic_mod.os_moments
+
+        def counting(*args):
+            calls.append(args)
+            return os_moments(*args)
+
+        monkeypatch.setattr(analytic_mod, "os_moments", counting)
+        tpl = asymmetric_template(n=20, mode=mode)
+        for block in (1, 7, opt_mod._BLOCK_CELLS):
+            monkeypatch.setattr(opt_mod, "_BLOCK_CELLS", block)
+            for n, (x1, x2), _ in (self.exact_axes(20), self.approx_axes(64)):
+                calls.clear()
+                opt_mod._first_argmins(tpl, n, x1, x2, self.BETAS)
+                assert len(calls) == 2, (block, n)
+
     @pytest.mark.parametrize("p1,beta", [(1.0, 1.0), (0.0, 0.0)])
     def test_starved_stream_at_zero_weight(self, monkeypatch, p1, beta):
         # The weighted age does not depend on the starved stream's threshold,
@@ -285,7 +327,7 @@ class TestBlocks:
         tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(1e-307),
                                AtWill(), n=20)
         ks = np.arange(1, 21)
-        age_I, age_II = _pair_ages(tpl, 20, ks[:, None], ks[None, :])
+        age_I, age_II = grid_ages(tpl, 20, ks[:, None], ks[None, :])
         nan = np.isnan(0.5 * age_I + 0.5 * age_II)
         assert nan.any() and not nan.all()
         self.check(monkeypatch, tpl, 20, (ks[::-1], ks), opt_mod._exact_zoom, [0.5])
@@ -294,7 +336,7 @@ class TestBlocks:
         # At beta = 0.5 the objective at (a, b) equals the one at (b, a).
         tpl = symmetric_template(n=16)
         ks = np.arange(1, 17)
-        age_I, age_II = _pair_ages(tpl, 16, ks[:, None], ks[None, :])
+        age_I, age_II = grid_ages(tpl, 16, ks[:, None], ks[None, :])
         obj = 0.5 * age_I + 0.5 * age_II
         assert np.array_equal(obj, obj.T)
         self.check(monkeypatch, tpl, *self.exact_axes(16), [0.5])
@@ -381,7 +423,7 @@ class TestParetoFrontier:
 
 class TestLemma1:
     def test_strictly_increasing(self):
-        ages = _pair_ages(symmetric_template(), None, 0.5, ALPHAS)[0]
+        ages = grid_ages(symmetric_template(), None, 0.5, ALPHAS)[0]
         assert np.all(np.diff(ages) > 0)
 
     def test_random_templates(self):
@@ -399,8 +441,8 @@ class TestLemma1:
             mode = Exogenous(log_uniform(1e-2, 1e2)) if i % 2 else AtWill()
             tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.02, 0.98)), mode)
             a = rng.uniform(0.05, 0.95)
-            assert np.all(np.diff(_pair_ages(tpl, None, a, ALPHAS)[0]) > 0), tpl
-            assert np.all(np.diff(_pair_ages(tpl, None, ALPHAS, a)[1]) > 0), tpl
+            assert np.all(np.diff(grid_ages(tpl, None, a, ALPHAS)[0]) > 0), tpl
+            assert np.all(np.diff(grid_ages(tpl, None, ALPHAS, a)[1]) > 0), tpl
 
     def test_exact_grids_random_templates(self):
         # Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1
@@ -420,7 +462,7 @@ class TestLemma1:
             n = int(rng.integers(2, 161))
             tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.02, 0.98)), mode, n=n)
             ks = np.arange(1, n + 1)
-            age_I, age_II = _pair_ages(tpl, n, ks[:, None], ks[None, :])
+            age_I, age_II = grid_ages(tpl, n, ks[:, None], ks[None, :])
             assert np.all(np.diff(age_I, axis=1) >= -1e-13 * age_I[:, :-1]), tpl
             assert np.all(np.diff(age_II, axis=0) >= -1e-13 * age_II[:-1]), tpl
             for f in (age_I, age_II):
@@ -431,11 +473,11 @@ class TestLemma1:
         tpl = ScenarioTemplate(
             ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.8), AtWill()
         )
-        assert np.all(np.diff(_pair_ages(tpl, None, 0.3, ALPHAS)[0]) > 0)
+        assert np.all(np.diff(grid_ages(tpl, None, 0.3, ALPHAS)[0]) > 0)
 
     def test_degenerate_single_stream(self):
         # With p1 = 1 the type-I age does not depend on alpha2.
         tpl = ScenarioTemplate(
             ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0), AtWill()
         )
-        assert np.ptp(_pair_ages(tpl, None, 0.5, ALPHAS)[0]) == 0
+        assert np.ptp(grid_ages(tpl, None, 0.5, ALPHAS)[0]) == 0

@@ -241,6 +241,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="threads"):
             simulate(cfg, threads=0)
 
+    @pytest.mark.parametrize("threads", [True, 1.5])
+    def test_rejects_bool_and_fractional_threads(self, threads):
+        cfg = SimConfig(mixed_scenario(), cycles=2_000, replications=2)
+        with pytest.raises(ValueError, match="^threads must be an integer"):
+            simulate(cfg, threads=threads)
+
+    def test_integral_float_threads_accepted(self):
+        cfg = SimConfig(mixed_scenario(), cycles=2_000, replications=2)
+        assert simulate(cfg, threads=2.0) == simulate(cfg, threads=1)
+
 
 class TestSimulate:
     def test_zero_wait_anchor(self):
