@@ -34,6 +34,7 @@ __all__ = [
     "ScenarioApprox",
     "AgePair",
     "Moments2",
+    "pair_ages",
     "s_moments",
     "age_pair",
 ]
@@ -240,8 +241,9 @@ def _renewals(mix: StreamMix, c_I, c_II):
     yield _renewal(p2, p1, c_II, c_I) if p2 > 0 else None
 
 
-def _pair_ages(mix: StreamMix, c_I, c_II):
-    """Ages of streams I and II, as ``_renewals``; a starved stream's ages are +inf."""
+def pair_ages(mix: StreamMix, c_I, c_II):
+    """Ages of streams I and II, as ``_renewals``; a starved stream's ages are
+    +inf. The optimizer's kernel call on its threshold grids."""
     shape = np.broadcast_shapes(np.shape(c_I[1]), np.shape(c_II[1]))
     # map drops each triple before the next is computed, so no E[S] or
     # E[S^2] grid outlives its stream.
@@ -249,15 +251,22 @@ def _pair_ages(mix: StreamMix, c_I, c_II):
                      _renewals(mix, c_I, c_II)))
 
 
+def _check_ages(mix: StreamMix, ages) -> None:
+    """Raise ValueError when a stream with nonzero share has an age that is
+    not finite."""
+    for stream, p, age in zip(Stream, (mix.p1, mix.p2), ages):
+        if p > 0 and not math.isfinite(age):
+            raise ValueError(f"age_{stream.value} is {float(age)}: the inputs overflow")
+
+
 def _scenario_renewals(s: "Scenario | ScenarioApprox") -> dict:
     """{stream: (age, E[S], E[S^2])} of a scenario, None for a starved
     stream; raises ValueError when a stream with nonzero share has an age
-    that is not finite."""
+    that is not finite. Overflow raises no RuntimeWarning."""
     x = (None, s.alpha1, s.alpha2) if isinstance(s, ScenarioApprox) else (s.n, s.k1, s.k2)
-    out = dict(zip(Stream, _renewals(s.mix, *_cycles(s, *x))))
-    for stream, r in out.items():
-        if r is not None and not math.isfinite(r[0]):
-            raise ValueError(f"age_{stream.value} is {float(r[0])}: the inputs overflow")
+    with np.errstate(all="ignore"):
+        out = dict(zip(Stream, _renewals(s.mix, *_cycles(s, *x))))
+    _check_ages(s.mix, [None if r is None else r[0] for r in out.values()])
     return out
 
 

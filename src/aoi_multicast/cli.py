@@ -33,7 +33,7 @@ from .analytic import (
     StreamMix,
     age_pair,
 )
-from .optimize import ScenarioTemplate, pareto_frontier
+from .optimize import EXACT_LIMIT, ScenarioTemplate, pareto_frontier
 from .orderstats import ShiftedExp
 from .sim import DEFAULT_SEED, SimConfig, simulate
 
@@ -283,6 +283,9 @@ def _cmd_pareto(args) -> int:
     betas = (list(np.linspace(0.0, 1.0, 33)) if args.betas is None
              else _float_list("betas", args.betas))
     frontier = pareto_frontier(template, betas, evaluator=args.evaluator, grid=args.grid)
+    if args.evaluator == "exact" and template.n > EXACT_LIMIT:
+        print(f"pareto: n = {template.n} is above {EXACT_LIMIT}, so the search is "
+              "coarse-to-fine and may miss the optimum", file=sys.stderr)
     x1, x2 = ("alpha1", "alpha2") if args.evaluator == "approx" else ("k1", "k2")
     _write_table(args.out, ["beta", x1, x2, "age_I", "age_II", "objective"], [
         [p.beta, getattr(p, x1), getattr(p, x2), p.age_I, p.age_II, p.objective]

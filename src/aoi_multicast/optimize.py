@@ -2,17 +2,16 @@
 
 The weighted objective beta * age_I + (1 - beta) * age_II is minimized over
 integer thresholds (exact evaluator) or threshold ratios (large-n
-evaluator). Both searches evaluate the two age grids with the closed-form
-kernel, take the first row-major argmin of the objective per beta and zoom
-into the winning cell. Each axis's cycle moments are computed once per
-grid, and the ages in blocks of whole rows. The first grid does not depend
-on beta: it is searched in blocks of about _BLOCK_CELLS cells, each serving
-all betas, so memory is O(block + axis + betas); a ratio grid has at most
-_BLOCK_CELLS points per axis, so one row fits a block. Then each beta zooms
-on its own. The integer search lists every (k1, k2) up to
-n = EXHAUSTIVE_LIMIT; above that it starts from a 33-point grid per axis.
-The ratio search refines its grid with REFINE_ROUNDS 33-point rounds around
-the winning cell.
+evaluator). Both ages are submodular, as TestLemma1 checks, so on a
+threshold grid each objective is a Monge array: a divide-and-conquer search
+for its row minima finds the first row-major argmin from O(side log side)
+cells per beta. Each level of that search makes one kernel call for a group
+of betas, on cells gathered from each axis's cycle moments, which are
+computed once per grid. The integer search lists every k up to
+n = EXACT_LIMIT and is then exact; above that it starts from 33 integers
+per axis and zooms into each beta's winning cell, which may miss the
+optimum. The ratio search refines its grid with REFINE_ROUNDS rounds of 33
+ratios around each winning cell, all betas at once.
 """
 
 from __future__ import annotations
@@ -30,21 +29,24 @@ from .analytic import (
     StarvedStreamError,
     StreamMix,
     _N_MAX,
+    _check_ages,
     _check_integer,
     _cycles,
-    _pair_ages,
-    age_pair,
+    pair_ages,
 )
 from .orderstats import ShiftedExp
 
 __all__ = ["ScenarioTemplate", "ParetoPoint", "pareto_frontier"]
 
-EXHAUSTIVE_LIMIT = 512
+# Largest n of the exact search: there, on 2 vCPUs, one beta takes about
+# 0.08 s and the default 33 betas about 3 s.
+EXACT_LIMIT = 1 << 15
+# Largest approx grid side: there 33 betas take about 2 s.
+GRID_LIMIT = 1 << 15
 REFINE_ROUNDS = 2
-# Cells per block of the first grid, which bounds the search's memory. On a
-# 2-vCPU host the approx search of a 512^2 grid for 33 betas took a median
-# 54 ms at 2^15 cells, 59 ms at 2^13, 64 ms at 2^16 and 86 ms as one block.
-_BLOCK_CELLS = 1 << 15
+# Betas searched together times the grid's rows plus columns, which bounds
+# the cells of one search level and so the search's memory.
+_GROUP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,62 +103,104 @@ def _check_starved_objective(mix: StreamMix, beta: float) -> None:
         )
 
 
-def _weighted(age_I, age_II, beta: float):
-    """The objective, for ages or age grids; a zero-weight age is left out."""
-    if beta == 1.0:
-        return age_I
-    if beta == 0.0:
-        return age_II
-    return beta * age_I + (1.0 - beta) * age_II
-
-
 # -- grid search --------------------------------------------------------------
 
 
-def _first_argmins(template, n, x1, x2, betas):
-    """Per beta, the (i1, i2) of np.argmin's pick on the grid x1 x x2, from
-    blocks of whole rows: a block's pick replaces the running one only when
-    it is smaller, or NaN where the running one is not. Each axis's cycle
-    moments are computed once; a block takes a slice of the x1 ones.
+def _segment_minima(mix, tables, weights, own, other, lengths):
+    """Per segment s, the least objective at weight weights[s] over lengths[s]
+    cells and its first position, a NaN winning as in np.argmin. Segment s
+    pairs column own[s] of tables[0] with lengths[s] consecutive columns of
+    tables[1] from other[s]; a zero-weight age is left out.
+
+    Betas searching one grid ask for overlapping segments of the same rows,
+    so the kernel runs once on each run of overlapping segments.
     """
-    rows = max(1, _BLOCK_CELLS // x2.size)
-    c_I, c_II = _cycles(template, n, x1[:, None], x2[None, :])
-    value, flat = [np.inf] * len(betas), [0] * len(betas)
-    for r0 in range(0, x1.size, rows):
-        ages = _pair_ages(template.mix, tuple(c[r0:r0 + rows] for c in c_I), c_II)
-        for b, beta in enumerate(betas):
-            obj = _weighted(*ages, beta)
-            i = int(np.argmin(obj))
-            v = obj.flat[i]
-            if v < value[b] or (np.isnan(v) and not np.isnan(value[b])):
-                value[b], flat[b] = v, r0 * x2.size + i
-    return [divmod(f, x2.size) for f in flat]
+    stride = tables[1].shape[1] + 1  # a gap after each row keeps runs in one row
+    first = own * stride + other  # each segment's first cell, row-major
+    order = np.argsort(first, kind="stable")
+    first, size, weights = first[order], lengths[order], weights[order]
+    reach = np.maximum.accumulate(first + size)
+    new = np.concatenate(([True], first[1:] > reach[:-1]))  # past every earlier end
+    runs = np.flatnonzero(new)
+    run_size = reach[np.append(runs[1:], first.size) - 1] - first[runs]
+    cell0, seg0 = np.cumsum(run_size) - run_size, np.cumsum(size) - size
+    cells = np.repeat(first[runs] - cell0, run_size) + np.arange(cell0[-1] + run_size[-1])
+    ages = pair_ages(mix, tables[0].take(cells // stride, axis=1),
+                      tables[1].take(cells % stride, axis=1))
+    lag = (cell0 - first[runs])[np.cumsum(new) - 1] + first - seg0  # kernel cell - objective cell
+    idx = np.repeat(lag, size) + np.arange(seg0[-1] + size[-1])
+    age_I, age_II, w = ages[0].take(idx), ages[1].take(idx), np.repeat(weights, size)
+    obj = np.where(w == 1.0, age_I, np.where(w == 0.0, age_II, w * age_I + (1.0 - w) * age_II))
+    low = np.minimum.reduceat(obj, seg0)
+    hits = np.flatnonzero((obj == np.repeat(low, size)) | np.isnan(obj))
+    out = np.empty_like(low), np.empty_like(seg0)
+    out[0][order], out[1][order] = low, hits[np.searchsorted(hits, seg0)] - seg0
+    return out
+
+
+def _row_minima(template, n, x1, x2, betas):
+    """Per beta b, the first row-major argmin (i1, i2) of beta b's objective
+    on the grid x1[b] x x2[b] (one axis may serve all betas), with the
+    objective and both ages there.
+
+    Each row's first argmin never decreases down the rows, so each level
+    takes the middle row of every row interval over the interval's columns
+    and splits the interval at that row's argmin (Aggarwal, Klawe, Moran,
+    Shor & Wilber, Algorithmica 2, 1987). The kernel cells of a level are
+    gathered from (4, points) tables of each axis's cycles.
+    """
+    rows, cols, b = x1.shape[1], x2.shape[1], np.arange(betas.size)
+    tables = [np.stack(np.broadcast_arrays(*c)).reshape(4, -1)
+              for c in _cycles(template, n, x1, x2)]
+    base = [b * x.shape[1] * (x.shape[0] > 1) for x in (x1, x2)]  # table column of point 0
+    low, arg = np.empty((b.size, rows)), np.empty((b.size, rows), np.int64)
+    r0, r1, c0, c1 = np.zeros_like(b), np.full_like(b, rows), np.zeros_like(b), np.full_like(b, cols - 1)
+    while b.size:  # the row intervals [r0, r1) of betas b, on columns c0..c1
+        mid = (r0 + r1) // 2
+        low[b, mid], at = _segment_minima(template.mix, tables, betas[b], base[0][b] + mid,
+                                          base[1][b] + c0, c1 - c0 + 1)
+        col = arg[b, mid] = c0 + at
+        b, r0, r1, c0, c1 = (np.concatenate(x) for x in
+                             ((b, b), (r0, mid + 1), (mid, r1), (c0, col), (col, c1)))
+        b, r0, r1, c0, c1 = (x[r0 < r1] for x in (b, r0, r1, c0, c1))
+    b = np.arange(betas.size)
+    i1 = np.argmin(low, axis=1)  # the first row whose minimum is least, or NaN
+    i2 = arg[b, i1]
+    ages = pair_ages(template.mix, tables[0].take(base[0] + i1, axis=1),
+                      tables[1].take(base[1] + i2, axis=1))
+    return i1, i2, low[b, i1], *ages
 
 
 def _search(template, n, axes, betas, zoom):
-    """Best (x1, x2) per beta on the grid axes[0] x axes[1], zoomed while
-    ``zoom(round, x1, x2, i1, i2)`` returns new axes.
+    """Per beta, (x1, x2, objective, age_I, age_II) at the best cell of the
+    grid axes[0] x axes[1], zoomed while ``zoom(round, x1s, x2s, i1, i2)``
+    returns new axes, one row per beta.
 
     Thresholds are k with n receivers, or ratios alpha when n is None. Ties
     break to the first row-major argmin: the lexicographically smallest
-    (x1, x2). The first grid is searched in blocks for all betas at once;
-    then each beta zooms on its own.
+    (x1, x2). Overflow in the kernel gives inf or NaN cells, not warnings.
     """
-    best = []
-    for beta, (i1, i2) in zip(betas, _first_argmins(template, n, *axes, betas)):
-        x1, x2 = axes
-        for round_idx in itertools.count():
-            if (zoomed := zoom(round_idx, x1, x2, i1, i2)) is None:
-                break
-            x1, x2 = zoomed
-            (i1, i2), = _first_argmins(template, n, x1, x2, [beta])
-        best.append((x1[i1].item(), x2[i2].item()))
+    betas, best = np.array(betas, dtype=float), []
+    step = max(1, _GROUP_CELLS // (axes[0].size + axes[1].size))
+    for group in np.split(betas, range(step, betas.size, step)):
+        x1, x2 = (np.reshape(x, (1, -1)) for x in axes)
+        with np.errstate(all="ignore"):
+            for round_idx in itertools.count():
+                i1, i2, *found = _row_minima(template, n, x1, x2, group)
+                if (zoomed := zoom(round_idx, x1, x2, i1, i2)) is None:
+                    break
+                x1, x2 = zoomed
+        b = np.arange(group.size)
+        best += zip(*(np.broadcast_to(x, (group.size, x.shape[1]))[b, i].tolist()
+                      for x, i in ((x1, i1), (x2, i2))), *(a.tolist() for a in found))
     return best
 
 
 def _neighbours(xs, i):
-    """The grid points on either side of xs[i], clipped to the grid."""
-    return xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    """Per beta, the grid points on either side of xs[b, i[b]], clipped to the grid."""
+    xs = np.broadcast_to(xs, (i.size, xs.shape[1]))
+    b = np.arange(i.size)
+    return xs[b, np.maximum(i - 1, 0)], xs[b, np.minimum(i + 1, xs.shape[1] - 1)]
 
 
 def _int_axis(lo, hi):
@@ -167,39 +211,28 @@ def _int_axis(lo, hi):
     xs = range(32 * lo, 32 * hi + 1, hi - lo) if hi > lo else [32 * lo]  # each point times 32
     points = {q + (r > 16 or (r == 16 and q % 2)) for q, r in (divmod(x, 32) for x in xs)}
     # Deduplicated in Python: the first np.unique of a process imports
-    # numpy.ma, which costs more than the whole n = 2048 search.
+    # numpy.ma, which costs more than a whole coarse-to-fine search.
     return np.array(sorted(points), dtype=np.int64)
 
 
 def _exact_zoom(round_idx, k1s, k2s, i1, i2):
-    """Integer axes around the best cell, until both axes list every integer of their window."""
-    if k1s[-1] - k1s[0] < k1s.size and k2s[-1] - k2s[0] < k2s.size:
+    """Integer axes around each beta's best cell, until every axis lists
+    every integer of its window. An axis of fewer than 33 points repeats its
+    last one, which leaves its first argmin where it was."""
+    if all((ks[:, -1] - ks[:, 0] <= np.count_nonzero(np.diff(ks), axis=1)).all()
+           for ks in (k1s, k2s)):
         return None
-    return _int_axis(*_neighbours(k1s, i1)), _int_axis(*_neighbours(k2s, i2))
+    axes = [[_int_axis(lo, hi) for lo, hi in zip(*_neighbours(ks, i))]
+            for ks, i in ((k1s, i1), (k2s, i2))]
+    return tuple(np.stack([np.pad(a, (0, 33 - a.size), mode="edge") for a in axis])
+                 for axis in axes)
 
 
 def _approx_zoom(round_idx, a1s, a2s, i1, i2):
-    """REFINE_ROUNDS rounds of 33 ratios between the best cell's neighbours."""
+    """REFINE_ROUNDS rounds of 33 ratios between each best cell's neighbours."""
     if round_idx == REFINE_ROUNDS:
         return None
-    return np.linspace(*_neighbours(a1s, i1), 33), np.linspace(*_neighbours(a2s, i2), 33)
-
-
-def _point(scenario, beta, **thresholds) -> ParetoPoint:
-    pair = age_pair(scenario)
-    return ParetoPoint(
-        beta=beta,
-        age_I=pair.age_I,
-        age_II=pair.age_II,
-        objective=_weighted(pair.age_I, pair.age_II, beta),
-        **thresholds,
-    )
-
-
-def _dominated(p: ParetoPoint, q: ParetoPoint) -> bool:
-    """True when q is at least as good as p in both ages and better in one."""
-    qi, qii, pi, pii = q.age_I, q.age_II, p.age_I, p.age_II
-    return qi <= pi and qii <= pii and (qi < pi or qii < pii)
+    return tuple(np.linspace(*_neighbours(xs, i), 33, axis=1) for xs, i in ((a1s, i1), (a2s, i2)))
 
 
 def pareto_frontier(
@@ -215,10 +248,15 @@ def pareto_frontier(
     out, so a starved stream with zero weight cannot poison the search.
     Integer ties break to the lexicographically smallest (k1, k2).
 
+    The exact evaluator finds the optimum for n up to EXACT_LIMIT; above it
+    the search is coarse-to-fine and may miss it. grid, the approx
+    evaluator's ratio count per axis, lies in [1, GRID_LIMIT] and defaults
+    to 512; the exact evaluator takes none. A point's ages are the search's
+    kernel cells, equal to age_pair's bit for bit, and a non-finite age of a
+    stream with nonzero share raises ValueError.
+
     Output is sorted by age_I ascending; duplicate optima (several betas
-    landing on the same thresholds) are collapsed to one point. grid, the
-    approx evaluator's ratio count per axis, lies in [1, 2^15] and defaults
-    to 512; the exact evaluator takes none.
+    landing on the same thresholds) are collapsed to one point.
     """
     betas = [_check_beta(b) for b in betas]
     if not betas:
@@ -231,31 +269,25 @@ def pareto_frontier(
         n = template.n
         if n is None:
             raise ValueError("exact evaluator needs n in the template")
-        ks = np.arange(1, n + 1) if n <= EXHAUSTIVE_LIMIT else _int_axis(1, n)
-        axes, zoom = (ks, ks), _exact_zoom
-        build, names = template.with_thresholds, ("k1", "k2")
+        ks = np.arange(1, n + 1) if n <= EXACT_LIMIT else _int_axis(1, n)
+        axes, zoom, names = (ks, ks), _exact_zoom, ("k1", "k2")
     elif evaluator == "approx":
-        grid, n = _check_integer("grid", 512 if grid is None else grid, 1, _BLOCK_CELLS), None
+        grid, n = _check_integer("grid", 512 if grid is None else grid, 1, GRID_LIMIT), None
         # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement
         # zooms between two grid points, so it never leaves these bounds and
         # a corner optimum lands exactly on the minimal grid point.
         alphas = np.linspace(1.0 / (grid + 1), grid / (grid + 1), grid)
-        axes, zoom = (alphas, alphas), _approx_zoom
-        build, names = template.with_alphas, ("alpha1", "alpha2")
+        axes, zoom, names = (alphas, alphas), _approx_zoom, ("alpha1", "alpha2")
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}")
-    points = [_point(build(*x), beta, **dict(zip(names, x)))
-              for beta, x in zip(betas, _search(template, n, axes, betas, zoom))]
-
-    seen = set()
-    unique = []
-    for p in points:
-        key = (p.k1, p.k2, p.alpha1, p.alpha2)
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
-    frontier = [
-        p for p in unique if not any(q is not p and _dominated(p, q) for q in unique)
-    ]
-    return sorted(frontier, key=lambda p: p.age_I)
-
+    unique = {}  # the first point of each optimum
+    for beta, (x1, x2, objective, age_I, age_II) in zip(
+            betas, _search(template, n, axes, betas, zoom)):
+        _check_ages(template.mix, (age_I, age_II))
+        unique.setdefault((x1, x2), ParetoPoint(beta, age_I, age_II, objective,
+                                                **dict(zip(names, (x1, x2)))))
+    # p is dominated when some q is at least as good in both ages and better in one
+    q = np.array([(p.age_I, p.age_II) for p in unique.values()])
+    p = q[:, None]
+    dominated = ((q <= p).all(axis=2) & (q < p).any(axis=2)).any(axis=1)
+    return sorted(itertools.compress(unique.values(), ~dominated), key=lambda p: p.age_I)

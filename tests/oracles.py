@@ -10,7 +10,7 @@ from aoi_multicast.analytic import (
     StarvedStreamError,
     Stream,
     _cycles,
-    _pair_ages,
+    pair_ages,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_moments
 from aoi_multicast.sim import _blocks, _spawn_seeds, _StreamTrace
@@ -30,7 +30,18 @@ def os_second_moment(d, k, n) -> float:
 def grid_ages(s, n, x1, x2):
     """Ages of streams I and II at thresholds x1 and x2, broadcast together:
     k of n receivers, or ratios alpha when n is None."""
-    return _pair_ages(s.mix, *_cycles(s, n, x1, x2))
+    return pair_ages(s.mix, *_cycles(s, n, x1, x2))
+
+
+def full_grid_argmins(s, n, x1, x2, betas):
+    """Per beta, the (i1, i2) of np.argmin over the whole weighted grid
+    x1 x x2 of ``grid_ages``; a zero-weight age is left out."""
+    age_I, age_II = grid_ages(s, n, np.asarray(x1)[:, None], np.asarray(x2)[None, :])
+    picks = []
+    for beta in betas:
+        obj = age_I if beta == 1.0 else age_II if beta == 0.0 else beta * age_I + (1 - beta) * age_II
+        picks.append(divmod(int(np.argmin(obj)), age_I.shape[1]))
+    return picks
 
 
 def geometric_moments(p: float) -> Moments2:

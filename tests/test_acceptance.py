@@ -112,10 +112,10 @@ def test_criterion_04_lemma1_corners():
     floor = 1 / (grid + 1)
     axis = np.linspace(floor, grid / (grid + 1), grid)
     for a1 in (0.1, 0.3, 0.5, 0.7, 0.9):
-        (_, alpha2), = _search(tpl, None, (np.array([a1]), axis), [1.0], _approx_zoom)
+        (_, alpha2, *_), = _search(tpl, None, (np.array([a1]), axis), [1.0], _approx_zoom)
         assert alpha2 == pytest.approx(floor, abs=1e-15)
     for a2 in (0.1, 0.3, 0.5, 0.7, 0.9):
-        (alpha1, _), = _search(tpl, None, (axis, np.array([a2])), [0.0], _approx_zoom)
+        (alpha1, *_), = _search(tpl, None, (axis, np.array([a2])), [0.0], _approx_zoom)
         assert alpha1 == pytest.approx(floor, abs=1e-15)
     # Lemma 1 and its mirror: age_I grows with alpha2, and age_II with alpha1.
     grid = np.linspace(0.01, 0.99, 99)

@@ -10,6 +10,7 @@ import pytest
 
 from aoi_multicast.analytic import Exogenous, Scenario, ScenarioApprox, StreamMix, age_pair
 from aoi_multicast.cli import main
+from aoi_multicast.optimize import EXACT_LIMIT
 from aoi_multicast.orderstats import ShiftedExp
 
 SCENARIO = {
@@ -48,6 +49,15 @@ def run_verb(verb, scenario_path, out_path):
     extra = ["--out", str(out_path)] if verb[0] in ("pareto", "sweep") else []
     return main([verb[0], scenario_path, *verb[1:], *extra])
 
+
+# Inputs whose ages overflow in the closed-form kernel, with the error line.
+OVERFLOW_CASES = [
+    pytest.param(["eval", "--approx", "--alpha1", "1e-320", "--alpha2", "0.5"], {},
+                 "error: age_I is nan", id="eval_approx"),
+    # At p1 = 1e-307 the cells of the smallest k1 are NaN, and a NaN wins.
+    pytest.param(["pareto", "--betas", "0.5"], {"n": 20, "p1": 1e-307},
+                 "error: age_I is nan", id="pareto"),
+]
 
 EVERY_VERB = pytest.mark.parametrize("verb", [
     ["eval"],
@@ -177,17 +187,18 @@ class TestEval:
         assert captured.err.startswith(f"error: {key}: must be")
         assert captured.out == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "verb,patch,message",
         [
             # E[M - 1] E[Y] ~ n E[Y] / (p1 k1) is finite, but its square overflows.
-            (["eval"], {"p1": 1e-300}, "error: age_I is inf"),
+            pytest.param(["eval"], {"p1": 1e-300}, "error: age_I is inf", id="eval"),
             # 1/rate^2 is finite, but the squared gaps of the sawtooth area overflow.
-            (["simulate", "--cycles", "5000", "--replications", "3"],
-             {"delay_I": {"rate": 2e-154, "shift": 1.0}}, "error: the simulated age of stream I"),
+            pytest.param(["simulate", "--cycles", "5000", "--replications", "3"],
+                         {"delay_I": {"rate": 2e-154, "shift": 1.0}},
+                         "error: the simulated age of stream I", id="simulate",
+                         marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+            *OVERFLOW_CASES,
         ],
-        ids=["eval", "simulate"],
     )
     def test_overflowing_age_rejected(self, scenario_file, tmp_path, capsys,
                                       verb, patch, message):
@@ -196,6 +207,22 @@ class TestEval:
         assert rc == 2
         assert captured.err.startswith(message)
         assert captured.out == ""
+
+    @pytest.mark.parametrize("verb,patch,message", [
+        pytest.param(["eval"], {"p1": 1e-300}, "error: age_I is inf", id="eval"),
+        *OVERFLOW_CASES,
+    ])
+    def test_overflow_prints_one_error_line(self, scenario_file, tmp_path, verb, patch, message):
+        # In a fresh interpreter, with the default warning filters: the
+        # kernel's overflow reaches stderr as the error line alone.
+        argv = [verb[0], scenario_file(dict(SCENARIO, **patch)), *verb[1:]]
+        if verb[0] == "pareto":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", "from aoi_multicast.cli import run; run()",
+                               *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
 
     def test_missing_key(self, scenario_file, capsys):
         doc = dict(SCENARIO)
@@ -394,6 +421,16 @@ class TestPareto:
                        "--out", str(out_path)])
             assert rc == 2 and not out_path.exists()
             assert capsys.readouterr().err.startswith(f"error: betas: {message}")
+
+    @pytest.mark.parametrize("n", [EXACT_LIMIT, EXACT_LIMIT + 1])
+    def test_coarse_to_fine_said_on_stderr(self, scenario_file, tmp_path, capsys, n):
+        rc = main(["pareto", scenario_file(dict(SCENARIO, n=n)), "--betas", "0.5",
+                   "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.out == "1 rows\n"
+        assert captured.err == ("" if n == EXACT_LIMIT else
+                                f"pareto: n = {n} is above {EXACT_LIMIT}, so the search is "
+                                "coarse-to-fine and may miss the optimum\n")
 
     @pytest.mark.parametrize("grid", ["0", "-1", "32769"])
     def test_grid_below_one_rejected(self, scenario_file, tmp_path, capsys, grid):
@@ -652,7 +689,7 @@ class TestSweep:
 # the simulator and the process pool for `--threads N > 1` with more than one
 # replication. scipy, which only the tests use, never.
 LAZY_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures.process", "scipy")
-WIDE = dict(SCENARIO, n=2048)
+WIDE = dict(SCENARIO, n=10**6)  # above EXACT_LIMIT
 
 
 def _lazy_modules_after(statement):

@@ -12,12 +12,12 @@ from aoi_multicast.analytic import (
     StarvedStreamError,
     StreamMix,
     _cycles,
-    _pair_ages,
     age_pair,
+    pair_ages,
 )
 from aoi_multicast.optimize import ScenarioTemplate, pareto_frontier
 from aoi_multicast.orderstats import ShiftedExp
-from oracles import grid_ages
+from oracles import full_grid_argmins, grid_ages
 
 # The ratio axis of the Lemma 1 checks.
 ALPHAS = np.linspace(0.01, 0.99, 99)
@@ -114,8 +114,8 @@ class TestOptimizeExact:
         assert opt_mod._search(tpl, tpl.n, (ks, ks), betas, opt_mod._exact_zoom) == exhaustive
 
     def test_coarse_to_fine_pinned_at_2048(self):
-        # The benchmark's pareto_c2f rows, which a change to _int_axis or
-        # _exact_zoom could otherwise move unnoticed.
+        # The benchmark's pareto_c2f rows. n = 2048 is below EXACT_LIMIT, so
+        # these are the full grid's optima, which coarse-to-fine also found.
         points = pareto_frontier(asymmetric_template(n=2048), [0.25, 0.5, 0.75])
         assert [(p.beta, p.k1, p.k2) for p in points] == [
             (0.75, 1406, 1553), (0.5, 1181, 1731), (0.25, 889, 1825)]
@@ -207,12 +207,42 @@ class TestSearchGrid:
             ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode, n=n
         )
         c_I, c_II = _cycles(tpl, n, xs[:, None], xs[None, :])
-        full = _pair_ages(tpl.mix, c_I, c_II)
+        full = pair_ages(tpl.mix, c_I, c_II)
         for r0 in range(0, xs.size, 7):
-            rows = _pair_ages(tpl.mix, tuple(c[r0:r0 + 7] for c in c_I), c_II)
+            rows = pair_ages(tpl.mix, tuple(c[r0:r0 + 7] for c in c_I), c_II)
             for got, want in zip(rows, full):
                 assert got.shape == want[r0:r0 + 7].shape
                 assert (got == want[r0:r0 + 7]).all()
+
+    @pytest.mark.parametrize("p1", [0.6, 1.0])
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)])
+    @pytest.mark.parametrize("n,xs", [(30, np.arange(1, 31)),
+                                      (None, np.linspace(1 / 18, 17 / 18, 17))],
+                             ids=["exact", "approx"])
+    def test_gathered_cycles_equal_full_grid(self, mode, p1, n, xs):
+        # The row-minima search gathers its cells from (4, points) tables of
+        # each axis's cycles, in any order and with repeats.
+        tpl = ScenarioTemplate(
+            ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1), mode, n=n
+        )
+        full = pair_ages(tpl.mix, *_cycles(tpl, n, xs[:, None], xs[None, :]))
+        tables = [np.stack(np.broadcast_arrays(*c)).reshape(4, -1)
+                  for c in _cycles(tpl, n, xs[None], xs[None])]
+        i, j = np.random.default_rng(5).integers(xs.size, size=(2, 200))
+        got = pair_ages(tpl.mix, tables[0].take(i, axis=1), tables[1].take(j, axis=1))
+        for g, want in zip(got, full):
+            assert (g == want[i, j]).all()
+
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)])
+    @pytest.mark.parametrize("evaluator", ["exact", "approx"])
+    def test_point_ages_equal_scalar_calls(self, mode, evaluator):
+        # The points take their ages from the search's last kernel call.
+        tpl = asymmetric_template(mode=mode)
+        for pt in pareto_frontier(tpl, np.linspace(0.0, 1.0, 9), evaluator=evaluator):
+            s = (tpl.with_alphas(pt.alpha1, pt.alpha2) if evaluator == "approx"
+                 else tpl.with_thresholds(pt.k1, pt.k2))
+            pair = age_pair(s)
+            assert (pt.age_I, pt.age_II) == (pair.age_I, pair.age_II)
 
     @pytest.mark.parametrize("evaluator", ["exact", "approx"])
     def test_points_hold_plain_floats(self, evaluator):
@@ -223,38 +253,31 @@ class TestSearchGrid:
 
 
 def full_grid_search(template, n, axes, betas, zoom):
-    """Reference search: per beta, np.argmin over each whole grid, zoomed as
-    _search zooms."""
+    """Reference search: per beta, the full grid's argmin of each grid
+    (``full_grid_argmins``), zoomed as _search zooms."""
     best = []
     for beta in betas:
         (x1, x2), round_idx = axes, 0
         while True:
-            age_I, age_II = grid_ages(template, n, x1[:, None], x2[None, :])
-            if beta == 1.0:
-                obj = age_I
-            elif beta == 0.0:
-                obj = age_II
-            else:
-                obj = beta * age_I + (1 - beta) * age_II
-            i1, i2 = divmod(int(np.argmin(obj)), x2.size)
-            zoomed = zoom(round_idx, x1, x2, i1, i2)
+            (i1, i2), = full_grid_argmins(template, n, x1, x2, [beta])
+            zoomed = zoom(round_idx, x1[None], x2[None], np.array([i1]), np.array([i2]))
             if zoomed is None:
                 break
-            x1, x2 = zoomed
+            x1, x2 = (x[0] for x in zoomed)
             round_idx += 1
         best.append((x1[i1].item(), x2[i2].item()))
     return best
 
 
 class TestBlocks:
-    """The first grid is searched in blocks of `_BLOCK_CELLS` cells."""
+    """The row-minima search, for all betas at once or in groups, finds the
+    full grid's first row-major argmin."""
 
     BETAS = [0.0, 0.1, 0.5, 0.9, 1.0]
 
     @staticmethod
     def exact_axes(n):
-        ks = (np.arange(1, n + 1) if n <= opt_mod.EXHAUSTIVE_LIMIT
-              else opt_mod._int_axis(1, n))
+        ks = np.arange(1, n + 1) if n <= opt_mod.EXACT_LIMIT else opt_mod._int_axis(1, n)
         return n, (ks, ks), opt_mod._exact_zoom
 
     @staticmethod
@@ -267,33 +290,37 @@ class TestBlocks:
 
     def check(self, monkeypatch, template, n, axes, zoom, betas):
         want = full_grid_search(template, n, axes, betas, zoom)
-        for block in (1, 7, opt_mod._BLOCK_CELLS):
-            monkeypatch.setattr(opt_mod, "_BLOCK_CELLS", block)
-            assert opt_mod._search(template, n, axes, betas, zoom) == want, block
+        # Groups of one beta, of two, and of every beta.
+        for per_group in (1, 2, len(betas)):
+            monkeypatch.setattr(opt_mod, "_GROUP_CELLS", per_group * (axes[0].size + axes[1].size))
+            got = opt_mod._search(template, n, axes, betas, zoom)
+            assert [x[:2] for x in got] == want, per_group
 
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
     def test_random_templates_match_full_grid(self, monkeypatch, mode):
-        # Block sizes 1 and 7 split each grid into many row blocks; a row of
-        # n <= 7 cells, or of one cell on a one-point alpha2 axis, packs
-        # several rows into a block and leaves a partial last block.
+        # A one-point axis makes one-cell row segments, or one row.
         rng = np.random.default_rng(808)
 
         def log_uniform(lo, hi):
             return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
-        for n in (3, 5, 7, 23, 600):
+        for n in (3, 5, 7, 23, 600, 2048, 10**6):
             delays = [ShiftedExp(log_uniform(1e-1, 1e1), log_uniform(1e-2, 2.0))
                       for _ in range(2)]
             tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.05, 0.95)), mode, n=n)
+            # Above EXACT_LIMIT the reference zooms each beta on its own.
             self.check(monkeypatch, tpl, *self.exact_axes(n), self.BETAS)
-            self.check(monkeypatch, tpl, *self.approx_axes(n), self.BETAS)
-            self.check(monkeypatch, tpl, *self.approx_axes(n, alpha2=0.4), self.BETAS)
-            self.check(monkeypatch, tpl, *self.approx_axes(n, alpha1=0.6), self.BETAS)
+            if n > opt_mod.EXACT_LIMIT:
+                continue
+            grid = min(n, 512)
+            self.check(monkeypatch, tpl, *self.approx_axes(grid), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(grid, alpha2=0.4), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(grid, alpha1=0.6), self.BETAS)
 
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
     def test_one_moment_pass_per_axis(self, monkeypatch, mode):
         # Each axis's order-statistic moments are computed once per grid,
-        # however many row blocks the grid is split into.
+        # however many levels and kernel calls the search of the grid takes.
         calls, os_moments = [], analytic_mod.os_moments
 
         def counting(*args):
@@ -302,12 +329,10 @@ class TestBlocks:
 
         monkeypatch.setattr(analytic_mod, "os_moments", counting)
         tpl = asymmetric_template(n=20, mode=mode)
-        for block in (1, 7, opt_mod._BLOCK_CELLS):
-            monkeypatch.setattr(opt_mod, "_BLOCK_CELLS", block)
-            for n, (x1, x2), _ in (self.exact_axes(20), self.approx_axes(64)):
-                calls.clear()
-                opt_mod._first_argmins(tpl, n, x1, x2, self.BETAS)
-                assert len(calls) == 2, (block, n)
+        for n, (x1, x2), _ in (self.exact_axes(20), self.approx_axes(64)):
+            calls.clear()
+            opt_mod._row_minima(tpl, n, x1[None], x2[None], np.array(self.BETAS))
+            assert len(calls) == 2, n
 
     @pytest.mark.parametrize("p1,beta", [(1.0, 1.0), (0.0, 0.0)])
     def test_starved_stream_at_zero_weight(self, monkeypatch, p1, beta):
@@ -342,12 +367,15 @@ class TestBlocks:
         self.check(monkeypatch, tpl, *self.exact_axes(16), [0.5])
         self.check(monkeypatch, tpl, *self.approx_axes(16), [0.5])
 
-    def test_memory_does_not_grow_with_grid(self):
+    def test_memory_grows_with_grid_side_not_area(self):
+        # A level of the search holds O(betas * side) cells and bookkeeping;
+        # a grid four times as wide has sixteen times the cells, and a whole
+        # first grid would make the second peak 16 times the first.
         tpl = asymmetric_template(mode=Exogenous(2.0))
         betas = [0.25, 0.5, 0.75]
         pareto_frontier(tpl, betas, evaluator="approx", grid=64)  # one-time allocations
         peaks = []
-        for grid in (256, 1024):
+        for grid in (1024, 4096):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -355,8 +383,7 @@ class TestBlocks:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
-        # A whole first grid would make the second peak 16 times the first.
-        assert peaks[1] <= 1.5 * peaks[0], peaks
+        assert peaks[1] <= 6 * peaks[0], peaks
 
 
 class TestOptimizeApprox:
