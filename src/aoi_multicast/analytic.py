@@ -232,23 +232,15 @@ def _renewal(p, po, own, other):
     return delivered + m2 / (2.0 * m1), m1, m2
 
 
-def _renewals(mix: StreamMix, c_I, c_II):
-    """Yield the ``_renewal`` triples of streams I and II on their
-    ``_cycles`` c_I and c_II, which broadcast together, one at a time; None
-    for a starved stream."""
-    p1, p2 = mix.p1, mix.p2
-    yield _renewal(p1, p2, c_I, c_II) if p1 > 0 else None
-    yield _renewal(p2, p1, c_II, c_I) if p2 > 0 else None
-
-
 def pair_ages(mix: StreamMix, c_I, c_II):
-    """Ages of streams I and II, as ``_renewals``; a starved stream's ages are
-    +inf. The optimizer's kernel call on its threshold grids."""
+    """Ages of streams I and II on their ``_cycles`` c_I and c_II, which
+    broadcast together; a starved stream's ages are +inf. The one entry to
+    ``_renewal`` for scalar ages and the optimizer's threshold grids alike."""
     shape = np.broadcast_shapes(np.shape(c_I[1]), np.shape(c_II[1]))
-    # map drops each triple before the next is computed, so no E[S] or
+    # Each triple is dropped before the next is computed, so no E[S] or
     # E[S^2] grid outlives its stream.
-    return tuple(map(lambda r: np.full(shape, np.inf) if r is None else r[0],
-                     _renewals(mix, c_I, c_II)))
+    return (_renewal(mix.p1, mix.p2, c_I, c_II)[0] if mix.p1 > 0 else np.full(shape, np.inf),
+            _renewal(mix.p2, mix.p1, c_II, c_I)[0] if mix.p2 > 0 else np.full(shape, np.inf))
 
 
 def _check_ages(mix: StreamMix, ages) -> None:
@@ -259,15 +251,10 @@ def _check_ages(mix: StreamMix, ages) -> None:
             raise ValueError(f"age_{stream.value} is {float(age)}: the inputs overflow")
 
 
-def _scenario_renewals(s: "Scenario | ScenarioApprox") -> dict:
-    """{stream: (age, E[S], E[S^2])} of a scenario, None for a starved
-    stream; raises ValueError when a stream with nonzero share has an age
-    that is not finite. Overflow raises no RuntimeWarning."""
+def _scenario_cycles(s: "Scenario | ScenarioApprox"):
+    """``_cycles`` of a scenario, at its thresholds or its ratios."""
     x = (None, s.alpha1, s.alpha2) if isinstance(s, ScenarioApprox) else (s.n, s.k1, s.k2)
-    with np.errstate(all="ignore"):
-        out = dict(zip(Stream, _renewals(s.mix, *_cycles(s, *x))))
-    _check_ages(s.mix, [None if r is None else r[0] for r in out.values()])
-    return out
+    return _cycles(s, *x)
 
 
 # -- public API --------------------------------------------------------------
@@ -277,12 +264,17 @@ def s_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:
     """Moments of the tagged-node inter-delivery time of the target stream.
 
     Raises StarvedStreamError when the target stream has zero share, and
-    ValueError when the age of either stream overflows.
+    ValueError when its age overflows.
     """
-    r = _scenario_renewals(s)[target]
-    if r is None:
+    first = target is Stream.TYPE_I
+    p, po = (s.mix.p1, s.mix.p2) if first else (s.mix.p2, s.mix.p1)
+    if p <= 0:
         raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    return Moments2(float(r[1]), float(r[2]))
+    with np.errstate(all="ignore"):
+        age, m1, m2 = _renewal(p, po, *_scenario_cycles(s)[::1 if first else -1])
+    if not math.isfinite(age):
+        raise ValueError(f"age_{target.value} is {float(age)}: the inputs overflow")
+    return Moments2(float(m1), float(m2))
 
 
 def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
@@ -290,5 +282,7 @@ def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
     a ScenarioApprox, in the scenario's generation mode. A starved stream
     maps to INFINITE_AGE, and the overflow of another stream's age raises
     ValueError."""
-    return AgePair(*(INFINITE_AGE if r is None else float(r[0])
-                     for r in _scenario_renewals(s).values()))
+    with np.errstate(all="ignore"):
+        ages = pair_ages(s.mix, *_scenario_cycles(s))
+    _check_ages(s.mix, ages)
+    return AgePair(*map(float, ages))

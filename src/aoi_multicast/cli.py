@@ -54,20 +54,17 @@ class SchemaError(Exception):
         self.key = key
 
 
-def _get(doc: dict, key: str, required: bool = True):
-    """The value of doc at the last part of the dotted key path."""
+def _get(doc: dict, key: str):
+    """The value of doc at the last part of the dotted key path; JSON null is
+    a value, not an absent key."""
     name = key.rpartition(".")[2]
     if name not in doc:
-        if required:
-            raise SchemaError(key, "missing required key")
-        return None
+        raise SchemaError(key, "missing required key")
     return doc[name]
 
 
-def _number(doc: dict, key: str, required: bool = True):
-    v = _get(doc, key, required)
-    if v is None:
-        return None
+def _number(doc: dict, key: str):
+    v = _get(doc, key)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise SchemaError(key, f"must be a number, got {type(v).__name__}")
     try:
@@ -77,9 +74,10 @@ def _number(doc: dict, key: str, required: bool = True):
 
 
 def _integer(doc: dict, key: str, required: bool = True):
-    v = _get(doc, key, required)
-    if v is None:
+    """The integer at a top-level key; None when the key is absent and not required."""
+    if key not in doc and not required:
         return None
+    v = _get(doc, key)
     if not isinstance(v, int) or isinstance(v, bool):
         raise SchemaError(key, f"must be an integer, got {type(v).__name__}")
     return v

@@ -3,15 +3,17 @@
 The weighted objective beta * age_I + (1 - beta) * age_II is minimized over
 integer thresholds (exact evaluator) or threshold ratios (large-n
 evaluator). Both ages are submodular, as TestLemma1 checks, so on a
-threshold grid each objective is a Monge array: a divide-and-conquer search
-for its row minima finds the first row-major argmin from O(side log side)
-cells per beta. Each level of that search makes one kernel call for a group
-of betas, on cells gathered from each axis's cycle moments, which are
-computed once per grid. The integer search lists every k up to
-n = EXACT_LIMIT and is then exact; above that it starts from 33 integers
-per axis and zooms into each beta's winning cell, which may miss the
-optimum. The ratio search refines its grid with REFINE_ROUNDS rounds of 33
-ratios around each winning cell, all betas at once.
+threshold grid each objective is a Monge array: on the first grid, a
+divide-and-conquer search for its row minima finds the first row-major
+argmin from O(side log side) cells per beta. Each level of that search
+makes one kernel call for a group of betas, on cells gathered from each
+axis's cycle moments, which are computed once per grid. The integer search
+lists every k up to n = EXACT_LIMIT and is then exact; above that it starts
+from 33 integers per axis and zooms into each beta's winning cell, which
+may miss the optimum. The ratio search refines its grid with REFINE_ROUNDS
+rounds of 33 ratios around each winning cell. A zoom round scores the
+33 x 33 grids of a group of betas whole, in one kernel call, so its argmin
+holds where rounding breaks the Monge property, at n above about 10^8.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ EXACT_LIMIT = 1 << 15
 # Largest approx grid side: there 33 betas take about 2 s.
 GRID_LIMIT = 1 << 15
 REFINE_ROUNDS = 2
-# Betas searched together times the grid's rows plus columns, which bounds
-# the cells of one search level and so the search's memory.
+# Betas searched together times the larger of the first grid's rows plus
+# columns and a zoom grid's cells, which bounds the cells of one search
+# level or zoom round and so the search's memory.
 _GROUP_CELLS = 1 << 16
 
 
@@ -106,6 +109,12 @@ def _check_starved_objective(mix: StreamMix, beta: float) -> None:
 # -- grid search --------------------------------------------------------------
 
 
+def _objective(beta, age_I, age_II):
+    """The beta-weighted age, broadcast; a zero-weight age is left out."""
+    return np.where(beta == 1.0, age_I,
+                    np.where(beta == 0.0, age_II, beta * age_I + (1.0 - beta) * age_II))
+
+
 def _segment_minima(mix, tables, weights, own, other, lengths):
     """Per segment s, the least objective at weight weights[s] over lengths[s]
     cells and its first position, a NaN winning as in np.argmin. Segment s
@@ -129,8 +138,7 @@ def _segment_minima(mix, tables, weights, own, other, lengths):
                       tables[1].take(cells % stride, axis=1))
     lag = (cell0 - first[runs])[np.cumsum(new) - 1] + first - seg0  # kernel cell - objective cell
     idx = np.repeat(lag, size) + np.arange(seg0[-1] + size[-1])
-    age_I, age_II, w = ages[0].take(idx), ages[1].take(idx), np.repeat(weights, size)
-    obj = np.where(w == 1.0, age_I, np.where(w == 0.0, age_II, w * age_I + (1.0 - w) * age_II))
+    obj = _objective(np.repeat(weights, size), ages[0].take(idx), ages[1].take(idx))
     low = np.minimum.reduceat(obj, seg0)
     hits = np.flatnonzero((obj == np.repeat(low, size)) | np.isnan(obj))
     out = np.empty_like(low), np.empty_like(seg0)
@@ -139,9 +147,8 @@ def _segment_minima(mix, tables, weights, own, other, lengths):
 
 
 def _row_minima(template, n, x1, x2, betas):
-    """Per beta b, the first row-major argmin (i1, i2) of beta b's objective
-    on the grid x1[b] x x2[b] (one axis may serve all betas), with the
-    objective and both ages there.
+    """Per beta, the first row-major argmin (i1, i2) of its objective on the
+    grid x1 x x2.
 
     Each row's first argmin never decreases down the rows, so each level
     takes the middle row of every row interval over the interval's columns
@@ -149,83 +156,78 @@ def _row_minima(template, n, x1, x2, betas):
     Shor & Wilber, Algorithmica 2, 1987). The kernel cells of a level are
     gathered from (4, points) tables of each axis's cycles.
     """
-    rows, cols, b = x1.shape[1], x2.shape[1], np.arange(betas.size)
-    tables = [np.stack(np.broadcast_arrays(*c)).reshape(4, -1)
-              for c in _cycles(template, n, x1, x2)]
-    base = [b * x.shape[1] * (x.shape[0] > 1) for x in (x1, x2)]  # table column of point 0
+    rows, cols, b = x1.size, x2.size, np.arange(betas.size)
+    tables = [np.stack(c) for c in _cycles(template, n, x1, x2)]
     low, arg = np.empty((b.size, rows)), np.empty((b.size, rows), np.int64)
     r0, r1, c0, c1 = np.zeros_like(b), np.full_like(b, rows), np.zeros_like(b), np.full_like(b, cols - 1)
     while b.size:  # the row intervals [r0, r1) of betas b, on columns c0..c1
         mid = (r0 + r1) // 2
-        low[b, mid], at = _segment_minima(template.mix, tables, betas[b], base[0][b] + mid,
-                                          base[1][b] + c0, c1 - c0 + 1)
+        low[b, mid], at = _segment_minima(template.mix, tables, betas[b], mid, c0, c1 - c0 + 1)
         col = arg[b, mid] = c0 + at
         b, r0, r1, c0, c1 = (np.concatenate(x) for x in
                              ((b, b), (r0, mid + 1), (mid, r1), (c0, col), (col, c1)))
         b, r0, r1, c0, c1 = (x[r0 < r1] for x in (b, r0, r1, c0, c1))
-    b = np.arange(betas.size)
     i1 = np.argmin(low, axis=1)  # the first row whose minimum is least, or NaN
-    i2 = arg[b, i1]
-    ages = pair_ages(template.mix, tables[0].take(base[0] + i1, axis=1),
-                      tables[1].take(base[1] + i2, axis=1))
-    return i1, i2, low[b, i1], *ages
+    return i1, arg[np.arange(betas.size), i1]
 
 
 def _search(template, n, axes, betas, zoom):
     """Per beta, (x1, x2, objective, age_I, age_II) at the best cell of the
     grid axes[0] x axes[1], zoomed while ``zoom(round, x1s, x2s, i1, i2)``
-    returns new axes, one row per beta.
+    returns new axes, one row of 33 points per beta.
 
+    ``_row_minima`` searches the first grid, which all betas share; each
+    zoom round is scored whole, the grids of all betas in one kernel call.
     Thresholds are k with n receivers, or ratios alpha when n is None. Ties
     break to the first row-major argmin: the lexicographically smallest
-    (x1, x2). Overflow in the kernel gives inf or NaN cells, not warnings.
+    (x1, x2). A NaN cell wins as in np.argmin in a zoom round, and on the
+    first grid wherever the search evaluates it. Overflow in the kernel
+    gives inf or NaN cells, not warnings.
     """
     betas, best = np.array(betas, dtype=float), []
-    step = max(1, _GROUP_CELLS // (axes[0].size + axes[1].size))
+    step = max(1, _GROUP_CELLS // max(axes[0].size + axes[1].size, 33 * 33))
     for group in np.split(betas, range(step, betas.size, step)):
-        x1, x2 = (np.reshape(x, (1, -1)) for x in axes)
+        b = np.arange(group.size)
+        x1, x2 = (np.broadcast_to(x, (group.size, x.size)) for x in axes)
         with np.errstate(all="ignore"):
+            i1, i2 = _row_minima(template, n, *axes, group)
             for round_idx in itertools.count():
-                i1, i2, *found = _row_minima(template, n, x1, x2, group)
                 if (zoomed := zoom(round_idx, x1, x2, i1, i2)) is None:
                     break
                 x1, x2 = zoomed
-        b = np.arange(group.size)
-        best += zip(*(np.broadcast_to(x, (group.size, x.shape[1]))[b, i].tolist()
-                      for x, i in ((x1, i1), (x2, i2))), *(a.tolist() for a in found))
+                ages = pair_ages(template.mix, *_cycles(template, n, x1[:, :, None], x2[:, None]))
+                obj = _objective(group[:, None, None], *ages).reshape(group.size, -1)
+                i1, i2 = np.divmod(np.argmin(obj, axis=1), x2.shape[1])
+            x1, x2 = x1[b, i1], x2[b, i2]
+            ages = pair_ages(template.mix, *_cycles(template, n, x1, x2))
+            best += zip(x1.tolist(), x2.tolist(), _objective(group, *ages).tolist(),
+                        *(a.tolist() for a in ages))
     return best
 
 
 def _neighbours(xs, i):
     """Per beta, the grid points on either side of xs[b, i[b]], clipped to the grid."""
-    xs = np.broadcast_to(xs, (i.size, xs.shape[1]))
     b = np.arange(i.size)
     return xs[b, np.maximum(i - 1, 0)], xs[b, np.minimum(i + 1, xs.shape[1] - 1)]
 
 
 def _int_axis(lo, hi):
-    """33 evenly spread integers of [lo, hi], fewer when they repeat: each is
-    lo + (hi - lo) i / 32 rounded half to even in exact arithmetic, so the
-    axis lists every integer of a narrow window at any n."""
+    """The 33 integers lo + (hi - lo) i / 32, each rounded half to even in
+    exact arithmetic, so that the axis lists every integer of a narrow
+    window at any n."""
     lo, hi = int(lo), int(hi)
-    xs = range(32 * lo, 32 * hi + 1, hi - lo) if hi > lo else [32 * lo]  # each point times 32
-    points = {q + (r > 16 or (r == 16 and q % 2)) for q, r in (divmod(x, 32) for x in xs)}
-    # Deduplicated in Python: the first np.unique of a process imports
-    # numpy.ma, which costs more than a whole coarse-to-fine search.
-    return np.array(sorted(points), dtype=np.int64)
+    xs = (divmod(32 * lo + (hi - lo) * i, 32) for i in range(33))
+    return np.array([q + (r > 16 or (r == 16 and q % 2)) for q, r in xs], dtype=np.int64)
 
 
 def _exact_zoom(round_idx, k1s, k2s, i1, i2):
     """Integer axes around each beta's best cell, until every axis lists
-    every integer of its window. An axis of fewer than 33 points repeats its
-    last one, which leaves its first argmin where it was."""
+    every integer of its window."""
     if all((ks[:, -1] - ks[:, 0] <= np.count_nonzero(np.diff(ks), axis=1)).all()
            for ks in (k1s, k2s)):
         return None
-    axes = [[_int_axis(lo, hi) for lo, hi in zip(*_neighbours(ks, i))]
-            for ks, i in ((k1s, i1), (k2s, i2))]
-    return tuple(np.stack([np.pad(a, (0, 33 - a.size), mode="edge") for a in axis])
-                 for axis in axes)
+    return tuple(np.array([_int_axis(lo, hi) for lo, hi in zip(*_neighbours(ks, i))])
+                 for ks, i in ((k1s, i1), (k2s, i2)))
 
 
 def _approx_zoom(round_idx, a1s, a2s, i1, i2):

@@ -128,6 +128,16 @@ class TestEval:
             ({"delay_I": {"rate": 1.0}}, "delay_I.shift"),
             ({"k1": 0}, "k1"),
             ({"delay_II": {"rate": 1.0, "shift": -1.0}}, "delay_II.shift"),
+            # JSON null is a value of the wrong type, not an absent key.
+            ({"p1": None}, "p1"),
+            ({"mode": "exogenous", "mu": None}, "mu"),
+            ({"delay_I": {"rate": 1.0, "shift": None}}, "delay_I.shift"),
+            ({"n": None}, "n"),
+            ({"k1": None}, "k1"),
+            ({"n": "ten"}, "n"),
+            ({"p1": "x"}, "p1"),
+            ({"delay_I": 3}, "delay_I"),
+            ({"delay_I": {"rate": 1.0, "shift": 1.0, "scale": 2.0}}, "delay_I.scale"),
         ],
     )
     def test_schema_violation_names_key(self, scenario_file, capsys, patch, key):
@@ -135,7 +145,7 @@ class TestEval:
         doc.update(patch)
         rc = main(["eval", scenario_file(doc)])
         assert rc == 2
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
     @EVERY_VERB
     @pytest.mark.parametrize("field", ["rate", "shift"])
@@ -555,11 +565,16 @@ class TestSweep:
         pytest.param("p1", "0.5,boom", SCENARIO,
                      "values: could not parse '0.5,boom' as comma-separated floats",
                      id="values-not-a-float"),
+        pytest.param("p1", "0.5", [], "<root>: scenario document must be a JSON object",
+                     id="root-not-an-object"),
+        pytest.param("p1", "0.5", None, "<file>: [Errno 2] No such file or directory",
+                     id="file-missing"),
     ])
     def test_point_errors_name_the_key(self, scenario_file, tmp_path, capsys,
                                        param, values, doc, message):
         out_path = tmp_path / "x.csv"
-        rc = main(["sweep", scenario_file(doc), "--param", param, "--values", values,
+        path = str(tmp_path / "absent.json") if doc is None else scenario_file(doc)
+        rc = main(["sweep", path, "--param", param, "--values", values,
                    "--out", str(out_path)])
         captured = capsys.readouterr()
         assert rc == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -105,6 +106,20 @@ class TestOptimizeExact:
         with pytest.raises(ValueError):
             pareto_frontier(symmetric_template(), [1.5])
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda t: pareto_frontier(dataclasses.replace(t, mix=StreamMix(0.0)), [0.5]),
+         StarvedStreamError, "type I is starved"),
+        (lambda t: pareto_frontier(dataclasses.replace(t, n=None), [0.5]),
+         ValueError, "exact evaluator needs n"),
+        (lambda t: pareto_frontier(t, [0.5], evaluator="bogus"),
+         ValueError, "unknown evaluator 'bogus'"),
+        (lambda t: dataclasses.replace(t, n=None).with_thresholds(1, 1),
+         ValueError, "template needs n"),
+    ], ids=["type-I-starved", "exact-without-n", "unknown-evaluator", "thresholds-without-n"])
+    def test_bad_call_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(asymmetric_template())
+
     def test_coarse_to_fine_agrees_with_exhaustive(self):
         tpl, betas = asymmetric_template(n=60), [0.3, 0.7]
         ks = np.arange(1, tpl.n + 1)
@@ -130,7 +145,7 @@ class TestIntegerAxis:
                               rng.integers(1, 4096, 500, endpoint=True), [2**40]])
         for hi in his.tolist():
             lo = int(rng.integers(1, hi, endpoint=True))
-            expect = np.unique(np.rint(np.linspace(lo, hi, 33)).astype(np.int64))
+            expect = np.rint(np.linspace(lo, hi, 33)).astype(np.int64)
             np.testing.assert_array_equal(opt_mod._int_axis(lo, hi), expect)
 
     def test_top_of_int64(self):
@@ -270,8 +285,8 @@ def full_grid_search(template, n, axes, betas, zoom):
 
 
 class TestBlocks:
-    """The row-minima search, for all betas at once or in groups, finds the
-    full grid's first row-major argmin."""
+    """The search, for all betas at once or in groups, finds the full grid's
+    first row-major argmin on the first grid and in every zoom round."""
 
     BETAS = [0.0, 0.1, 0.5, 0.9, 1.0]
 
@@ -304,7 +319,7 @@ class TestBlocks:
         def log_uniform(lo, hi):
             return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
-        for n in (3, 5, 7, 23, 600, 2048, 10**6):
+        for n in (3, 5, 7, 23, 600, 2048, 10**6, 10**8, 10**9, 10**12, 2**63 - 1):
             delays = [ShiftedExp(log_uniform(1e-1, 1e1), log_uniform(1e-2, 2.0))
                       for _ in range(2)]
             tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.05, 0.95)), mode, n=n)
@@ -319,20 +334,28 @@ class TestBlocks:
 
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
     def test_one_moment_pass_per_axis(self, monkeypatch, mode):
-        # Each axis's order-statistic moments are computed once per grid,
-        # however many levels and kernel calls the search of the grid takes.
-        calls, os_moments = [], analytic_mod.os_moments
+        # Each axis's order-statistic moments are computed once for the first
+        # grid, however many levels its search takes, once for each zoom
+        # round, and once for the cells found.
+        calls, rounds, os_moments = [], [], analytic_mod.os_moments
 
         def counting(*args):
             calls.append(args)
             return os_moments(*args)
 
+        def counting_zoom(round_idx, *cell):
+            rounds.append(round_idx)
+            return zoom(round_idx, *cell)
+
         monkeypatch.setattr(analytic_mod, "os_moments", counting)
-        tpl = asymmetric_template(n=20, mode=mode)
-        for n, (x1, x2), _ in (self.exact_axes(20), self.approx_axes(64)):
+        tpl = asymmetric_template(mode=mode)
+        for n, axes, zoom in (self.exact_axes(20), self.exact_axes(10**6), self.approx_axes(64)):
             calls.clear()
-            opt_mod._row_minima(tpl, n, x1[None], x2[None], np.array(self.BETAS))
-            assert len(calls) == 2, n
+            rounds.clear()
+            opt_mod._search(tpl, n, axes, self.BETAS, counting_zoom)
+            zoomed = len(rounds) - 1  # the last zoom call returns None
+            assert (zoomed > 0) == (n != 20), n
+            assert len(calls) == 2 * (1 + zoomed + 1), n
 
     @pytest.mark.parametrize("p1,beta", [(1.0, 1.0), (0.0, 0.0)])
     def test_starved_stream_at_zero_weight(self, monkeypatch, p1, beta):
@@ -356,6 +379,9 @@ class TestBlocks:
         nan = np.isnan(0.5 * age_I + 0.5 * age_II)
         assert nan.any() and not nan.all()
         self.check(monkeypatch, tpl, 20, (ks[::-1], ks), opt_mod._exact_zoom, [0.5])
+        # At alpha1 = 0.12 the large-n objective is inf up to some alpha2 and
+        # NaN above it, so every zoom round's grid has inf cells before NaN ones.
+        self.check(monkeypatch, tpl, *self.approx_axes(20, alpha1=0.12), [0.5])
 
     def test_symmetric_ties(self, monkeypatch):
         # At beta = 0.5 the objective at (a, b) equals the one at (b, a).

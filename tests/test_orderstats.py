@@ -98,6 +98,12 @@ class TestOrderStatMoments:
         with pytest.raises(ValueError):
             os_moments(d, n + 1, n)[2]
 
+    @pytest.mark.parametrize("k,n", [(2.0, 7), (2, 7.0), (np.array([2.0, 3.0]), 7)],
+                             ids=["float-k", "float-n", "float-array-k"])
+    def test_non_integer_order_rejected(self, k, n):
+        with pytest.raises(TypeError, match="^k and n must be integers$"):
+            os_moments(ShiftedExp(1, 1), k, n)
+
     def test_out_of_range_names_first_bad_k(self):
         d = ShiftedExp(1, 1)
         ks = np.concatenate([np.arange(1, 1001), [0, 2000]])
