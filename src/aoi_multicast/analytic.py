@@ -192,17 +192,18 @@ def _cycles(s, n, x1, x2):
                                               (x2, os_moments(s.delay_II, x2, n))))
 
 
-def _renewal(p, po, own, other):
-    """(age, E[S], E[S^2]) of the target stream; every input broadcasts.
+def _renewal(mix, target, c_I, c_II):
+    """(age, E[S], E[S^2]) of the target stream of mix on the ``_cycles``
+    c_I and c_II of streams I and II; every input broadcasts.
 
-    p and po are the target's and the other stream's shares, own and other
-    their ``_cycles``. The tagged receiver gets the target in a cycle
-    with probability g = pq, so S is the delivering cycle X plus M - 1
-    missed cycles Y, with M ~ Geometric(g). A missed cycle carries the
-    target with weight w_t = p (1 - q) and the other stream with po, out of
-    1 - g, so s1 = E[M - 1] E[Y] and s2 = E[M - 1] E[Y^2] are sums over those
-    weights divided by g, and E[(M - 1)(M - 2)] E[Y]^2 = 2 s1^2. Every term
-    is nonnegative, so nothing cancels.
+    p and po are the target's and the other stream's shares. The tagged
+    receiver gets the target in a cycle with probability g = pq, so S is the
+    delivering cycle X plus M - 1 missed cycles Y, with M ~ Geometric(g). A
+    missed cycle carries the target with weight w_t = p (1 - q) and the
+    other stream with po, out of 1 - g, so s1 = E[M - 1] E[Y] and
+    s2 = E[M - 1] E[Y^2] are sums over those weights divided by g, and
+    E[(M - 1)(M - 2)] E[Y]^2 = 2 s1^2. Every term is nonnegative, so nothing
+    cancels.
 
     Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1, for
     exact and large-n ages in both modes. The other stream's threshold
@@ -221,8 +222,9 @@ def _renewal(p, po, own, other):
     keeps it, and the large-n variance is 0. Where v_t exceeds e_t^2, D can
     be negative.
     """
-    q, e_t, v_t, delivered = own
-    _, e_o, v_o, _ = other
+    first = target is Stream.TYPE_I
+    p, po = mix.prob(target), (mix.p2 if first else mix.p1)
+    (q, e_t, v_t, delivered), (_, e_o, v_o, _) = (c_I, c_II) if first else (c_II, c_I)
     g = np.multiply(p, q)  # a float64 even for scalars, so x / 0 is inf, not an error
     w_t = p * (1.0 - q)
     s1 = (w_t * e_t + po * e_o) / g
@@ -234,20 +236,21 @@ def _renewal(p, po, own, other):
 
 def pair_ages(mix: StreamMix, c_I, c_II):
     """Ages of streams I and II on their ``_cycles`` c_I and c_II, which
-    broadcast together; a starved stream's ages are +inf. The one entry to
-    ``_renewal`` for scalar ages and the optimizer's threshold grids alike."""
+    broadcast together; a starved stream's ages are +inf. The entry to
+    ``_renewal`` for age_pair and the optimizer's threshold grids; s_moments,
+    which needs one stream's E[S] and E[S^2], is the other."""
     shape = np.broadcast_shapes(np.shape(c_I[1]), np.shape(c_II[1]))
     # Each triple is dropped before the next is computed, so no E[S] or
     # E[S^2] grid outlives its stream.
-    return (_renewal(mix.p1, mix.p2, c_I, c_II)[0] if mix.p1 > 0 else np.full(shape, np.inf),
-            _renewal(mix.p2, mix.p1, c_II, c_I)[0] if mix.p2 > 0 else np.full(shape, np.inf))
+    return tuple(_renewal(mix, t, c_I, c_II)[0] if mix.prob(t) > 0 else np.full(shape, np.inf)
+                 for t in Stream)
 
 
 def _check_ages(mix: StreamMix, ages) -> None:
     """Raise ValueError when a stream with nonzero share has an age that is
     not finite."""
-    for stream, p, age in zip(Stream, (mix.p1, mix.p2), ages):
-        if p > 0 and not math.isfinite(age):
+    for stream, age in zip(Stream, ages):
+        if mix.prob(stream) > 0 and not math.isfinite(age):
             raise ValueError(f"age_{stream.value} is {float(age)}: the inputs overflow")
 
 
@@ -266,14 +269,11 @@ def s_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:
     Raises StarvedStreamError when the target stream has zero share, and
     ValueError when its age overflows.
     """
-    first = target is Stream.TYPE_I
-    p, po = (s.mix.p1, s.mix.p2) if first else (s.mix.p2, s.mix.p1)
-    if p <= 0:
+    if s.mix.prob(target) <= 0:
         raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
     with np.errstate(all="ignore"):
-        age, m1, m2 = _renewal(p, po, *_scenario_cycles(s)[::1 if first else -1])
-    if not math.isfinite(age):
-        raise ValueError(f"age_{target.value} is {float(age)}: the inputs overflow")
+        age, m1, m2 = _renewal(s.mix, target, *_scenario_cycles(s))
+    _check_ages(s.mix, [age if t is target else 0.0 for t in Stream])  # the other age is not computed
     return Moments2(float(m1), float(m2))
 
 

@@ -206,9 +206,13 @@ def _search(template, n, axes, betas, zoom):
 
 
 def _neighbours(xs, i):
-    """Per beta, the grid points on either side of xs[b, i[b]], clipped to the grid."""
+    """Per beta, the grid points on either side of xs[b, i[b]], clipped to
+    the grid: the point before it and the point after its copies. A best
+    cell is the first copy of its value, so on an integer axis with repeats
+    both are the neighbouring distinct values."""
     b = np.arange(i.size)
-    return xs[b, np.maximum(i - 1, 0)], xs[b, np.minimum(i + 1, xs.shape[1] - 1)]
+    after = i + (xs == xs[b, i][:, None]).sum(axis=1)
+    return xs[b, np.maximum(i - 1, 0)], xs[b, np.minimum(after, xs.shape[1] - 1)]
 
 
 def _int_axis(lo, hi):
@@ -221,8 +225,8 @@ def _int_axis(lo, hi):
 
 
 def _exact_zoom(round_idx, k1s, k2s, i1, i2):
-    """Integer axes around each beta's best cell, until every axis lists
-    every integer of its window."""
+    """Integer axes between the distinct values on either side of each
+    beta's best cell, until every axis lists every integer of its window."""
     if all((ks[:, -1] - ks[:, 0] <= np.count_nonzero(np.diff(ks), axis=1)).all()
            for ks in (k1s, k2s)):
         return None

@@ -154,6 +154,17 @@ class TestIntegerAxis:
         assert ks.dtype == np.int64 and ks.size == 33
         assert ks[0] == 1 and ks[-1] == n and np.all(np.diff(ks) > 0)
 
+    def test_zoom_keeps_distinct_neighbours_of_a_complete_axis(self):
+        # A complete k1 axis, with repeats, is zoomed again while the k2 axis
+        # is still coarse; its window spans the distinct values on either
+        # side of the best k1, the first copy of its value.
+        k1s, k2s = opt_mod._int_axis(1, 5)[None], opt_mod._int_axis(1, 10**6)[None]
+        for k in range(1, 6):
+            i1 = np.flatnonzero(k1s[0] == k)[:1]
+            new1, new2 = opt_mod._exact_zoom(0, k1s, k2s, i1, np.array([16]))
+            assert (new1[0, 0], new1[0, -1]) == (max(k - 1, 1), min(k + 1, 5)), k
+            assert (new2[0, 0], new2[0, -1]) == (k2s[0, 15], k2s[0, 17])
+
     @pytest.mark.parametrize("n", [2**56, 2**63 - 1])
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(0.5)], ids=["atwill", "exo"])
     def test_search_ends_above_float_precision(self, monkeypatch, n, mode):
@@ -307,7 +318,8 @@ class TestBlocks:
         want = full_grid_search(template, n, axes, betas, zoom)
         # Groups of one beta, of two, and of every beta.
         for per_group in (1, 2, len(betas)):
-            monkeypatch.setattr(opt_mod, "_GROUP_CELLS", per_group * (axes[0].size + axes[1].size))
+            monkeypatch.setattr(opt_mod, "_GROUP_CELLS",
+                                per_group * max(axes[0].size + axes[1].size, 33 * 33))
             got = opt_mod._search(template, n, axes, betas, zoom)
             assert [x[:2] for x in got] == want, per_group
 
