@@ -15,13 +15,12 @@ entry equals the scalar age bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .orderstats import ShiftedExp, os_moments
+from .orderstats import ShiftedExp, _check_integer, _check_number, os_moments
 
 __all__ = [
     "Stream",
@@ -67,6 +66,7 @@ class Exogenous:
     mu: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mu", _check_number("mu", self.mu))
         if not (0.0 < self.mu < math.inf and 1.0 / self.mu / self.mu < math.inf):
             raise ValueError(f"mu must be finite and > 0 with a finite 1 / mu^2, got {self.mu}")
 
@@ -85,6 +85,7 @@ class StreamMix:
     p1: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p1", _check_number("p1", self.p1))
         if not 0.0 <= self.p1 <= 1.0:
             raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
 
@@ -94,19 +95,6 @@ class StreamMix:
 
     def prob(self, stream: Stream) -> float:
         return self.p1 if stream is Stream.TYPE_I else self.p2
-
-
-def _check_integer(name: str, v, at_least: int | None = None, at_most: int | None = None) -> int:
-    """v as an int in [at_least, at_most], where given; bools and
-    non-integral numbers are rejected."""
-    integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
-    if isinstance(v, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    if at_least is not None and v < at_least:
-        raise ValueError(f"{name} must be >= {at_least}, got {int(v)}")
-    if at_most is not None and v > at_most:
-        raise ValueError(f"{name} must be <= {at_most}, got {int(v)}")
-    return int(v)
 
 
 @dataclass(frozen=True)
@@ -124,10 +112,10 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_integer("n", self.n, 1, _N_MAX))
         for name in ("k1", "k2"):
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        for name, k in (("k1", self.k1), ("k2", self.k2)):
+            k = _check_integer(name, getattr(self, name))
             if not 1 <= k <= self.n:
                 raise ValueError(f"{name} must lie in [1, {self.n}], got {k}")
+            object.__setattr__(self, name, k)
 
     def threshold(self, stream: Stream) -> int:
         return self.k1 if stream is Stream.TYPE_I else self.k2
@@ -148,9 +136,11 @@ class ScenarioApprox:
     mode: Mode = AtWill()
 
     def __post_init__(self) -> None:
-        for name, a in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
+        for name in ("alpha1", "alpha2"):
+            a = _check_number(name, getattr(self, name))
             if not 0.0 < a < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {a}")
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)

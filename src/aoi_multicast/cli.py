@@ -5,11 +5,11 @@ outputs (pareto, sweep) are CSV files. All randomness is seed-explicit;
 the default seed is a fixed constant, never environment entropy.
 
 Every verb builds its scenarios through `parse_scenario`: it checks the JSON
-types and keys, and the dataclasses check the value ranges, so an error
-names the offending key (`delay_I.rate`, `alpha1`, ...). `sweep` sets the
-swept key in a copy of the document and parses each copy, so its values pass
-the same checks as the file; `--alpha1/--alpha2` must lie in (0, 1), and a
-ratio that `sweep` or `eval` does not use is an error.
+structure and keys, and the dataclasses check each value's type and range,
+so an error names the offending key (`delay_I.rate`, `alpha1`, ...).
+`sweep` sets the swept key in a copy of the document and parses each copy,
+so its values pass the same checks as the file; `--alpha1/--alpha2` must
+lie in (0, 1), and a ratio that `sweep` or `eval` does not use is an error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or schema error.
 """
@@ -34,7 +34,7 @@ from .analytic import (
     age_pair,
 )
 from .optimize import EXACT_LIMIT, ScenarioTemplate, pareto_frontier
-from .orderstats import ShiftedExp
+from .orderstats import ShiftedExp, _check_integer
 from .sim import DEFAULT_SEED, SimConfig, simulate
 
 __all__ = ["main", "run", "SchemaError", "load_scenario_file"]
@@ -63,28 +63,8 @@ def _get(doc: dict, key: str):
     return doc[name]
 
 
-def _number(doc: dict, key: str):
-    v = _get(doc, key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise SchemaError(key, f"must be a number, got {type(v).__name__}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise SchemaError(key, "must be finite, got an integer beyond the float range") from None
-
-
-def _integer(doc: dict, key: str, required: bool = True):
-    """The integer at a top-level key; None when the key is absent and not required."""
-    if key not in doc and not required:
-        return None
-    v = _get(doc, key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise SchemaError(key, f"must be an integer, got {type(v).__name__}")
-    return v
-
-
 def _build(prefix: str, cls, *args, **kwargs):
-    """cls(*args, **kwargs), with its range check's ValueError, whose message
+    """cls(*args, **kwargs), with its value check's ValueError, whose message
     starts with the field name, raised as a SchemaError keyed by prefix + field."""
     try:
         return cls(*args, **kwargs)
@@ -100,16 +80,15 @@ def _delay(doc: dict, key: str) -> ShiftedExp:
     extra = set(v) - {"rate", "shift"}
     if extra:
         raise SchemaError(f"{key}.{sorted(extra)[0]}", "unknown key")
-    rate, shift = _number(v, f"{key}.rate"), _number(v, f"{key}.shift")
-    return _build(f"{key}.", ShiftedExp, rate=rate, shift=shift)
+    return _build(f"{key}.", ShiftedExp, _get(v, f"{key}.rate"), _get(v, f"{key}.shift"))
 
 
 def parse_scenario(doc: dict, need_thresholds: bool = True):
     """Validate a scenario document and build (template, k1, k2).
 
-    The JSON types and keys are checked here, the value ranges by the
-    dataclasses. k1/k2 are None when absent and not required; any that are
-    given are range-checked.
+    The JSON structure and keys are checked here, each value's type and range
+    by the dataclasses. k1/k2 are None when absent and not required; any
+    that are given are checked.
     """
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "scenario document must be a JSON object")
@@ -117,10 +96,11 @@ def parse_scenario(doc: dict, need_thresholds: bool = True):
     if extra:
         raise SchemaError(sorted(extra)[0], "unknown key")
 
-    n = _integer(doc, "n")
+    # Required here, though a template may leave n out.
+    n = _build("", _check_integer, "n", _get(doc, "n"))
     delay_I = _delay(doc, "delay_I")
     delay_II = _delay(doc, "delay_II")
-    mix = _build("", StreamMix, _number(doc, "p1"))
+    mix = _build("", StreamMix, _get(doc, "p1"))
 
     mode_name = _get(doc, "mode")
     if mode_name == "at_will":
@@ -128,17 +108,16 @@ def parse_scenario(doc: dict, need_thresholds: bool = True):
             raise SchemaError("mu", "only valid with mode = exogenous")
         mode = AtWill()
     elif mode_name == "exogenous":
-        mode = _build("", Exogenous, _number(doc, "mu"))
+        mode = _build("", Exogenous, _get(doc, "mu"))
     else:
         raise SchemaError("mode", f'must be "at_will" or "exogenous", got {mode_name!r}')
 
-    k1 = _integer(doc, "k1", required=need_thresholds)
-    k2 = _integer(doc, "k2", required=need_thresholds)
     template = _build("", ScenarioTemplate, delay_I, delay_II, mix, mode, n)
-    if k1 is not None or k2 is not None:
+    given = {key: _get(doc, key) for key in ("k1", "k2") if need_thresholds or key in doc}
+    if given:
         # An absent threshold stands in as 1, which every n >= 1 admits.
-        _build("", template.with_thresholds, 1 if k1 is None else k1, 1 if k2 is None else k2)
-    return template, k1, k2
+        _build("", template.with_thresholds, **{"k1": 1, "k2": 1, **given})
+    return template, given.get("k1"), given.get("k2")
 
 
 def _load_json(path: str):

@@ -32,11 +32,10 @@ from .analytic import (
     StreamMix,
     _N_MAX,
     _check_ages,
-    _check_integer,
     _cycles,
     pair_ages,
 )
-from .orderstats import ShiftedExp
+from .orderstats import ShiftedExp, _check_integer, _check_number
 
 __all__ = ["ScenarioTemplate", "ParetoPoint", "pareto_frontier"]
 
@@ -90,9 +89,10 @@ class ParetoPoint:
 
 
 def _check_beta(beta: float) -> float:
+    beta = _check_number("beta", beta)
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return float(beta)
+    return beta
 
 
 def _check_starved_objective(mix: StreamMix, beta: float) -> None:

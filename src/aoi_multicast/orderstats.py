@@ -23,6 +23,30 @@ import numpy as np
 __all__ = ["ShiftedExp", "os_moments"]
 
 
+def _check_integer(name: str, v, at_least: int | None = None, at_most: int | None = None) -> int:
+    """v as an int in [at_least, at_most], where given: an int or numpy
+    integer, so bools and floats, integral or not, are rejected."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {type(v).__name__}")
+    v = int(v)
+    if at_least is not None and v < at_least:
+        raise ValueError(f"{name} must be >= {at_least}, got {v}")
+    if at_most is not None and v > at_most:
+        raise ValueError(f"{name} must be <= {at_most}, got {v}")
+    return v
+
+
+def _check_number(name: str, v) -> float:
+    """v as a float: a real number that is not a bool. An integer beyond the
+    float range is reported as not finite."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {type(v).__name__}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class ShiftedExp:
     """Link delay law ``shift + Exponential(rate)``.
@@ -35,13 +59,13 @@ class ShiftedExp:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
+        # Floats, so that k * rate cannot overflow int64 arithmetic at large k.
+        for name in ("rate", "shift"):
+            object.__setattr__(self, name, _check_number(name, getattr(self, name)))
         if not (0.0 < self.rate < math.inf and 2.0 / self.rate / self.rate < math.inf):
             raise ValueError(f"rate must be finite and > 0 with finite moments, got {self.rate}")
         if not (0.0 <= self.shift < math.inf and self.second_moment < math.inf):
             raise ValueError(f"shift must be finite and >= 0 with finite moments, got {self.shift}")
-        # Floats, so that k * rate cannot overflow int64 arithmetic at large k.
-        object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "shift", float(self.shift))
 
     @property
     def mean(self) -> float:

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import INFINITE_AGE, Exogenous, Scenario, Stream, _check_integer
-from .orderstats import ShiftedExp
+from .analytic import INFINITE_AGE, Exogenous, Scenario, Stream
+from .orderstats import ShiftedExp, _check_integer
 
 __all__ = [
     "DEFAULT_SEED",
@@ -71,6 +71,8 @@ class SimConfig:
     replications: int = 10
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario, Scenario):
+            raise ValueError(f"scenario must be a Scenario, got {type(self.scenario).__name__}")
         for name, at_least in (("cycles", 1), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), at_least))
 

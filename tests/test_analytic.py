@@ -87,6 +87,26 @@ def _sim_cycles(scenario, cycles, seed):
     return is_I, dur, own, hit
 
 
+# Each scalar of a scenario, built into the type that checks it.
+SCALARS = {
+    "n": lambda v: Scenario(v, 3, 5, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5)),
+    "k1": lambda v: Scenario(10, v, 5, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5)),
+    "k2": lambda v: Scenario(10, 3, v, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5)),
+    "rate": lambda v: ShiftedExp(v, 1.0),
+    "shift": lambda v: ShiftedExp(1.0, v),
+    "p1": StreamMix,
+    "mu": Exogenous,
+    "alpha1": lambda v: ScenarioApprox(v, 0.5, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5)),
+    "alpha2": lambda v: ScenarioApprox(0.5, v, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5)),
+}
+# (field, bad value, what the field must be): an integral float is no integer,
+# and a bool is neither an integer nor a number.
+BAD_SCALARS = ([(f, bad, "an integer") for f in ("n", "k1", "k2")
+                for bad in (True, 2.5, 10.0, None, "1")]
+               + [(f, bad, "a number") for f in ("rate", "shift", "p1", "mu", "alpha1", "alpha2")
+                  for bad in (True, None, "1")])
+
+
 class TestTypes:
     def test_stream_mix_validation(self):
         with pytest.raises(ValueError):
@@ -111,16 +131,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             ScenarioApprox(0.5, 1.0, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5))
 
-    @pytest.mark.parametrize("field", ["n", "k1", "k2"])
-    @pytest.mark.parametrize("bad", [True, 2.5])
-    def test_scenario_rejects_bool_and_fraction(self, field, bad):
-        kw = dict(n=10, k1=3, k2=5)
-        kw[field] = bad
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            Scenario(delay_I=ShiftedExp(1), delay_II=ShiftedExp(1), mix=StreamMix(0.5), **kw)
+    @pytest.mark.parametrize("field,bad,kind", BAD_SCALARS,
+                             ids=[f"{bad}-{field}" for field, bad, _ in BAD_SCALARS])
+    def test_scenario_rejects_bool_and_fraction(self, field, bad, kind):
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {type(bad).__name__}$"):
+            SCALARS[field](bad)
 
-    def test_scenario_accepts_integral_float(self):
-        s = Scenario(10.0, 3.0, np.int64(5), ShiftedExp(1), ShiftedExp(1), StreamMix(0.5))
+    def test_scenario_stores_numpy_integers_as_int(self):
+        s = Scenario(np.int64(10), np.int64(3), np.int64(5), ShiftedExp(1), ShiftedExp(1),
+                     StreamMix(0.5))
         assert (s.n, s.k1, s.k2) == (10, 3, 5)
         assert all(type(v) is int for v in (s.n, s.k1, s.k2))
 

@@ -67,6 +67,35 @@ EVERY_VERB = pytest.mark.parametrize("verb", [
 ], ids=lambda v: v[0])
 
 
+# (patch, key, the rest of the error line) of scenario documents that
+# `eval` rejects.
+SCHEMA_VIOLATIONS = [
+    ({"n": 0}, "n", "must be >= 1, got 0"),
+    ({"k1": 11}, "k1", "must lie in [1, 10], got 11"),
+    ({"p1": 1.5}, "p1", "must lie in [0, 1], got 1.5"),
+    ({"mode": "bogus"}, "mode", 'must be "at_will" or "exogenous", got \'bogus\''),
+    ({"mode": "exogenous"}, "mu", "missing required key"),
+    ({"delay_I": {"rate": -1.0, "shift": 0.0}}, "delay_I.rate",
+     "must be finite and > 0 with finite moments, got -1.0"),
+    ({"surplus": 1}, "surplus", "unknown key"),
+    ({"delay_I": {"rate": 1.0}}, "delay_I.shift", "missing required key"),
+    ({"k1": 0}, "k1", "must lie in [1, 10], got 0"),
+    ({"delay_II": {"rate": 1.0, "shift": -1.0}}, "delay_II.shift",
+     "must be finite and >= 0 with finite moments, got -1.0"),
+    # JSON null is a value of the wrong type, not an absent key.
+    ({"p1": None}, "p1", "must be a number, got NoneType"),
+    ({"mode": "exogenous", "mu": None}, "mu", "must be a number, got NoneType"),
+    ({"delay_I": {"rate": 1.0, "shift": None}}, "delay_I.shift",
+     "must be a number, got NoneType"),
+    ({"n": None}, "n", "must be an integer, got NoneType"),
+    ({"k1": None}, "k1", "must be an integer, got NoneType"),
+    ({"n": "ten"}, "n", "must be an integer, got str"),
+    ({"p1": "x"}, "p1", "must be a number, got str"),
+    ({"delay_I": 3}, "delay_I", "must be an object with keys rate, shift"),
+    ({"delay_I": {"rate": 1.0, "shift": 1.0, "scale": 2.0}}, "delay_I.scale", "unknown key"),
+]
+
+
 class TestEval:
     def test_single_node_zero_wait(self, scenario_file, capsys):
         rc = main(["eval", scenario_file(SINGLE_NODE)])
@@ -116,36 +145,17 @@ class TestEval:
         assert captured.err.startswith(f"error: {option}: used only with --approx")
 
     @pytest.mark.parametrize(
-        "patch,key",
-        [
-            ({"n": 0}, "n"),
-            ({"k1": 11}, "k1"),
-            ({"p1": 1.5}, "p1"),
-            ({"mode": "bogus"}, "mode"),
-            ({"mode": "exogenous"}, "mu"),
-            ({"delay_I": {"rate": -1.0, "shift": 0.0}}, "delay_I.rate"),
-            ({"surplus": 1}, "surplus"),
-            ({"delay_I": {"rate": 1.0}}, "delay_I.shift"),
-            ({"k1": 0}, "k1"),
-            ({"delay_II": {"rate": 1.0, "shift": -1.0}}, "delay_II.shift"),
-            # JSON null is a value of the wrong type, not an absent key.
-            ({"p1": None}, "p1"),
-            ({"mode": "exogenous", "mu": None}, "mu"),
-            ({"delay_I": {"rate": 1.0, "shift": None}}, "delay_I.shift"),
-            ({"n": None}, "n"),
-            ({"k1": None}, "k1"),
-            ({"n": "ten"}, "n"),
-            ({"p1": "x"}, "p1"),
-            ({"delay_I": 3}, "delay_I"),
-            ({"delay_I": {"rate": 1.0, "shift": 1.0, "scale": 2.0}}, "delay_I.scale"),
-        ],
+        "patch,key,message",
+        SCHEMA_VIOLATIONS,
+        # pytest's own ids for the patch and key columns alone.
+        ids=[f"patch{i}-{key}" for i, (_, key, _) in enumerate(SCHEMA_VIOLATIONS)],
     )
-    def test_schema_violation_names_key(self, scenario_file, capsys, patch, key):
+    def test_schema_violation_names_key(self, scenario_file, capsys, patch, key, message):
         doc = dict(SCENARIO)
         doc.update(patch)
         rc = main(["eval", scenario_file(doc)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert capsys.readouterr().err == f"error: {key}: {message}\n"
 
     @EVERY_VERB
     @pytest.mark.parametrize("field", ["rate", "shift"])

@@ -53,14 +53,14 @@ def brute_force(template, beta):
 
 
 class TestScenarioTemplate:
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, 25.0])
     def test_rejects_bad_n(self, bad):
         with pytest.raises(ValueError, match="^n must be"):
             asymmetric_template(n=bad)
 
     def test_n_may_be_absent_or_integral(self):
         assert asymmetric_template(n=None).n is None
-        assert type(asymmetric_template(n=25.0).n) is int
+        assert type(asymmetric_template(n=np.int64(25)).n) is int
 
 
 class TestOptimizeExact:
@@ -115,7 +115,12 @@ class TestOptimizeExact:
          ValueError, "unknown evaluator 'bogus'"),
         (lambda t: dataclasses.replace(t, n=None).with_thresholds(1, 1),
          ValueError, "template needs n"),
-    ], ids=["type-I-starved", "exact-without-n", "unknown-evaluator", "thresholds-without-n"])
+        (lambda t: pareto_frontier(t, [True]), ValueError, "^beta must be a number, got bool$"),
+        (lambda t: pareto_frontier(t, [None]), ValueError,
+         "^beta must be a number, got NoneType$"),
+        (lambda t: pareto_frontier(t, ["1"]), ValueError, "^beta must be a number, got str$"),
+    ], ids=["type-I-starved", "exact-without-n", "unknown-evaluator", "thresholds-without-n",
+            "beta-True", "beta-None", "beta-str"])
     def test_bad_call_rejected(self, call, error, message):
         with pytest.raises(error, match=message):
             call(asymmetric_template())
@@ -442,7 +447,7 @@ class TestOptimizeApprox:
         assert pt.alpha1 == pytest.approx(pt.alpha2, abs=1e-12)
         assert float(pt.age_I) == pytest.approx(float(pt.age_II), rel=1e-12)
 
-    @pytest.mark.parametrize("grid", [0, -3, 32769, 2.5, True])
+    @pytest.mark.parametrize("grid", [0, -3, 32769, 2.5, True, 10.0])
     def test_grid_below_one_rejected(self, grid):
         tpl = symmetric_template()
         with pytest.raises(ValueError, match="grid"):

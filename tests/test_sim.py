@@ -14,6 +14,7 @@ from aoi_multicast.analytic import (
     Exogenous,
     Moments2,
     Scenario,
+    ScenarioApprox,
     Stream,
     StreamMix,
     age_pair,
@@ -224,15 +225,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SimConfig(s, seed=-1)
         assert SimConfig(s, seed=0).seed == 0
+        approx = ScenarioApprox(0.3, 0.5, s.delay_I, s.delay_II, s.mix)
+        for bad, kind in ((approx, "ScenarioApprox"), ("scen.json", "str")):
+            with pytest.raises(ValueError, match=f"^scenario must be a Scenario, got {kind}$"):
+                SimConfig(bad)
 
     @pytest.mark.parametrize("field", ["cycles", "replications", "seed"])
-    @pytest.mark.parametrize("value", [True, 2.5])
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0, None])
     def test_rejects_bool_and_fractional(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(mixed_scenario(), **{field: value})
 
-    def test_integral_float_stored_as_int(self):
-        cfg = SimConfig(mixed_scenario(), cycles=20000.0, replications=np.int64(10))
+    def test_numpy_integer_stored_as_int(self):
+        cfg = SimConfig(mixed_scenario(), cycles=np.int64(20000), replications=np.int64(10))
         assert type(cfg.cycles) is int and cfg.cycles == 20000
         assert type(cfg.replications) is int and cfg.replications == 10
 
@@ -241,15 +246,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="threads"):
             simulate(cfg, threads=0)
 
-    @pytest.mark.parametrize("threads", [True, 1.5])
+    @pytest.mark.parametrize("threads", [True, 1.5, 2.0])
     def test_rejects_bool_and_fractional_threads(self, threads):
         cfg = SimConfig(mixed_scenario(), cycles=2_000, replications=2)
         with pytest.raises(ValueError, match="^threads must be an integer"):
             simulate(cfg, threads=threads)
 
-    def test_integral_float_threads_accepted(self):
+    def test_numpy_integer_threads_accepted(self):
         cfg = SimConfig(mixed_scenario(), cycles=2_000, replications=2)
-        assert simulate(cfg, threads=2.0) == simulate(cfg, threads=1)
+        assert simulate(cfg, threads=np.int64(2)) == simulate(cfg, threads=1)
 
 
 class TestSimulate:
