@@ -97,6 +97,16 @@ class StreamMix:
         return self.p1 if stream is Stream.TYPE_I else self.p2
 
 
+def _check_fields(s) -> None:
+    """Raise ValueError, named by field, unless the delay laws, mix and mode
+    of a scenario or template have their types."""
+    for name, kind in (("delay_I", ShiftedExp), ("delay_II", ShiftedExp), ("mix", StreamMix),
+                       ("mode", Mode)):
+        if not isinstance(v := getattr(s, name), kind):
+            what = "an AtWill or Exogenous" if kind is Mode else f"a {kind.__name__}"
+            raise ValueError(f"{name} must be {what}, got {type(v).__name__}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full experiment description with integer stopping thresholds."""
@@ -116,6 +126,7 @@ class Scenario:
             if not 1 <= k <= self.n:
                 raise ValueError(f"{name} must lie in [1, {self.n}], got {k}")
             object.__setattr__(self, name, k)
+        _check_fields(self)
 
     def threshold(self, stream: Stream) -> int:
         return self.k1 if stream is Stream.TYPE_I else self.k2
@@ -141,6 +152,7 @@ class ScenarioApprox:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {a}")
             object.__setattr__(self, name, a)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,19 @@
 """Weighted threshold selection and pareto frontiers for the two stream ages.
 
 The weighted objective beta * age_I + (1 - beta) * age_II is minimized over
-integer thresholds (exact evaluator) or threshold ratios (large-n
-evaluator). Both ages are submodular, as TestLemma1 checks, so on a
-threshold grid each objective is a Monge array: on the first grid, a
-divide-and-conquer search for its row minima finds the first row-major
-argmin from O(side log side) cells per beta. Each level of that search
-makes one kernel call for a group of betas, on cells gathered from each
-axis's cycle moments, which are computed once per grid. The integer search
-lists every k up to n = EXACT_LIMIT and is then exact; above that it starts
-from 33 integers per axis and zooms into each beta's winning cell, which
-may miss the optimum. The ratio search refines its grid with REFINE_ROUNDS
-rounds of 33 ratios around each winning cell. A zoom round scores the
-33 x 33 grids of a group of betas whole, in one kernel call, so its argmin
-holds where rounding breaks the Monge property, at n above about 10^8.
+integer thresholds k: of n receivers (exact evaluator), or of a virtual
+n = 256 (grid + 1) in the large-n ages at alpha = k / n (approx evaluator).
+Both ages are submodular, as TestLemma1 checks, so each objective is a Monge
+array: on the first grid, a divide-and-conquer search for its row minima
+finds the first row-major argmin from O(side log side) cells per beta, one
+kernel call per level for a group of betas. One zoom rule follows: 33
+integers between the distinct neighbours of each beta's best cell, until
+every axis lists every integer of its window. The exact first grid lists
+every k up to EXACT_LIMIT, and is then exact, or 33 integers, which may
+miss the optimum; the approx one, j / (grid + 1), ends in two rounds at a
+resolution of 1 / (256 (grid + 1)). A zoom round scores its grids whole in
+one kernel call, so its argmin holds where rounding breaks the Monge
+property, at n above about 10^8.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .analytic import (
     StreamMix,
     _N_MAX,
     _check_ages,
+    _check_fields,
     _cycles,
     pair_ages,
 )
@@ -44,7 +45,6 @@ __all__ = ["ScenarioTemplate", "ParetoPoint", "pareto_frontier"]
 EXACT_LIMIT = 1 << 15
 # Largest approx grid side: there 33 betas take about 2 s.
 GRID_LIMIT = 1 << 15
-REFINE_ROUNDS = 2
 # Betas searched together times the larger of the first grid's rows plus
 # columns and a zoom grid's cells, which bounds the cells of one search
 # level or zoom round and so the search's memory.
@@ -64,6 +64,7 @@ class ScenarioTemplate:
     def __post_init__(self) -> None:
         if self.n is not None:
             object.__setattr__(self, "n", _check_integer("n", self.n, 1, _N_MAX))
+        _check_fields(self)
 
     def with_thresholds(self, k1: int, k2: int) -> Scenario:
         if self.n is None:
@@ -71,9 +72,7 @@ class ScenarioTemplate:
         return Scenario(self.n, k1, k2, self.delay_I, self.delay_II, self.mix, self.mode)
 
     def with_alphas(self, alpha1: float, alpha2: float) -> ScenarioApprox:
-        return ScenarioApprox(
-            alpha1, alpha2, self.delay_I, self.delay_II, self.mix, self.mode
-        )
+        return ScenarioApprox(alpha1, alpha2, self.delay_I, self.delay_II, self.mix, self.mode)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def _segment_minima(mix, tables, weights, own, other, lengths):
     return out
 
 
-def _row_minima(template, n, x1, x2, betas):
+def _row_minima(cycles, mix, x1, x2, betas):
     """Per beta, the first row-major argmin (i1, i2) of its objective on the
     grid x1 x x2.
 
@@ -157,12 +156,12 @@ def _row_minima(template, n, x1, x2, betas):
     gathered from (4, points) tables of each axis's cycles.
     """
     rows, cols, b = x1.size, x2.size, np.arange(betas.size)
-    tables = [np.stack(c) for c in _cycles(template, n, x1, x2)]
+    tables = [np.stack(c) for c in cycles(x1, x2)]
     low, arg = np.empty((b.size, rows)), np.empty((b.size, rows), np.int64)
     r0, r1, c0, c1 = np.zeros_like(b), np.full_like(b, rows), np.zeros_like(b), np.full_like(b, cols - 1)
     while b.size:  # the row intervals [r0, r1) of betas b, on columns c0..c1
         mid = (r0 + r1) // 2
-        low[b, mid], at = _segment_minima(template.mix, tables, betas[b], mid, c0, c1 - c0 + 1)
+        low[b, mid], at = _segment_minima(mix, tables, betas[b], mid, c0, c1 - c0 + 1)
         col = arg[b, mid] = c0 + at
         b, r0, r1, c0, c1 = (np.concatenate(x) for x in
                              ((b, b), (r0, mid + 1), (mid, r1), (c0, col), (col, c1)))
@@ -171,18 +170,14 @@ def _row_minima(template, n, x1, x2, betas):
     return i1, arg[np.arange(betas.size), i1]
 
 
-def _search(template, n, axes, betas, zoom):
-    """Per beta, (x1, x2, objective, age_I, age_II) at the best cell of the
-    grid axes[0] x axes[1], zoomed while ``zoom(round, x1s, x2s, i1, i2)``
-    returns new axes, one row of 33 points per beta.
-
-    ``_row_minima`` searches the first grid, which all betas share; each
-    zoom round is scored whole, the grids of all betas in one kernel call.
-    Thresholds are k with n receivers, or ratios alpha when n is None. Ties
-    break to the first row-major argmin: the lexicographically smallest
-    (x1, x2). A NaN cell wins as in np.argmin in a zoom round, and on the
-    first grid wherever the search evaluates it. Overflow in the kernel
-    gives inf or NaN cells, not warnings.
+def _search(cycles, mix, axes, betas):
+    """Per beta, (k1, k2, objective, age_I, age_II) at the best cell of the
+    integer grid axes[0] x axes[1], searched by ``_row_minima`` and zoomed
+    while ``_zoom`` returns new axes; ``cycles(k1, k2)`` gives the
+    ``_cycles`` of both streams of mix. Ties break to the first row-major
+    argmin, the lexicographically smallest (k1, k2). A NaN cell wins as in
+    np.argmin in a zoom round, and on the first grid wherever the search
+    evaluates it. Overflow gives inf or NaN cells, not warnings.
     """
     betas, best = np.array(betas, dtype=float), []
     step = max(1, _GROUP_CELLS // max(axes[0].size + axes[1].size, 33 * 33))
@@ -190,16 +185,14 @@ def _search(template, n, axes, betas, zoom):
         b = np.arange(group.size)
         x1, x2 = (np.broadcast_to(x, (group.size, x.size)) for x in axes)
         with np.errstate(all="ignore"):
-            i1, i2 = _row_minima(template, n, *axes, group)
-            for round_idx in itertools.count():
-                if (zoomed := zoom(round_idx, x1, x2, i1, i2)) is None:
-                    break
+            i1, i2 = _row_minima(cycles, mix, *axes, group)
+            while (zoomed := _zoom(x1, x2, i1, i2)) is not None:
                 x1, x2 = zoomed
-                ages = pair_ages(template.mix, *_cycles(template, n, x1[:, :, None], x2[:, None]))
+                ages = pair_ages(mix, *cycles(x1[:, :, None], x2[:, None]))
                 obj = _objective(group[:, None, None], *ages).reshape(group.size, -1)
                 i1, i2 = np.divmod(np.argmin(obj, axis=1), x2.shape[1])
             x1, x2 = x1[b, i1], x2[b, i2]
-            ages = pair_ages(template.mix, *_cycles(template, n, x1, x2))
+            ages = pair_ages(mix, *cycles(x1, x2))
             best += zip(x1.tolist(), x2.tolist(), _objective(group, *ages).tolist(),
                         *(a.tolist() for a in ages))
     return best
@@ -216,29 +209,24 @@ def _neighbours(xs, i):
 
 
 def _int_axis(lo, hi):
-    """The 33 integers lo + (hi - lo) i / 32, each rounded half to even in
-    exact arithmetic, so that the axis lists every integer of a narrow
-    window at any n."""
-    lo, hi = int(lo), int(hi)
-    xs = (divmod(32 * lo + (hi - lo) * i, 32) for i in range(33))
-    return np.array([q + (r > 16 or (r == 16 and q % 2)) for q, r in xs], dtype=np.int64)
+    """Per window [lo, hi], the 33 integers lo + (hi - lo) i / 32 rounded half
+    to even, so that the axis lists every integer of a narrow window at any
+    n; exact in int64: with hi - lo = 32 a + b, the quotient is a i + b i // 32."""
+    i = np.arange(33)
+    lo, hi = np.asarray(lo, np.int64)[..., None], np.asarray(hi, np.int64)[..., None]
+    a, b = np.divmod(hi - lo, 32)
+    q, r = np.divmod(b * i, 32)
+    xs = lo + a * i + q
+    return xs + ((r > 16) | ((r == 16) & (xs % 2 == 1)))
 
 
-def _exact_zoom(round_idx, k1s, k2s, i1, i2):
-    """Integer axes between the distinct values on either side of each
-    beta's best cell, until every axis lists every integer of its window."""
+def _zoom(k1s, k2s, i1, i2):
+    """Per beta, integer axes between the distinct values on either side of
+    its best cell, or None once every axis lists every integer of its window."""
     if all((ks[:, -1] - ks[:, 0] <= np.count_nonzero(np.diff(ks), axis=1)).all()
            for ks in (k1s, k2s)):
         return None
-    return tuple(np.array([_int_axis(lo, hi) for lo, hi in zip(*_neighbours(ks, i))])
-                 for ks, i in ((k1s, i1), (k2s, i2)))
-
-
-def _approx_zoom(round_idx, a1s, a2s, i1, i2):
-    """REFINE_ROUNDS rounds of 33 ratios between each best cell's neighbours."""
-    if round_idx == REFINE_ROUNDS:
-        return None
-    return tuple(np.linspace(*_neighbours(xs, i), 33, axis=1) for xs, i in ((a1s, i1), (a2s, i2)))
+    return tuple(_int_axis(*_neighbours(ks, i)) for ks, i in ((k1s, i1), (k2s, i2)))
 
 
 def pareto_frontier(
@@ -257,9 +245,10 @@ def pareto_frontier(
     The exact evaluator finds the optimum for n up to EXACT_LIMIT; above it
     the search is coarse-to-fine and may miss it. grid, the approx
     evaluator's ratio count per axis, lies in [1, GRID_LIMIT] and defaults
-    to 512; the exact evaluator takes none. A point's ages are the search's
-    kernel cells, equal to age_pair's bit for bit, and a non-finite age of a
-    stream with nonzero share raises ValueError.
+    to 512; the exact evaluator takes none. The approx ratios lie on the
+    lattice k / (256 (grid + 1)). A point's ages are the search's kernel
+    cells, equal to age_pair's bit for bit, and a non-finite age of a stream
+    with nonzero share raises ValueError.
 
     Output is sorted by age_I ascending; duplicate optima (several betas
     landing on the same thresholds) are collapsed to one point.
@@ -276,22 +265,22 @@ def pareto_frontier(
         if n is None:
             raise ValueError("exact evaluator needs n in the template")
         ks = np.arange(1, n + 1) if n <= EXACT_LIMIT else _int_axis(1, n)
-        axes, zoom, names = (ks, ks), _exact_zoom, ("k1", "k2")
+        cycles = lambda k1, k2: _cycles(template, n, k1, k2)
     elif evaluator == "approx":
-        grid, n = _check_integer("grid", 512 if grid is None else grid, 1, GRID_LIMIT), None
-        # Open-domain grid with endpoints 1/(G+1) and G/(G+1); refinement
-        # zooms between two grid points, so it never leaves these bounds and
-        # a corner optimum lands exactly on the minimal grid point.
-        alphas = np.linspace(1.0 / (grid + 1), grid / (grid + 1), grid)
-        axes, zoom, names = (alphas, alphas), _approx_zoom, ("alpha1", "alpha2")
+        grid = _check_integer("grid", 512 if grid is None else grid, 1, GRID_LIMIT)
+        # The first axis is j / (grid + 1), and each zoom round steps a 16th of
+        # the last, so a corner optimum lands exactly on 1 / (grid + 1).
+        lattice = 256 * (grid + 1)
+        ks = np.arange(256, lattice, 256)
+        cycles = lambda k1, k2: _cycles(template, None, k1 / lattice, k2 / lattice)
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}")
     unique = {}  # the first point of each optimum
-    for beta, (x1, x2, objective, age_I, age_II) in zip(
-            betas, _search(template, n, axes, betas, zoom)):
+    for beta, (k1, k2, objective, age_I, age_II) in zip(
+            betas, _search(cycles, template.mix, (ks, ks), betas)):
         _check_ages(template.mix, (age_I, age_II))
-        unique.setdefault((x1, x2), ParetoPoint(beta, age_I, age_II, objective,
-                                                **dict(zip(names, (x1, x2)))))
+        xs = (k1, k2) if evaluator == "exact" else (None, None, k1 / lattice, k2 / lattice)
+        unique.setdefault((k1, k2), ParetoPoint(beta, age_I, age_II, objective, *xs))
     # p is dominated when some q is at least as good in both ages and better in one
     q = np.array([(p.age_I, p.age_II) for p in unique.values()])
     p = q[:, None]

@@ -33,15 +33,24 @@ def grid_ages(s, n, x1, x2):
     return pair_ages(s.mix, *_cycles(s, n, x1, x2))
 
 
-def full_grid_argmins(s, n, x1, x2, betas):
+def full_grid_argmins(cycles, mix, x1, x2, betas):
     """Per beta, the (i1, i2) of np.argmin over the whole weighted grid
-    x1 x x2 of ``grid_ages``; a zero-weight age is left out."""
-    age_I, age_II = grid_ages(s, n, np.asarray(x1)[:, None], np.asarray(x2)[None, :])
+    x1 x x2, whose ages come from ``cycles(x1, x2)``, the ``_cycles`` of
+    both streams of mix; a zero-weight age is left out."""
+    age_I, age_II = pair_ages(mix, *cycles(np.asarray(x1)[:, None], np.asarray(x2)[None, :]))
     picks = []
     for beta in betas:
         obj = age_I if beta == 1.0 else age_II if beta == 0.0 else beta * age_I + (1 - beta) * age_II
         picks.append(divmod(int(np.argmin(obj)), age_I.shape[1]))
     return picks
+
+
+def int_axis(lo, hi):
+    """The 33 integers lo + (hi - lo) i / 32 of the window [lo, hi], each
+    rounded half to even, in Python's unbounded integers."""
+    lo, hi = int(lo), int(hi)
+    xs = (divmod(32 * lo + (hi - lo) * i, 32) for i in range(33))
+    return np.array([q + (r > 16 or (r == 16 and q % 2)) for q, r in xs], dtype=np.int64)
 
 
 def geometric_moments(p: float) -> Moments2:

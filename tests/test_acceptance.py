@@ -22,10 +22,11 @@ from aoi_multicast.analytic import (
     ScenarioApprox,
     Stream,
     StreamMix,
+    _cycles,
     age_pair,
 )
 from aoi_multicast.cli import main as cli_main
-from aoi_multicast.optimize import ScenarioTemplate, _approx_zoom, _search, pareto_frontier
+from aoi_multicast.optimize import ScenarioTemplate, _search, pareto_frontier
 from aoi_multicast.orderstats import ShiftedExp
 from aoi_multicast.sim import SimConfig, simulate
 from oracles import grid_ages, replication_traces
@@ -106,17 +107,22 @@ def test_criterion_03_approximation_convergence():
 
 
 def test_criterion_04_lemma1_corners():
-    # The approx search with the weighted ratio held at one point.
+    # The approx search, on ratios k / lattice, with the weighted ratio held
+    # at one point.
     tpl = ScenarioTemplate(ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(0.5), AtWill())
     grid = 128
-    floor = 1 / (grid + 1)
-    axis = np.linspace(floor, grid / (grid + 1), grid)
-    for a1 in (0.1, 0.3, 0.5, 0.7, 0.9):
-        (_, alpha2, *_), = _search(tpl, None, (np.array([a1]), axis), [1.0], _approx_zoom)
-        assert alpha2 == pytest.approx(floor, abs=1e-15)
-    for a2 in (0.1, 0.3, 0.5, 0.7, 0.9):
-        (alpha1, *_), = _search(tpl, None, (axis, np.array([a2])), [0.0], _approx_zoom)
-        assert alpha1 == pytest.approx(floor, abs=1e-15)
+    floor, lattice = 1 / (grid + 1), 256 * (grid + 1)
+    axis = np.arange(256, lattice, 256)
+
+    def cycles(k1, k2):
+        return _cycles(tpl, None, k1 / lattice, k2 / lattice)
+
+    for a in (0.1, 0.3, 0.5, 0.7, 0.9):
+        held = np.array([round(a * lattice)])
+        (_, k2, *_), = _search(cycles, tpl.mix, (held, axis), [1.0])
+        assert k2 / lattice == pytest.approx(floor, abs=1e-15)
+        (k1, *_), = _search(cycles, tpl.mix, (axis, held), [0.0])
+        assert k1 / lattice == pytest.approx(floor, abs=1e-15)
     # Lemma 1 and its mirror: age_I grows with alpha2, and age_II with alpha1.
     grid = np.linspace(0.01, 0.99, 99)
     assert np.all(np.diff(grid_ages(tpl, None, 0.5, grid)[0]) > 0)

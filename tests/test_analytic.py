@@ -19,6 +19,7 @@ from aoi_multicast.analytic import (
     age_pair,
     s_moments,
 )
+from aoi_multicast.optimize import ScenarioTemplate
 from aoi_multicast.orderstats import ShiftedExp, os_moments
 from oracles import geometric_moments, grid_ages, os_second_moment, other, ybar_moments
 
@@ -105,6 +106,19 @@ BAD_SCALARS = ([(f, bad, "an integer") for f in ("n", "k1", "k2")
                 for bad in (True, 2.5, 10.0, None, "1")]
                + [(f, bad, "a number") for f in ("rate", "shift", "p1", "mu", "alpha1", "alpha2")
                   for bad in (True, None, "1")])
+# The delay laws, mix and mode of each scenario type, set on a valid one and
+# keyed "type.field"; a float, None or a mode's name is no instance of them.
+SCALARS.update({f"{type(s).__name__}.{f}": lambda v, s=s, f=f: dataclasses.replace(s, **{f: v})
+                for s in (Scenario(10, 3, 5, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5)),
+                          ScenarioApprox(0.3, 0.5, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5)),
+                          ScenarioTemplate(ShiftedExp(1), ShiftedExp(1), StreamMix(0.5), n=10))
+                for f in ("delay_I", "delay_II", "mix", "mode")})
+BAD_SCALARS += [(f"{t}.{f}", bad, kind) for t in ("Scenario", "ScenarioApprox", "ScenarioTemplate")
+                for f, bad, kind in (("delay_I", 1.0, "a ShiftedExp"),
+                                     ("delay_II", None, "a ShiftedExp"),
+                                     ("mix", 0.6, "a StreamMix"),
+                                     ("mode", "exogenous", "an AtWill or Exogenous"),
+                                     ("mode", 2.0, "an AtWill or Exogenous"))]
 
 
 class TestTypes:
@@ -134,7 +148,8 @@ class TestTypes:
     @pytest.mark.parametrize("field,bad,kind", BAD_SCALARS,
                              ids=[f"{bad}-{field}" for field, bad, _ in BAD_SCALARS])
     def test_scenario_rejects_bool_and_fraction(self, field, bad, kind):
-        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {type(bad).__name__}$"):
+        name = field.rpartition(".")[2]
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {type(bad).__name__}$"):
             SCALARS[field](bad)
 
     def test_scenario_stores_numpy_integers_as_int(self):

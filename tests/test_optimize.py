@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from aoi_multicast.analytic import (
 )
 from aoi_multicast.optimize import ScenarioTemplate, pareto_frontier
 from aoi_multicast.orderstats import ShiftedExp
-from oracles import full_grid_argmins, grid_ages
+from oracles import full_grid_argmins, grid_ages, int_axis
 
 # The ratio axis of the Lemma 1 checks.
 ALPHAS = np.linspace(0.01, 0.99, 99)
@@ -127,11 +128,11 @@ class TestOptimizeExact:
 
     def test_coarse_to_fine_agrees_with_exhaustive(self):
         tpl, betas = asymmetric_template(n=60), [0.3, 0.7]
-        ks = np.arange(1, tpl.n + 1)
-        exhaustive = opt_mod._search(tpl, tpl.n, (ks, ks), betas, opt_mod._exact_zoom)
+        cycles, ks = partial(_cycles, tpl, tpl.n), np.arange(1, tpl.n + 1)
+        exhaustive = opt_mod._search(cycles, tpl.mix, (ks, ks), betas)
         # force the multi-resolution path explicitly
         ks = opt_mod._int_axis(1, tpl.n)
-        assert opt_mod._search(tpl, tpl.n, (ks, ks), betas, opt_mod._exact_zoom) == exhaustive
+        assert opt_mod._search(cycles, tpl.mix, (ks, ks), betas) == exhaustive
 
     def test_coarse_to_fine_pinned_at_2048(self):
         # The benchmark's pareto_c2f rows. n = 2048 is below EXACT_LIMIT, so
@@ -153,6 +154,20 @@ class TestIntegerAxis:
             expect = np.rint(np.linspace(lo, hi, 33)).astype(np.int64)
             np.testing.assert_array_equal(opt_mod._int_axis(lo, hi), expect)
 
+    def test_equals_scalar_reference(self):
+        # The windows of all betas are built in one int64 pass; the reference
+        # builds each in Python's unbounded integers.
+        rng = np.random.default_rng(82)
+        top = 2**63 - 1
+        his = np.concatenate([rng.integers(1, top, 2000, endpoint=True),
+                              rng.integers(1, 4096, 1000, endpoint=True), [top, top, 1]])
+        widths = np.concatenate([rng.integers(0, his[:1000], endpoint=False),
+                                 rng.integers(0, 2048, 1000), his[2000:3000] - 1, [1, 0, 0]])
+        los = np.maximum(his - widths, 1)
+        expect = np.array([int_axis(lo, hi) for lo, hi in zip(los.tolist(), his.tolist())])
+        assert (los == his).any() and [top - 1, top] in np.stack([los, his], axis=1).tolist()
+        np.testing.assert_array_equal(opt_mod._int_axis(los, his), expect)
+
     def test_top_of_int64(self):
         n = 2**63 - 1
         ks = opt_mod._int_axis(1, n)
@@ -166,7 +181,7 @@ class TestIntegerAxis:
         k1s, k2s = opt_mod._int_axis(1, 5)[None], opt_mod._int_axis(1, 10**6)[None]
         for k in range(1, 6):
             i1 = np.flatnonzero(k1s[0] == k)[:1]
-            new1, new2 = opt_mod._exact_zoom(0, k1s, k2s, i1, np.array([16]))
+            new1, new2 = opt_mod._zoom(k1s, k2s, i1, np.array([16]))
             assert (new1[0, 0], new1[0, -1]) == (max(k - 1, 1), min(k + 1, 5)), k
             assert (new2[0, 0], new2[0, -1]) == (k2s[0, 15], k2s[0, 17])
 
@@ -175,13 +190,14 @@ class TestIntegerAxis:
     def test_search_ends_above_float_precision(self, monkeypatch, n, mode):
         # Above 2^53 float64 cannot list every integer of a window, so a float
         # axis never narrowed to one integer per point and the zoom never ended.
-        zoom = opt_mod._exact_zoom
+        zoom, rounds = opt_mod._zoom, []
 
-        def bounded_zoom(round_idx, *cell):
-            assert round_idx < 64, "the zoom does not converge"
-            return zoom(round_idx, *cell)
+        def bounded_zoom(*cell):
+            rounds.append(None)
+            assert len(rounds) <= 64, "the zoom does not converge"
+            return zoom(*cell)
 
-        monkeypatch.setattr(opt_mod, "_exact_zoom", bounded_zoom)
+        monkeypatch.setattr(opt_mod, "_zoom", bounded_zoom)
         tpl = asymmetric_template(n=n, mode=mode)
         points = pareto_frontier(tpl, [0.0, 0.5, 1.0])
         for p in points:
@@ -283,19 +299,18 @@ class TestSearchGrid:
             assert all(type(v) is float for v in (pt.beta, pt.age_I, pt.age_II, pt.objective))
 
 
-def full_grid_search(template, n, axes, betas, zoom):
+def full_grid_search(cycles, mix, axes, betas):
     """Reference search: per beta, the full grid's argmin of each grid
     (``full_grid_argmins``), zoomed as _search zooms."""
     best = []
     for beta in betas:
-        (x1, x2), round_idx = axes, 0
+        x1, x2 = axes
         while True:
-            (i1, i2), = full_grid_argmins(template, n, x1, x2, [beta])
-            zoomed = zoom(round_idx, x1[None], x2[None], np.array([i1]), np.array([i2]))
+            (i1, i2), = full_grid_argmins(cycles, mix, x1, x2, [beta])
+            zoomed = opt_mod._zoom(x1[None], x2[None], np.array([i1]), np.array([i2]))
             if zoomed is None:
                 break
             x1, x2 = (x[0] for x in zoomed)
-            round_idx += 1
         best.append((x1[i1].item(), x2[i2].item()))
     return best
 
@@ -307,25 +322,27 @@ class TestBlocks:
     BETAS = [0.0, 0.1, 0.5, 0.9, 1.0]
 
     @staticmethod
-    def exact_axes(n):
+    def exact_axes(template, n):
         ks = np.arange(1, n + 1) if n <= opt_mod.EXACT_LIMIT else opt_mod._int_axis(1, n)
-        return n, (ks, ks), opt_mod._exact_zoom
+        return partial(_cycles, template, n), (ks, ks)
 
     @staticmethod
-    def approx_axes(grid, alpha1=None, alpha2=None):
-        """The approx grid; a given ratio holds its axis at one point."""
-        alphas = np.linspace(1 / (grid + 1), grid / (grid + 1), grid)
-        a1s = alphas if alpha1 is None else np.array([alpha1])
-        a2s = alphas if alpha2 is None else np.array([alpha2])
-        return None, (a1s, a2s), opt_mod._approx_zoom
+    def approx_axes(template, grid, alpha1=None, alpha2=None):
+        """The approx search's lattice of ratios k / (256 (grid + 1)); a
+        given ratio holds its axis at the nearest lattice point."""
+        lattice = 256 * (grid + 1)
+        ks = np.arange(256, lattice, 256)
+        k1s = ks if alpha1 is None else np.array([round(alpha1 * lattice)])
+        k2s = ks if alpha2 is None else np.array([round(alpha2 * lattice)])
+        return (lambda k1, k2: _cycles(template, None, k1 / lattice, k2 / lattice)), (k1s, k2s)
 
-    def check(self, monkeypatch, template, n, axes, zoom, betas):
-        want = full_grid_search(template, n, axes, betas, zoom)
+    def check(self, monkeypatch, template, cycles, axes, betas):
+        want = full_grid_search(cycles, template.mix, axes, betas)
         # Groups of one beta, of two, and of every beta.
         for per_group in (1, 2, len(betas)):
             monkeypatch.setattr(opt_mod, "_GROUP_CELLS",
                                 per_group * max(axes[0].size + axes[1].size, 33 * 33))
-            got = opt_mod._search(template, n, axes, betas, zoom)
+            got = opt_mod._search(cycles, template.mix, axes, betas)
             assert [x[:2] for x in got] == want, per_group
 
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
@@ -341,38 +358,45 @@ class TestBlocks:
                       for _ in range(2)]
             tpl = ScenarioTemplate(*delays, StreamMix(rng.uniform(0.05, 0.95)), mode, n=n)
             # Above EXACT_LIMIT the reference zooms each beta on its own.
-            self.check(monkeypatch, tpl, *self.exact_axes(n), self.BETAS)
+            self.check(monkeypatch, tpl, *self.exact_axes(tpl, n), self.BETAS)
             if n > opt_mod.EXACT_LIMIT:
                 continue
             grid = min(n, 512)
-            self.check(monkeypatch, tpl, *self.approx_axes(grid), self.BETAS)
-            self.check(monkeypatch, tpl, *self.approx_axes(grid, alpha2=0.4), self.BETAS)
-            self.check(monkeypatch, tpl, *self.approx_axes(grid, alpha1=0.6), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(tpl, grid), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(tpl, grid, alpha2=0.4), self.BETAS)
+            self.check(monkeypatch, tpl, *self.approx_axes(tpl, grid, alpha1=0.6), self.BETAS)
 
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
     def test_one_moment_pass_per_axis(self, monkeypatch, mode):
         # Each axis's order-statistic moments are computed once for the first
         # grid, however many levels its search takes, once for each zoom
-        # round, and once for the cells found.
-        calls, rounds, os_moments = [], [], analytic_mod.os_moments
+        # round, and once for the cells found. The approx search zooms twice
+        # from a grid of two or more ratios, down to every lattice point
+        # between the neighbours of a best cell, and not at all from one.
+        calls, rounds, os_moments, zoom = [], [], analytic_mod.os_moments, opt_mod._zoom
 
         def counting(*args):
             calls.append(args)
             return os_moments(*args)
 
-        def counting_zoom(round_idx, *cell):
-            rounds.append(round_idx)
-            return zoom(round_idx, *cell)
+        def counting_zoom(*cell):
+            rounds.append(None)
+            return zoom(*cell)
 
         monkeypatch.setattr(analytic_mod, "os_moments", counting)
+        monkeypatch.setattr(opt_mod, "_zoom", counting_zoom)
         tpl = asymmetric_template(mode=mode)
-        for n, axes, zoom in (self.exact_axes(20), self.exact_axes(10**6), self.approx_axes(64)):
+        for (cycles, axes), want in ((self.exact_axes(tpl, 20), 0),
+                                     (self.exact_axes(tpl, 10**6), None),
+                                     (self.approx_axes(tpl, 1), 0),
+                                     (self.approx_axes(tpl, 2), 2),
+                                     (self.approx_axes(tpl, 64), 2)):
             calls.clear()
             rounds.clear()
-            opt_mod._search(tpl, n, axes, self.BETAS, counting_zoom)
+            opt_mod._search(cycles, tpl.mix, axes, self.BETAS)
             zoomed = len(rounds) - 1  # the last zoom call returns None
-            assert (zoomed > 0) == (n != 20), n
-            assert len(calls) == 2 * (1 + zoomed + 1), n
+            assert zoomed == want if want is not None else zoomed > 0, axes[0].size
+            assert len(calls) == 2 * (1 + zoomed + 1), axes[0].size
 
     @pytest.mark.parametrize("p1,beta", [(1.0, 1.0), (0.0, 0.0)])
     def test_starved_stream_at_zero_weight(self, monkeypatch, p1, beta):
@@ -381,8 +405,8 @@ class TestBlocks:
         # tied minima lie in different blocks.
         tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1),
                                Exogenous(2.0), n=20)
-        self.check(monkeypatch, tpl, *self.exact_axes(20), [beta])
-        self.check(monkeypatch, tpl, *self.approx_axes(20), [beta])
+        self.check(monkeypatch, tpl, *self.exact_axes(tpl, 20), [beta])
+        self.check(monkeypatch, tpl, *self.approx_axes(tpl, 20), [beta])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_cells_win_as_in_argmin(self, monkeypatch):
@@ -395,10 +419,15 @@ class TestBlocks:
         age_I, age_II = grid_ages(tpl, 20, ks[:, None], ks[None, :])
         nan = np.isnan(0.5 * age_I + 0.5 * age_II)
         assert nan.any() and not nan.all()
-        self.check(monkeypatch, tpl, 20, (ks[::-1], ks), opt_mod._exact_zoom, [0.5])
+        self.check(monkeypatch, tpl, partial(_cycles, tpl, 20), (ks[::-1], ks), [0.5])
         # At alpha1 = 0.12 the large-n objective is inf up to some alpha2 and
         # NaN above it, so every zoom round's grid has inf cells before NaN ones.
-        self.check(monkeypatch, tpl, *self.approx_axes(20, alpha1=0.12), [0.5])
+        cycles, (k1s, _) = self.approx_axes(tpl, 20, alpha1=0.12)
+        ks = np.arange(1, 256 * 21)
+        obj = 0.5 * sum(pair_ages(tpl.mix, *cycles(k1s, ks)))
+        inf = np.count_nonzero(np.isinf(obj))
+        assert 0 < inf < ks.size and np.isinf(obj[:inf]).all() and np.isnan(obj[inf:]).all()
+        self.check(monkeypatch, tpl, *self.approx_axes(tpl, 20, alpha1=0.12), [0.5])
 
     def test_symmetric_ties(self, monkeypatch):
         # At beta = 0.5 the objective at (a, b) equals the one at (b, a).
@@ -407,8 +436,8 @@ class TestBlocks:
         age_I, age_II = grid_ages(tpl, 16, ks[:, None], ks[None, :])
         obj = 0.5 * age_I + 0.5 * age_II
         assert np.array_equal(obj, obj.T)
-        self.check(monkeypatch, tpl, *self.exact_axes(16), [0.5])
-        self.check(monkeypatch, tpl, *self.approx_axes(16), [0.5])
+        self.check(monkeypatch, tpl, *self.exact_axes(tpl, 16), [0.5])
+        self.check(monkeypatch, tpl, *self.approx_axes(tpl, 16), [0.5])
 
     def test_memory_grows_with_grid_side_not_area(self):
         # A level of the search holds O(betas * side) cells and bookkeeping;
