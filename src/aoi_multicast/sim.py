@@ -38,6 +38,7 @@ independent reference and compare the two laws by two-sample tests.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +234,11 @@ def _sim_worker(args) -> tuple:
     return (fold_I.age(), fold_I.count), (fold_II.age(), fold_II.count), end
 
 
+def _pin(cpus) -> None:
+    """Pool initializer: keep this worker on the CPU id it takes from `cpus`."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
 def _spawn_seeds(cfg: SimConfig):
     return np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
 
@@ -244,14 +250,25 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     from (seed, replication index); merging is a fixed-order reduction, so
     parallel and serial runs produce identical results. min(threads,
     replications) worker processes run; when that is 1, none is started.
+    Where the OS allows it, each worker is pinned to its own CPU of the
+    caller's affinity mask (round-robin when workers outnumber CPUs): left
+    alone, the scheduler can keep forked workers on the parent's CPU.
     """
     threads = _check_integer("threads", threads, 1)
     args = [(cfg.scenario, cfg.cycles, ss) for ss in _spawn_seeds(cfg)]
     workers = min(threads, cfg.replications)
     if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        pin = {}
+        if hasattr(os, "sched_setaffinity"):
+            allowed = sorted(os.sched_getaffinity(0))
+            cpus = multiprocessing.SimpleQueue()  # default context, as the pool's
+            for w in range(workers):
+                cpus.put(allowed[w % len(allowed)])
+            pin = {"initializer": _pin, "initargs": (cpus,)}
+        with ProcessPoolExecutor(max_workers=workers, **pin) as ex:
             outs = list(ex.map(_sim_worker, args))
     else:
         outs = [_sim_worker(a) for a in args]

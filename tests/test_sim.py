@@ -1,5 +1,9 @@
 import concurrent.futures
+import functools
+import json
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +27,22 @@ from aoi_multicast.analytic import (
 from aoi_multicast.orderstats import ShiftedExp, os_moments
 from aoi_multicast.sim import SimConfig, simulate
 from oracles import replication_traces
+
+
+_sim_worker = sim_mod._sim_worker
+
+
+def _placed_worker(directory, args):
+    """Run one replication after writing this process's pid and CPU ids to
+    a file of its own in `directory`, then waiting (up to 30 s) for a second
+    such file, so that no worker takes both of a two-replication run."""
+    pid = os.getpid()
+    (directory / f"{pid}-{args[2].spawn_key}.json").write_text(
+        json.dumps([pid, sorted(os.sched_getaffinity(0))]))
+    deadline = time.monotonic() + 30
+    while len(list(directory.iterdir())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _sim_worker(args)
 
 
 DELAY_I = ShiftedExp(1.0, 1.0)
@@ -287,15 +307,43 @@ class TestSimulate:
     def test_parallel_equals_serial(self):
         cfg = SimConfig(mixed_scenario(), cycles=20_000, seed=21, replications=4)
         assert simulate(cfg, threads=2) == simulate(cfg, threads=1)
+        # Replications that the workers do not divide evenly.
+        uneven = SimConfig(mixed_scenario(), cycles=20_000, seed=21, replications=5)
+        serial = simulate(uneven, threads=1)
+        for threads in (2, 3):
+            assert simulate(uneven, threads=threads) == serial
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and at least 2 allowed CPUs",
+    )
+    def test_workers_run_on_distinct_cpus(self, tmp_path, monkeypatch):
+        # The pool sends this wrapper to its workers, so each records its pid
+        # and affinity mask as it starts a replication.
+        monkeypatch.setattr(sim_mod, "_sim_worker", functools.partial(_placed_worker, tmp_path))
+        cfg = SimConfig(mixed_scenario(), cycles=20_000, seed=21, replications=2)
+        simulate(cfg, threads=2)
+        placed = {}
+        for path in tmp_path.iterdir():
+            pid, cpus = json.loads(path.read_text())
+            placed[pid] = cpus
+        assert len(placed) == 2
+        (a,), (b,) = placed.values()
+        assert a != b
 
     def test_pool_has_at_most_one_worker_per_replication(self, monkeypatch):
-        workers = []
+        workers, cpus = [], []
 
         class SerialPool:
-            """Records max_workers and runs the jobs in this process."""
+            """Records max_workers and the CPU ids handed to the workers, and
+            runs the jobs in this process without the initializer, which would
+            pin this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 workers.append(max_workers)
+                if initializer is not None:
+                    queue, = initargs
+                    cpus.append([queue.get() for _ in range(max_workers)])
 
             def __enter__(self):
                 return self
@@ -307,11 +355,16 @@ class TestSimulate:
                 return map(fn, args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        if hasattr(os, "sched_setaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5})
         cfg = SimConfig(mixed_scenario(), cycles=2_000, seed=21, replications=3)
         serial = simulate(cfg, threads=1)
         assert simulate(cfg, threads=500) == serial
         assert simulate(cfg, threads=2) == serial
         assert workers == [3, 2]
+        # Workers beyond the allowed CPUs share them round-robin.
+        if hasattr(os, "sched_setaffinity"):
+            assert cpus == [[3, 5, 3], [3, 5]]
         # One replication runs in this process: no pool of one worker.
         one = SimConfig(mixed_scenario(), cycles=2_000, seed=21, replications=1)
         assert simulate(one, threads=4) == simulate(one, threads=1)
