@@ -341,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_args.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim_args.add_argument("--replications", type=int, default=10)
     sim_args.add_argument("--threads", type=int, default=1,
-                          help="worker processes over replications, each on its own CPU "
-                               "where the OS allows it (default 1: serial)")
+                          help="worker processes over replications, pinned round-robin to "
+                               "the allowed CPUs when at least as many (default 1: serial)")
 
     p = sub.add_parser("eval", help="evaluate the closed-form ages")
     p.add_argument("scenario", help="scenario JSON file")

@@ -250,9 +250,11 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     from (seed, replication index); merging is a fixed-order reduction, so
     parallel and serial runs produce identical results. min(threads,
     replications) worker processes run; when that is 1, none is started.
-    Where the OS allows it, each worker is pinned to its own CPU of the
-    caller's affinity mask (round-robin when workers outnumber CPUs): left
-    alone, the scheduler can keep forked workers on the parent's CPU.
+    Where the OS allows it, a pool with a worker for every CPU of the
+    caller's affinity mask pins its workers to those CPUs round-robin: left
+    alone, the scheduler can keep forked workers on the parent's CPU. A
+    smaller pool runs unpinned, so concurrent ones do not all sit on the
+    mask's first CPUs.
     """
     threads = _check_integer("threads", threads, 1)
     args = [(cfg.scenario, cfg.cycles, ss) for ss in _spawn_seeds(cfg)]
@@ -262,8 +264,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
         from concurrent.futures import ProcessPoolExecutor
 
         pin = {}
-        if hasattr(os, "sched_setaffinity"):
-            allowed = sorted(os.sched_getaffinity(0))
+        allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        if allowed and workers >= len(allowed):
             cpus = multiprocessing.SimpleQueue()  # default context, as the pool's
             for w in range(workers):
                 cpus.put(allowed[w % len(allowed)])

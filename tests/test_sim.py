@@ -30,6 +30,7 @@ from oracles import replication_traces
 
 
 _sim_worker = sim_mod._sim_worker
+_affinity = getattr(os, "sched_getaffinity", None)  # unpatched, for the workers
 
 
 def _placed_worker(directory, args):
@@ -38,7 +39,7 @@ def _placed_worker(directory, args):
     such file, so that no worker takes both of a two-replication run."""
     pid = os.getpid()
     (directory / f"{pid}-{args[2].spawn_key}.json").write_text(
-        json.dumps([pid, sorted(os.sched_getaffinity(0))]))
+        json.dumps([pid, sorted(_affinity(0))]))
     deadline = time.monotonic() + 30
     while len(list(directory.iterdir())) < 2 and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -319,8 +320,10 @@ class TestSimulate:
     )
     def test_workers_run_on_distinct_cpus(self, tmp_path, monkeypatch):
         # The pool sends this wrapper to its workers, so each records its pid
-        # and affinity mask as it starts a replication.
+        # and affinity mask as it starts a replication. The parent sees only
+        # two allowed CPUs, so that its 2 workers fill the mask and are pinned.
         monkeypatch.setattr(sim_mod, "_sim_worker", functools.partial(_placed_worker, tmp_path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(sorted(_affinity(pid))[:2]))
         cfg = SimConfig(mixed_scenario(), cycles=20_000, seed=21, replications=2)
         simulate(cfg, threads=2)
         placed = {}
@@ -341,7 +344,9 @@ class TestSimulate:
 
             def __init__(self, max_workers, initializer=None, initargs=()):
                 workers.append(max_workers)
-                if initializer is not None:
+                if initializer is None:
+                    cpus.append(None)
+                else:
                     queue, = initargs
                     cpus.append([queue.get() for _ in range(max_workers)])
 
@@ -362,13 +367,17 @@ class TestSimulate:
         assert simulate(cfg, threads=500) == serial
         assert simulate(cfg, threads=2) == serial
         assert workers == [3, 2]
-        # Workers beyond the allowed CPUs share them round-robin.
-        if hasattr(os, "sched_setaffinity"):
-            assert cpus == [[3, 5, 3], [3, 5]]
         # One replication runs in this process: no pool of one worker.
         one = SimConfig(mixed_scenario(), cycles=2_000, seed=21, replications=1)
         assert simulate(one, threads=4) == simulate(one, threads=1)
         assert workers == [3, 2]
+        # Workers beyond the allowed CPUs share them round-robin; a pool
+        # with fewer workers than allowed CPUs runs unpinned.
+        if hasattr(os, "sched_setaffinity"):
+            assert cpus == [[3, 5, 3], [3, 5]]
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 7})
+            assert simulate(cfg, threads=2) == serial
+            assert cpus[-1] is None
 
     def test_tagged_index_irrelevant(self, monkeypatch):
         # The reference sampler agrees with itself whichever receiver it tags.
