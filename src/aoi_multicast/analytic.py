@@ -205,7 +205,8 @@ def _renewal(mix, target, c_I, c_II):
     other stream with po, out of 1 - g, so s1 = E[M - 1] E[Y] and
     s2 = E[M - 1] E[Y^2] are sums over those weights divided by g, and
     E[(M - 1)(M - 2)] E[Y]^2 = 2 s1^2. Every term is nonnegative, so nothing
-    cancels.
+    cancels. The age is +inf, never NaN, where m2 overflows (inf / inf) or m1
+    rounds to 0 (0 / 0); with m2 finite, s1 <= sqrt(m2 / 2) keeps 2 m1 finite.
 
     Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1, for
     exact and large-n ages in both modes. The other stream's threshold
@@ -233,7 +234,7 @@ def _renewal(mix, target, c_I, c_II):
     s2 = (w_t * (v_t + e_t * e_t) + po * (v_o + e_o * e_o)) / g
     m1 = e_t + s1
     m2 = v_t + e_t * e_t + 2.0 * e_t * s1 + s2 + 2.0 * s1 * s1
-    return delivered + m2 / (2.0 * m1), m1, m2
+    return delivered + np.where((m2 < np.inf) & (m1 > 0), m2 / (2.0 * m1), np.inf), m1, m2
 
 
 def pair_ages(mix: StreamMix, c_I, c_II):

@@ -115,9 +115,8 @@ def _objective(beta, age_I, age_II):
 
 
 def _segment_minima(mix, tables, weights, own, other, lengths):
-    """Per segment s, the least objective at weight weights[s] over lengths[s]
-    cells and its first position, a NaN winning as in np.argmin. Segment s
-    pairs column own[s] of tables[0] with lengths[s] consecutive columns of
+    """Per segment s, the least objective at weight weights[s] and its first
+    position, on column own[s] of tables[0] against the lengths[s] columns of
     tables[1] from other[s]; a zero-weight age is left out.
 
     Betas searching one grid ask for overlapping segments of the same rows,
@@ -139,7 +138,7 @@ def _segment_minima(mix, tables, weights, own, other, lengths):
     idx = np.repeat(lag, size) + np.arange(seg0[-1] + size[-1])
     obj = _objective(np.repeat(weights, size), ages[0].take(idx), ages[1].take(idx))
     low = np.minimum.reduceat(obj, seg0)
-    hits = np.flatnonzero((obj == np.repeat(low, size)) | np.isnan(obj))
+    hits = np.flatnonzero(obj == np.repeat(low, size))
     out = np.empty_like(low), np.empty_like(seg0)
     out[0][order], out[1][order] = low, hits[np.searchsorted(hits, seg0)] - seg0
     return out
@@ -166,7 +165,7 @@ def _row_minima(cycles, mix, x1, x2, betas):
         b, r0, r1, c0, c1 = (np.concatenate(x) for x in
                              ((b, b), (r0, mid + 1), (mid, r1), (c0, col), (col, c1)))
         b, r0, r1, c0, c1 = (x[r0 < r1] for x in (b, r0, r1, c0, c1))
-    i1 = np.argmin(low, axis=1)  # the first row whose minimum is least, or NaN
+    i1 = np.argmin(low, axis=1)  # the first row whose minimum is least
     return i1, arg[np.arange(betas.size), i1]
 
 
@@ -175,9 +174,8 @@ def _search(cycles, mix, axes, betas):
     integer grid axes[0] x axes[1], searched by ``_row_minima`` and zoomed
     while ``_zoom`` returns new axes; ``cycles(k1, k2)`` gives the
     ``_cycles`` of both streams of mix. Ties break to the first row-major
-    argmin, the lexicographically smallest (k1, k2). A NaN cell wins as in
-    np.argmin in a zoom round, and on the first grid wherever the search
-    evaluates it. Overflow gives inf or NaN cells, not warnings.
+    argmin, the lexicographically smallest (k1, k2). Overflow gives inf
+    cells, not warnings.
     """
     betas, best = np.array(betas, dtype=float), []
     step = max(1, _GROUP_CELLS // max(axes[0].size + axes[1].size, 33 * 33))

@@ -183,4 +183,4 @@ def os_moments(d: ShiftedExp, x, n=None):
     large_m = (a * np.where(t < 0.25, _expm1_minus(lt), t - lt) + 0.5 * lt
                + (a - 0.5) * (ca - cb))
     s = np.where(m < _M, k - m * dh, large_m)
-    return d.shift + dh / d.rate, dg / d.rate**2, d.shift + s / (k * d.rate)
+    return d.shift + dh / d.rate, dg / (d.rate * d.rate), d.shift + s / (k * d.rate)

@@ -248,27 +248,28 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
 
     Replications own independent random streams spawned deterministically
     from (seed, replication index); merging is a fixed-order reduction, so
-    parallel and serial runs produce identical results. min(threads,
-    replications) worker processes run; when that is 1, none is started.
-    Where the OS allows it, a pool with a worker for every CPU of the
-    caller's affinity mask pins its workers to those CPUs round-robin: left
-    alone, the scheduler can keep forked workers on the parent's CPU. A
-    smaller pool runs unpinned, so concurrent ones do not all sit on the
-    mask's first CPUs.
+    parallel and serial runs produce identical results. One worker process
+    runs per replication, up to threads and the CPUs of the caller's
+    affinity mask (os.cpu_count() without sched_setaffinity); with one,
+    none is started. A pool that fills the mask pins each worker to its
+    own CPU, since the scheduler can keep forked workers on the parent's
+    CPU; a smaller pool runs unpinned, so concurrent ones do not all sit on
+    the mask's first CPUs.
     """
     threads = _check_integer("threads", threads, 1)
     args = [(cfg.scenario, cfg.cycles, ss) for ss in _spawn_seeds(cfg)]
-    workers = min(threads, cfg.replications)
+    pinnable = hasattr(os, "sched_setaffinity")
+    allowed = sorted(os.sched_getaffinity(0)) if pinnable else range(os.cpu_count() or 1)
+    workers = min(threads, cfg.replications, len(allowed))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         pin = {}
-        allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-        if allowed and workers >= len(allowed):
+        if pinnable and workers == len(allowed):
             cpus = multiprocessing.SimpleQueue()  # default context, as the pool's
-            for w in range(workers):
-                cpus.put(allowed[w % len(allowed)])
+            for cpu in allowed:
+                cpus.put(cpu)
             pin = {"initializer": _pin, "initargs": (cpus,)}
         with ProcessPoolExecutor(max_workers=workers, **pin) as ex:
             outs = list(ex.map(_sim_worker, args))

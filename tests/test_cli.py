@@ -53,10 +53,10 @@ def run_verb(verb, scenario_path, out_path):
 # Inputs whose ages overflow in the closed-form kernel, with the error line.
 OVERFLOW_CASES = [
     pytest.param(["eval", "--approx", "--alpha1", "1e-320", "--alpha2", "0.5"], {},
-                 "error: age_I is nan", id="eval_approx"),
-    # At p1 = 1e-307 the cells of the smallest k1 are NaN, and a NaN wins.
+                 "error: age_I is inf", id="eval_approx"),
+    # At p1 = 1e-307 every cell's E[S^2] overflows, so every age_I is inf.
     pytest.param(["pareto", "--betas", "0.5"], {"n": 20, "p1": 1e-307},
-                 "error: age_I is nan", id="pareto"),
+                 "error: age_I is inf", id="pareto"),
 ]
 
 EVERY_VERB = pytest.mark.parametrize("verb", [
@@ -206,6 +206,19 @@ class TestEval:
         assert rc == 2
         assert captured.err.startswith(f"error: {key}: must be")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", [
+        ["eval"],
+        ["pareto", "--betas", "0.5"],
+        ["sweep", "--param", "p1", "--values", "0.5"],
+        ["validate", "--cycles", "2000", "--replications", "2", "--tolerance", "0.5"],
+    ], ids=lambda v: v[0])
+    def test_rate_beyond_sqrt_of_float_max(self, scenario_file, tmp_path, capsys, verb):
+        # rate^2 overflows, but the variance of X_(k) is 0 and every age finite.
+        doc = dict(SCENARIO, delay_I={"rate": 1e300, "shift": 1.0})
+        rc = run_verb(verb, scenario_file(doc), tmp_path / "x.csv")
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
 
     @pytest.mark.parametrize(
         "verb,patch,message",
@@ -715,6 +728,8 @@ class TestSweep:
 # replication. scipy, which only the tests use, never.
 LAZY_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures.process", "scipy")
 WIDE = dict(SCENARIO, n=10**6)  # above EXACT_LIMIT
+# A pool has at most one worker per allowed CPU, so with one CPU it runs serial.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else os.cpu_count() or 1
 
 
 def _lazy_modules_after(statement):
@@ -743,7 +758,7 @@ def test_cli_import_leaves_scipy_unloaded():
     (SCENARIO, ["simulate", "--cycles", "2000", "--threads", "2", "--replications", "1"],
      ["numpy.random"]),
     (SCENARIO, ["simulate", "--cycles", "2000", "--threads", "2", "--replications", "2"],
-     ["numpy.random", "concurrent.futures.process"]),
+     ["numpy.random", "concurrent.futures.process"] if CPUS > 1 else ["numpy.random"]),
     (SCENARIO, ["validate", "--cycles", "2000", "--replications", "2", "--tolerance", "0.5"],
      ["numpy.random"]),
 ], ids=["eval", "eval_approx", "pareto_exhaustive", "pareto_coarse_to_fine", "pareto_approx",

@@ -409,25 +409,50 @@ class TestBlocks:
         self.check(monkeypatch, tpl, *self.approx_axes(tpl, 20), [beta])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_cells_win_as_in_argmin(self, monkeypatch):
-        # At p1 = 1e-307, E[M - 1] E[Y] ~ n E[Y] / (p1 k1) overflows for the
-        # smallest k1, whose objective is inf / inf = NaN; a descending k1
-        # axis puts them in the last blocks.
+    def test_overflowed_cells_are_inf(self, monkeypatch):
+        # At p1 = 1e-307 E[S^2] overflows on every cell, and E[S] with it for
+        # the smallest k1, as E[M - 1] E[Y] ~ n E[Y] / (p1 k1): those cells are
+        # inf, not inf / inf = NaN. A descending k1 axis puts them last.
         tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(1e-307),
                                AtWill(), n=20)
         ks = np.arange(1, 21)
-        age_I, age_II = grid_ages(tpl, 20, ks[:, None], ks[None, :])
-        nan = np.isnan(0.5 * age_I + 0.5 * age_II)
-        assert nan.any() and not nan.all()
+        obj = 0.5 * sum(grid_ages(tpl, 20, ks[:, None], ks[None, :]))
+        assert np.isinf(obj).all()
         self.check(monkeypatch, tpl, partial(_cycles, tpl, 20), (ks[::-1], ks), [0.5])
-        # At alpha1 = 0.12 the large-n objective is inf up to some alpha2 and
-        # NaN above it, so every zoom round's grid has inf cells before NaN ones.
+        # At alpha1 = 0.12 the large-n objective is inf at every alpha2, and
+        # at the larger ones E[S] overflows with E[S^2].
         cycles, (k1s, _) = self.approx_axes(tpl, 20, alpha1=0.12)
-        ks = np.arange(1, 256 * 21)
-        obj = 0.5 * sum(pair_ages(tpl.mix, *cycles(k1s, ks)))
-        inf = np.count_nonzero(np.isinf(obj))
-        assert 0 < inf < ks.size and np.isinf(obj[:inf]).all() and np.isnan(obj[inf:]).all()
+        obj = 0.5 * sum(pair_ages(tpl.mix, *cycles(k1s, np.arange(1, 256 * 21))))
+        assert np.isinf(obj).all()
         self.check(monkeypatch, tpl, *self.approx_axes(tpl, 20, alpha1=0.12), [0.5])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lo,hi", [(1e-310, 1e-300), (1e-158, 1e-150)],
+                             ids=["inf_over_inf", "finite_and_inf"])
+    def test_overflowing_templates_match_full_grid(self, monkeypatch, lo, hi):
+        # Below about 1e-305 E[S] overflows with E[S^2] on some cells; near
+        # 1e-154 only E[S^2] does, so some grids hold finite cells beside inf
+        # ones.
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            p1 = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            n = int(rng.choice([5, 20, 100, 600]))
+            tpl = ScenarioTemplate(ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(p1),
+                                   AtWill(), n=n)
+            self.check(monkeypatch, tpl, *self.exact_axes(tpl, n), [0.1, 0.5, 0.9])
+            self.check(monkeypatch, tpl, *self.approx_axes(tpl, min(n, 128)), [0.1, 0.5, 0.9])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_zero_cycle_means_are_inf(self, monkeypatch):
+        # Above n = 2^53, n - k + 1/2 rounds to n + 1/2 at small k, so with
+        # zero shifts at will X_(k) has mean 0 there, and where both streams'
+        # do, E[S] = E[S^2] = 0: those cells are inf, not 0 / 0 = NaN.
+        n = 2**63 - 1
+        tpl = ScenarioTemplate(ShiftedExp(1.0), ShiftedExp(2.0), StreamMix(0.6), AtWill(), n=n)
+        cycles, (ks, _) = self.exact_axes(tpl, n)
+        ages = pair_ages(tpl.mix, *cycles(ks[:, None], ks[None, :]))
+        assert all(np.isinf(a[0, 0]) and not np.isnan(a).any() for a in ages)
+        self.check(monkeypatch, tpl, cycles, (ks, ks), self.BETAS)
 
     def test_symmetric_ties(self, monkeypatch):
         # At beta = 0.5 the objective at (a, b) equals the one at (b, a).

@@ -126,6 +126,18 @@ class TestOrderStatMoments:
         rhs = os_moments(d, k, n)[1] + os_moments(d, k, n)[0] ** 2
         assert abs(lhs - rhs) <= 8 * math.ulp(max(abs(lhs), abs(rhs)))
 
+    @pytest.mark.parametrize("x,n", [(3, 10), (np.array([1, 5, 10]), 10), (0.3, None),
+                                     (np.array([0.01, 0.5, 0.99]), None)],
+                             ids=["exact", "exact-array", "approx", "approx-array"])
+    def test_rate_beyond_sqrt_of_float_max(self, x, n):
+        # rate^2 overflows to inf, where Python's rate**2 raises OverflowError:
+        # the variance is 0 and the means are those at rate 1 scaled by 1/rate.
+        mean, var, first_k = os_moments(ShiftedExp(1e300), x, n)
+        unit = os_moments(ShiftedExp(1.0), x, n)
+        assert np.array_equal(mean, unit[0] / 1e300)
+        assert np.all(var == 0.0)
+        assert first_k == pytest.approx(unit[2] / 1e300, rel=1e-15)
+
     def test_os_mean_monotone_in_k_and_n(self):
         d = ShiftedExp(1.3, 0.4)
         for n in (2, 10, 57):

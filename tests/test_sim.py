@@ -362,19 +362,22 @@ class TestSimulate:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         if hasattr(os, "sched_setaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5})
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = SimConfig(mixed_scenario(), cycles=2_000, seed=21, replications=3)
         serial = simulate(cfg, threads=1)
         assert simulate(cfg, threads=500) == serial
         assert simulate(cfg, threads=2) == serial
-        assert workers == [3, 2]
+        # At most one worker per allowed CPU.
+        assert workers == [2, 2]
         # One replication runs in this process: no pool of one worker.
         one = SimConfig(mixed_scenario(), cycles=2_000, seed=21, replications=1)
         assert simulate(one, threads=4) == simulate(one, threads=1)
-        assert workers == [3, 2]
-        # Workers beyond the allowed CPUs share them round-robin; a pool
+        assert workers == [2, 2]
+        # A pool that fills the mask puts one worker on each CPU; a pool
         # with fewer workers than allowed CPUs runs unpinned.
         if hasattr(os, "sched_setaffinity"):
-            assert cpus == [[3, 5, 3], [3, 5]]
+            assert cpus == [[3, 5], [3, 5]]
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 7})
             assert simulate(cfg, threads=2) == serial
             assert cpus[-1] is None
