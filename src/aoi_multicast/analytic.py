@@ -205,8 +205,11 @@ def _renewal(mix, target, c_I, c_II):
     other stream with po, out of 1 - g, so s1 = E[M - 1] E[Y] and
     s2 = E[M - 1] E[Y^2] are sums over those weights divided by g, and
     E[(M - 1)(M - 2)] E[Y]^2 = 2 s1^2. Every term is nonnegative, so nothing
-    cancels. The age is +inf, never NaN, where m2 overflows (inf / inf) or m1
-    rounds to 0 (0 / 0); with m2 finite, s1 <= sqrt(m2 / 2) keeps 2 m1 finite.
+    cancels. The age is +inf, never NaN, wherever m2 is not a finite normal
+    double: above that range m2 / (2 m1) is inf / inf, and below it m2 has
+    lost bits to underflow, or is 0 / 0 where m1 rounds to 0. With m2
+    finite, s1 <= sqrt(m2 / 2) keeps 2 m1 finite; as v <= e^2 holds for both
+    cycles (below), an m2 of at least the smallest normal keeps m1 > 0.
 
     Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1, for
     exact and large-n ages in both modes. The other stream's threshold
@@ -234,19 +237,20 @@ def _renewal(mix, target, c_I, c_II):
     s2 = (w_t * (v_t + e_t * e_t) + po * (v_o + e_o * e_o)) / g
     m1 = e_t + s1
     m2 = v_t + e_t * e_t + 2.0 * e_t * s1 + s2 + 2.0 * s1 * s1
-    return delivered + np.where((m2 < np.inf) & (m1 > 0), m2 / (2.0 * m1), np.inf), m1, m2
+    ok = (np.finfo(float).tiny <= m2) & (m2 < np.inf)
+    return delivered + np.where(ok, m2 / (2.0 * m1), np.inf), m1, m2
 
 
 def pair_ages(mix: StreamMix, c_I, c_II):
     """Ages of streams I and II on their ``_cycles`` c_I and c_II, which
-    broadcast together; a starved stream's ages are +inf. The entry to
-    ``_renewal`` for age_pair and the optimizer's threshold grids; s_moments,
-    which needs one stream's E[S] and E[S^2], is the other."""
-    shape = np.broadcast_shapes(np.shape(c_I[1]), np.shape(c_II[1]))
+    broadcast together; a starved stream's ages are +inf, where p = 0 makes
+    E[S] and E[S^2] inf. The entry to ``_renewal`` for age_pair and the
+    optimizer's threshold grids; s_moments, which needs one stream's E[S]
+    and E[S^2], is the other."""
     # Each triple is dropped before the next is computed, so no E[S] or
     # E[S^2] grid outlives its stream.
-    return tuple(_renewal(mix, t, c_I, c_II)[0] if mix.prob(t) > 0 else np.full(shape, np.inf)
-                 for t in Stream)
+    with np.errstate(all="ignore"):
+        return tuple(_renewal(mix, t, c_I, c_II)[0] for t in Stream)
 
 
 def _check_ages(mix: StreamMix, ages) -> None:
@@ -254,7 +258,8 @@ def _check_ages(mix: StreamMix, ages) -> None:
     not finite."""
     for stream, age in zip(Stream, ages):
         if mix.prob(stream) > 0 and not math.isfinite(age):
-            raise ValueError(f"age_{stream.value} is {float(age)}: the inputs overflow")
+            raise ValueError(f"age_{stream.value} is {float(age)}: the inputs overflow or "
+                             "underflow double precision")
 
 
 def _scenario_cycles(s: "Scenario | ScenarioApprox"):

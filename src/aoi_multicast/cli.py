@@ -134,8 +134,10 @@ def load_scenario_file(path: str, need_thresholds: bool = True):
     return parse_scenario(_load_json(path), need_thresholds=need_thresholds)
 
 
-def _age_json(age: float):
-    return "infinite" if math.isinf(age) else age
+def _cell(v):
+    """v for JSON or CSV, which both write a float as its repr: "infinite" for
+    an infinite float."""
+    return "infinite" if isinstance(v, float) and math.isinf(v) else v
 
 
 # -- commands ---------------------------------------------------------------
@@ -154,7 +156,7 @@ def _cmd_eval(args) -> int:
                 raise SchemaError(key, "used only with --approx")
         scenario = template.with_thresholds(k1, k2)
     pair = age_pair(scenario)
-    print(json.dumps({"age_I": _age_json(pair.age_I), "age_II": _age_json(pair.age_II)}))
+    print(json.dumps({"age_I": _cell(pair.age_I), "age_II": _cell(pair.age_II)}))
     return EXIT_OK
 
 
@@ -175,8 +177,8 @@ def _cmd_simulate(args) -> int:
     print(
         json.dumps(
             {
-                "age_I": _age_json(res.age_I_hat),
-                "age_II": _age_json(res.age_II_hat),
+                "age_I": _cell(res.age_I_hat),
+                "age_II": _cell(res.age_II_hat),
                 "se_I": res.se_I,
                 "se_II": res.se_II,
                 "deliveries_I": res.deliveries_I,
@@ -240,18 +242,12 @@ def _float_list(key: str, spec: str) -> list[float]:
     return values
 
 
-def _csv_cell(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "infinite"
-    return repr(v) if isinstance(v, float) else v
-
-
 def _write_table(path: str, header, rows) -> None:
     """Write header and rows as CSV to path, and report the row count on stdout."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        w.writerows([_csv_cell(v) for v in row] for row in rows)
+        w.writerows([_cell(v) for v in row] for row in rows)
     print(f"{len(rows)} rows")
 
 

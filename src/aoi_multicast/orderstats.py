@@ -7,9 +7,11 @@ for one k or an array in O(1) memory, split at M = 32. Below M it takes two
 rows of a constant table of the tails H_M - H_j and G_M - G_j, held to twice
 float precision so that their difference rounds correctly. Above M, from
 a = max(m, M) + 1/2 to b = max(n, M) + 1/2, it uses the digamma and trigamma
-series (Abramowitz & Stegun 6.3.18, 6.4.12) log1p((b - a) / a) + c(b) - c(a)
-and (b - a) / (a b) - (e(a) - e(b)). Both parts are nonnegative, so nothing
-cancels: about 1e-15 relative accuracy up to n = 1e12.
+series (Abramowitz & Stegun 6.3.18, 6.4.12) log1p(ba / a) + c(b) - c(a) and
+ba / (a b) - (e(a) - e(b)). ba = b - a = min(k, max(n - M, 0)) comes from
+the integers, since above 2^52 a and b round and their float difference
+loses k. Both parts are nonnegative, so nothing cancels: about 1e-15
+relative accuracy up to n = 2^63 - 1.
 """
 
 from __future__ import annotations
@@ -104,10 +106,12 @@ def _asymptotic(y):
             r / y * (1 / 12 - r * (7 / 240 - r * (31 / 1344 - r * (127 / 3840)))))
 
 
-def _expm1_minus(L):
-    """expm1(L) - L = sum_{j>=2} L^j / j!, for 0 <= expm1(L) < 1/4, where it
-    is summed to about 1e-16 relative accuracy without cancellation."""
-    return L * L * sum(coef * L**j for j, coef in enumerate(_EXPM1_TAYLOR))
+def _excess(t, L):
+    """t - L for t >= 0 and L = log1p(t). Below t = 1/4 (alpha = 0.2 at large
+    n), where that difference cancels, it is summed as
+    expm1(L) - L = sum_{j>=2} L^j / j!, to about 1e-16 relative accuracy."""
+    return np.where(t < 0.25, L * L * sum(coef * L**j for j, coef in enumerate(_EXPM1_TAYLOR)),
+                    t - L)
 
 
 def _check_order(k, n):
@@ -146,10 +150,9 @@ def os_moments(d: ShiftedExp, x, n=None):
     order-statistic means and so the expected delay of a delivered update
     under earliest-k stopping, is shift + S / (k rate) with
     S = sum_{i<=k} (H_n - H_{n-i}) = k - m (H_n - H_m) (Concrete Mathematics,
-    eq. 2.36). For m >= M that difference cancels; there, with a = m + 1/2,
-    t = k / a and L = log1p(t), S is summed as the nonnegative
-    a (t - L) + L / 2 + m (c(a) - c(n + 1/2)), with
-    t - L = expm1(L) - L summed as a series for t < 1/4.
+    eq. 2.36). For m >= M that difference cancels; there ba = k, and with
+    t = k / a and the L = log1p(t) of H_n - H_m, S is summed as the
+    nonnegative a (t - L) + L / 2 + m (c(a) - c(n + 1/2)).
 
     With n None, x is the ratio alpha = k / n (a float or a float array in
     (0, 1)) and the result is the large-n limit: the mean
@@ -157,30 +160,24 @@ def os_moments(d: ShiftedExp, x, n=None):
     alpha's shape), and
     mean_first_k = shift + 1/rate + ((1 - alpha) / (alpha rate)) log(1 - alpha).
     delta diverges as alpha -> 1; the open interval is enforced, not clamped.
-    With L = -log1p(-alpha) and t = expm1(L) = alpha / (1 - alpha),
-    mean_first_k is shift + (t - L) / (t rate), whose numerator cancels as
-    alpha -> 0; below alpha = 0.2, where t < 1/4, it is summed as a series too.
+    With t = alpha / (1 - alpha) and L = -log1p(-alpha) = log1p(t), that is
+    shift + (t - L) / (t rate). Both regimes take t - L from ``_excess``.
     """
     if n is None:
         alpha = _check_alpha(x)
-        log1m = np.log1p(-alpha)
-        first_k = d.shift + 1.0 / d.rate + (1.0 - alpha) / (alpha * d.rate) * log1m
-        # The series costs more than the rest of the call; most ratios skip it.
-        if np.any(small := alpha < 0.2):
-            L = -log1m
-            first_k = np.where(small, d.shift + _expm1_minus(L) / (np.expm1(L) * d.rate), first_k)
-        return d.shift - log1m / d.rate, 0.0 * alpha, first_k
+        L, t = -np.log1p(-alpha), alpha / (1.0 - alpha)
+        return d.shift + L / d.rate, 0.0 * alpha, d.shift + _excess(t, L) / (t * d.rate)
     k, n = _check_order(x, n)
     m = n - k
     tab = _TAIL[np.minimum(m, _M)] - _TAIL[min(n, _M)]
     a, b = np.maximum(m + 0.5, _M + 0.5), max(n, _M) + 0.5
+    ba = np.minimum(k, max(n - _M, 0))  # b - a
     (ca, ea), (cb, eb) = _asymptotic(a), _asymptotic(b)
-    dh = (tab[..., 0] + tab[..., 1]) + (np.log1p((b - a) / a) + (cb - ca))  # H_n - H_m
-    dg = (tab[..., 2] + tab[..., 3]) + ((b - a) / (a * b) - (ea - eb))  # G_n - G_m
-    t = k / a
-    lt = np.log1p(t)
-    # b = n + 1/2 wherever m >= M, the only cells that keep large_m.
-    large_m = (a * np.where(t < 0.25, _expm1_minus(lt), t - lt) + 0.5 * lt
-               + (a - 0.5) * (ca - cb))
+    t = ba / a
+    L = np.log1p(t)
+    dh = (tab[..., 0] + tab[..., 1]) + (L + (cb - ca))  # H_n - H_m
+    dg = (tab[..., 2] + tab[..., 3]) + (ba / (a * b) - (ea - eb))  # G_n - G_m
+    # ba = k and b = n + 1/2 wherever m >= M, the only cells that keep large_m.
+    large_m = a * _excess(t, L) + 0.5 * L + (a - 0.5) * (ca - cb)
     s = np.where(m < _M, k - m * dh, large_m)
     return d.shift + dh / d.rate, dg / (d.rate * d.rate), d.shift + s / (k * d.rate)

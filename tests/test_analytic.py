@@ -544,7 +544,7 @@ class TestLargeNAccuracy:
 
 class TestExactKernelAccuracy:
     """Exact ages against the renewal formula at 60 digits, from n = 10^3 to
-    10^12, k from 1 to n, extreme shares, arrival rates and delay rates."""
+    2^63 - 1, k from 1 to n, extreme shares, arrival rates and delay rates."""
 
     @staticmethod
     def renewal(mp, s, target, law):
@@ -600,7 +600,7 @@ class TestExactKernelAccuracy:
                     cache[d, k, n] = self.law(mpmath, d, k, n)
                 return cache[d, k, n]
 
-            for n in (10**3, 10**6, 10**12):
+            for n in (10**3, 10**6, 10**12, 2**53 + 1, 2**63 - 1):
                 ks = (1, 2, n // 3, n - 1, n)
                 shares = (1e-9, 0.5, 1 - 1e-9)
                 for k1, k2, p1, mode, (d1, d2) in itertools.product(ks, ks, shares, modes, laws):

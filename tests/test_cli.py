@@ -57,6 +57,12 @@ OVERFLOW_CASES = [
     # At p1 = 1e-307 every cell's E[S^2] overflows, so every age_I is inf.
     pytest.param(["pareto", "--betas", "0.5"], {"n": 20, "p1": 1e-307},
                  "error: age_I is inf", id="pareto"),
+    # Above rate 1.34e154 rate^2 overflows and the variance reads 0, but
+    # E[S^2] is below the smallest normal double anyway: the age is inf.
+    *(pytest.param(["eval"], {"delay_I": {"rate": rate, "shift": 0.0},
+                              "delay_II": {"rate": rate, "shift": 0.0}},
+                   "error: age_I is inf", id=f"eval_underflow_{rate:g}")
+      for rate in (1e160, 1e200)),
 ]
 
 EVERY_VERB = pytest.mark.parametrize("verb", [
@@ -256,6 +262,19 @@ class TestEval:
                                *argv], env=env, capture_output=True, text=True)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+
+    @pytest.mark.parametrize("n", [2**52, 2**63 - 1])
+    def test_receiver_counts_beyond_float_integers(self, scenario_file, capsys, n):
+        # Above 2^52, n - k + 1/2 is no longer a float; with zero shifts and
+        # k = 1 the ages barely depend on n, so they must match n = 2^50's.
+        doc = dict(SCENARIO, k1=1, k2=1, delay_I={"rate": 1.0, "shift": 0.0},
+                   delay_II={"rate": 2.0, "shift": 0.0})
+        ages = []
+        for size in (2**50, n):
+            assert main(["eval", scenario_file(dict(doc, n=size))]) == 0
+            ages.append(json.loads(capsys.readouterr().out))
+        for key in ("age_I", "age_II"):
+            assert ages[1][key] == pytest.approx(ages[0][key], rel=1e-12)
 
     def test_missing_key(self, scenario_file, capsys):
         doc = dict(SCENARIO)

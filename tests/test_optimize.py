@@ -444,11 +444,12 @@ class TestBlocks:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_zero_cycle_means_are_inf(self, monkeypatch):
-        # Above n = 2^53, n - k + 1/2 rounds to n + 1/2 at small k, so with
-        # zero shifts at will X_(k) has mean 0 there, and where both streams'
-        # do, E[S] = E[S^2] = 0: those cells are inf, not 0 / 0 = NaN.
+        # At rate 1e308 with zero shifts at will, the mean of X_(k),
+        # (H_n - H_{n-k}) / rate, underflows to 0 at small k, and where both
+        # streams' do, E[S] = E[S^2] = 0: those cells are inf, not 0 / 0 = NaN.
         n = 2**63 - 1
-        tpl = ScenarioTemplate(ShiftedExp(1.0), ShiftedExp(2.0), StreamMix(0.6), AtWill(), n=n)
+        tpl = ScenarioTemplate(ShiftedExp(1e308), ShiftedExp(1e308), StreamMix(0.6), AtWill(),
+                               n=n)
         cycles, (ks, _) = self.exact_axes(tpl, n)
         ages = pair_ages(tpl.mix, *cycles(ks[:, None], ks[None, :]))
         assert all(np.isinf(a[0, 0]) and not np.isnan(a).any() for a in ages)

@@ -264,7 +264,7 @@ class TestExactOracle:
 
 class TestLargeNAgainstMpmath:
     """Differences H_n - H_{n-k}, G_n - G_{n-k} and the mean_first_k sum against
-    digamma and trigamma at 50 digits, up to n = 10^12; and the large-n mean
+    digamma and trigamma at 50 digits, up to n = 2^63 - 1; and the large-n mean
     and mean_first_k against their closed forms, for alpha from 1e-12 to
     1 - 1e-12."""
 
@@ -282,6 +282,25 @@ class TestLargeNAgainstMpmath:
                                   (k * os_moments(d, k, n)[2], first_k)):
                     err = float(abs(mpmath.mpf(float(got)) - want) / want)
                     assert err <= 1e-14, (n, k, float(got), err)
+
+    @pytest.mark.parametrize("n", [2**52, 2**52 + 7, 2**53 + 1, 10**17, 2**62, 2**63 - 1])
+    def test_beyond_float_integers(self, n):
+        # Above 2^52 neither n - k + 1/2 nor n + 1/2 is a float, but their
+        # difference, the k of the series, is held as an integer.
+        mpmath = pytest.importorskip("mpmath")
+        d = ShiftedExp(1.0, 0.0)
+        ks = sorted({1, 2, 33, 1000, 10**6, n // 3, n - 40, n - 31, n - 1, n})
+        moments = os_moments(d, np.array(ks), n)
+        with mpmath.workdps(50):
+            for i, k in enumerate(ks):
+                m = n - k
+                dh = mpmath.digamma(n + 1) - mpmath.digamma(m + 1)
+                dg = mpmath.psi(1, m + 1) - mpmath.psi(1, n + 1)
+                scalar = os_moments(d, k, n)
+                for got, want in zip(scalar, (dh, dg, (k - m * dh) / k)):
+                    err = float(abs(mpmath.mpf(float(got)) - want) / want)
+                    assert err <= 1e-15, (n, k, float(got), err)
+                assert [float(a[i]) for a in moments] == [float(v) for v in scalar]
 
     def test_large_n_relative_error(self):
         # Both sides of the series cutoff alpha = 0.2, and alpha near 0 and 1.
