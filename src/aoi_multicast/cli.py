@@ -242,6 +242,19 @@ def _float_list(key: str, spec: str) -> list[float]:
     return values
 
 
+def _integer(param: str, token: str) -> int:
+    """A --values token of n, k1 or k2 as an exact int; a float token such as
+    1e7 only where it is integral and below 2^53, so that it names one int."""
+    try:
+        return int(token)
+    except ValueError:
+        value = float(token)  # _float_list has parsed it
+    if value.is_integer() and abs(value) < 2**53:
+        return int(value)
+    raise SchemaError("values", f"{param} needs integers, got {token.strip()!r}; a float "
+                                "token must be integral and below 2^53")
+
+
 def _write_table(path: str, header, rows) -> None:
     """Write header and rows as CSV to path, and report the row count on stdout."""
     with open(path, "w", newline="") as f:
@@ -285,7 +298,7 @@ def _check_sweep_ratios(args) -> None:
             raise SchemaError(key, f"not used by a sweep over {param}")
 
 
-def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float):
+def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float | int):
     """age_pair of the scenario document with args.param set to value.
 
     An n sweep with both ratios fixed sets k = max(1, round(alpha * n)).
@@ -295,7 +308,7 @@ def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float):
     if param in alphas:
         alphas[param] = value
         return age_pair(_build("", template.with_alphas, **alphas))
-    point = dict(doc, **{param: int(value) if param in ("n", "k1", "k2") else value})
+    point = dict(doc, **{param: value})
     if param == "n" and None not in alphas.values():
         ratios = _build("", template.with_alphas, **alphas)
         point.update(k1=max(1, round(ratios.alpha1 * point["n"])),
@@ -309,14 +322,14 @@ def _cmd_sweep(args) -> int:
     template, _, _ = parse_scenario(doc, need_thresholds=False)
     values = _float_list("values", args.values)
     if args.param in ("n", "k1", "k2"):
-        bad = [v for v in values if not v.is_integer()]
-        if bad:
-            raise SchemaError("values", f"{args.param} needs integers, got {bad[0]!r}")
+        values = [_integer(args.param, tok) for tok in args.values.split(",") if tok.strip()]
     _check_sweep_ratios(args)
 
     pairs = [_sweep_point(doc, template, args, v) for v in values]
+    # A value is written as a float, unless it is an integer that no float holds.
     _write_table(args.out, ["param_value", "age_I", "age_II"],
-                 [[v, p.age_I, p.age_II] for v, p in zip(values, pairs)])
+                 [[v if abs(v) >= 2**53 else float(v), p.age_I, p.age_II]
+                  for v, p in zip(values, pairs)])
     return EXIT_OK
 
 

@@ -3,17 +3,17 @@
 The weighted objective beta * age_I + (1 - beta) * age_II is minimized over
 integer thresholds k: of n receivers (exact evaluator), or of a virtual
 n = 256 (grid + 1) in the large-n ages at alpha = k / n (approx evaluator).
-Both ages are submodular, as TestLemma1 checks, so each objective is a Monge
-array: on the first grid, a divide-and-conquer search for its row minima
-finds the first row-major argmin from O(side log side) cells per beta, one
-kernel call per level for a group of betas. One zoom rule follows: 33
-integers between the distinct neighbours of each beta's best cell, until
-every axis lists every integer of its window. The exact first grid lists
-every k up to EXACT_LIMIT, and is then exact, or 33 integers, which may
-miss the optimum; the approx one, j / (grid + 1), ends in two rounds at a
-resolution of 1 / (256 (grid + 1)). A zoom round scores its grids whole in
-one kernel call, so its argmin holds where rounding breaks the Monge
-property, at n above about 10^8.
+On the first grid, a divide-and-conquer search for the row minima, which
+needs the rows' first argmins to never decrease, finds the first row-major
+argmin from O(side log side) cells per beta. The ages are not submodular
+everywhere (TestLemma1 pins a case), so that need is unproved; tests check
+the search against the full grid. One zoom rule follows: 33 integers between
+the distinct neighbours of each beta's best cell, until every axis lists
+every integer of its window. The exact first grid lists every k up to
+EXACT_LIMIT, or 33 integers, which may miss the optimum; the approx one,
+j / (grid + 1), ends in two rounds at a resolution of 1 / (256 (grid + 1)).
+A zoom round scores each grid whole, so its argmin holds where rounding
+breaks monotone argmins, at n above about 10^8.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ from .orderstats import ShiftedExp, _check_integer, _check_number
 __all__ = ["ScenarioTemplate", "ParetoPoint", "pareto_frontier"]
 
 # Largest n of the exact search: there, on 2 vCPUs, one beta takes about
-# 0.08 s and the default 33 betas about 3 s.
+# 0.1 s and the default 33 betas 1.2-2.2 s.
 EXACT_LIMIT = 1 << 15
-# Largest approx grid side: there 33 betas take about 2 s.
+# Largest approx grid side: there 33 betas take about 1.8 s.
 GRID_LIMIT = 1 << 15
-# Betas searched together times the larger of the first grid's rows plus
-# columns and a zoom grid's cells, which bounds the cells of one search
-# level or zoom round and so the search's memory.
-_GROUP_CELLS = 1 << 16
+# Objective cells of one kernel call of the search, at any number of betas.
+# Only one grid row, of at most 2^15 cells, or one zoom grid may go over it.
+_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,8 @@ def _segment_minima(mix, tables, weights, own, other, lengths):
     tables[1] from other[s]; a zero-weight age is left out.
 
     Betas searching one grid ask for overlapping segments of the same rows,
-    so the kernel runs once on each run of overlapping segments.
+    so the kernel runs once on each run of overlapping segments, and the
+    objective on chunks of the segments starting in one span of _CELLS cells.
     """
     stride = tables[1].shape[1] + 1  # a gap after each row keeps runs in one row
     first = own * stride + other  # each segment's first cell, row-major
@@ -135,65 +135,74 @@ def _segment_minima(mix, tables, weights, own, other, lengths):
     ages = pair_ages(mix, tables[0].take(cells // stride, axis=1),
                       tables[1].take(cells % stride, axis=1))
     lag = (cell0 - first[runs])[np.cumsum(new) - 1] + first - seg0  # kernel cell - objective cell
-    idx = np.repeat(lag, size) + np.arange(seg0[-1] + size[-1])
-    obj = _objective(np.repeat(weights, size), ages[0].take(idx), ages[1].take(idx))
-    low = np.minimum.reduceat(obj, seg0)
-    hits = np.flatnonzero(obj == np.repeat(low, size))
-    out = np.empty_like(low), np.empty_like(seg0)
-    out[0][order], out[1][order] = low, hits[np.searchsorted(hits, seg0)] - seg0
-    return out
+    low, at = np.empty(first.size), np.empty(first.size, np.int64)
+    cuts = [0, *(np.flatnonzero(np.diff(seg0 // _CELLS)) + 1), first.size]
+    for s in map(slice, cuts[:-1], cuts[1:]):
+        start = seg0[s] - seg0[s.start]
+        idx = np.repeat(lag[s] + seg0[s.start], size[s]) + np.arange(size[s].sum())
+        obj = _objective(np.repeat(weights[s], size[s]), ages[0].take(idx), ages[1].take(idx))
+        low[order[s]] = least = np.minimum.reduceat(obj, start)
+        hits = np.flatnonzero(obj == np.repeat(least, size[s]))
+        at[order[s]] = hits[np.searchsorted(hits, start)] - start
+    return low, at
 
 
 def _row_minima(cycles, mix, x1, x2, betas):
     """Per beta, the first row-major argmin (i1, i2) of its objective on the
-    grid x1 x x2.
-
-    Each row's first argmin never decreases down the rows, so each level
-    takes the middle row of every row interval over the interval's columns
-    and splits the interval at that row's argmin (Aggarwal, Klawe, Moran,
-    Shor & Wilber, Algorithmica 2, 1987). The kernel cells of a level are
-    gathered from (4, points) tables of each axis's cycles.
-    """
+    grid x1 x x2, where each row's first argmin never decreases down the rows:
+    the middle row of a row interval, searched over the interval's columns,
+    splits it at that row's argmin (Aggarwal, Klawe, Moran, Shor & Wilber,
+    Algorithmica 2, 1987). All betas split the same intervals. The pending
+    ones form a stack in row order; each kernel call takes the top ones that
+    fit in _CELLS cells, or the top one alone, with cells gathered from
+    (4, points) tables of each axis's cycles."""
     rows, cols, b = x1.size, x2.size, np.arange(betas.size)
     tables = [np.stack(c) for c in cycles(x1, x2)]
-    low, arg = np.empty((b.size, rows)), np.empty((b.size, rows), np.int64)
-    r0, r1, c0, c1 = np.zeros_like(b), np.full_like(b, rows), np.zeros_like(b), np.full_like(b, cols - 1)
-    while b.size:  # the row intervals [r0, r1) of betas b, on columns c0..c1
-        mid = (r0 + r1) // 2
-        low[b, mid], at = _segment_minima(mix, tables, betas[b], mid, c0, c1 - c0 + 1)
-        col = arg[b, mid] = c0 + at
-        b, r0, r1, c0, c1 = (np.concatenate(x) for x in
-                             ((b, b), (r0, mid + 1), (mid, r1), (c0, col), (col, c1)))
-        b, r0, r1, c0, c1 = (x[r0 < r1] for x in (b, r0, r1, c0, c1))
-    i1 = np.argmin(low, axis=1)  # the first row whose minimum is least
-    return i1, arg[np.arange(betas.size), i1]
+    best = np.full(b.size, np.inf), np.full(b.size, rows), np.zeros_like(b)  # value, row, column
+    r, c = np.array([[0, rows]]), np.array([[0, cols - 1]])[..., None].repeat(b.size, axis=2)
+    while r.size:  # row intervals [r[i, 0], r[i, 1]), per beta on columns c[i, 0]..c[i, 1]
+        size = c[:, 1] - c[:, 0] + 1
+        k = max(1, np.searchsorted(np.cumsum(size), _CELLS, "right") // b.size)
+        mid = r[:k].sum(axis=1) // 2
+        low, col = (x.reshape(k, -1) for x in _segment_minima(
+            mix, tables, np.tile(betas, k), mid.repeat(b.size), c[:k, 0].ravel(), size[:k].ravel()))
+        col += c[:k, 0]
+        i = low.argmin(axis=0)  # the rows ascend, so a tie goes to the first
+        v, row, col_i = low[i, b], mid[i], col[i, b]
+        better = (v < best[0]) | ((v == best[0]) & (row < best[1]))
+        best = tuple(np.where(better, *x) for x in zip((v, row, col_i), best))
+        r = np.concatenate((np.stack((r[:k, 0], mid, mid + 1, r[:k, 1]), 1).reshape(-1, 2), r[k:]))
+        c = np.concatenate((np.stack((c[:k, 0], col, col, c[:k, 1]), 1).reshape(-1, 2, b.size), c[k:]))
+        keep = r[:, 0] < r[:, 1]
+        r, c = r[keep], c[keep]
+    return best[1], best[2]
 
 
 def _search(cycles, mix, axes, betas):
     """Per beta, (k1, k2, objective, age_I, age_II) at the best cell of the
-    integer grid axes[0] x axes[1], searched by ``_row_minima`` and zoomed
-    while ``_zoom`` returns new axes; ``cycles(k1, k2)`` gives the
-    ``_cycles`` of both streams of mix. Ties break to the first row-major
-    argmin, the lexicographically smallest (k1, k2). Overflow gives inf
-    cells, not warnings.
+    integer grid axes[0] x axes[1], searched by ``_row_minima`` and zoomed,
+    in kernel calls of at most _CELLS cells, while ``_zoom`` returns new
+    axes; ``cycles(k1, k2)`` gives the ``_cycles`` of both streams of mix.
+    Ties break to the first row-major argmin, the lexicographically smallest
+    (k1, k2). Overflow gives inf cells, not warnings.
     """
-    betas, best = np.array(betas, dtype=float), []
-    step = max(1, _GROUP_CELLS // max(axes[0].size + axes[1].size, 33 * 33))
-    for group in np.split(betas, range(step, betas.size, step)):
-        b = np.arange(group.size)
-        x1, x2 = (np.broadcast_to(x, (group.size, x.size)) for x in axes)
-        with np.errstate(all="ignore"):
-            i1, i2 = _row_minima(cycles, mix, *axes, group)
-            while (zoomed := _zoom(x1, x2, i1, i2)) is not None:
-                x1, x2 = zoomed
-                ages = pair_ages(mix, *cycles(x1[:, :, None], x2[:, None]))
-                obj = _objective(group[:, None, None], *ages).reshape(group.size, -1)
-                i1, i2 = np.divmod(np.argmin(obj, axis=1), x2.shape[1])
-            x1, x2 = x1[b, i1], x2[b, i2]
-            ages = pair_ages(mix, *cycles(x1, x2))
-            best += zip(x1.tolist(), x2.tolist(), _objective(group, *ages).tolist(),
-                        *(a.tolist() for a in ages))
-    return best
+    betas = np.array(betas, dtype=float)
+    b = np.arange(betas.size)
+    x1, x2 = (np.broadcast_to(x, (b.size, x.size)) for x in axes)
+    with np.errstate(all="ignore"):
+        i1, i2 = _row_minima(cycles, mix, *axes, betas)
+        while (zoomed := _zoom(x1, x2, i1, i2)) is not None:
+            x1, x2 = zoomed
+            t1, t2 = (np.stack(c) for c in cycles(x1[:, :, None], x2[:, None]))
+            step = max(1, _CELLS // x1.shape[1] // x2.shape[1])
+            chunks = map(slice, b[::step], b[::step] + step)
+            best = [_objective(betas[s, None, None], *pair_ages(mix, t1[:, s], t2[:, s]))
+                    .reshape(b[s].size, -1).argmin(axis=1) for s in chunks]
+            i1, i2 = np.divmod(np.concatenate(best), x2.shape[1])
+        x1, x2 = x1[b, i1], x2[b, i2]
+        ages = pair_ages(mix, *cycles(x1, x2))
+        return list(zip(x1.tolist(), x2.tolist(), _objective(betas, *ages).tolist(),
+                        *(a.tolist() for a in ages)))
 
 
 def _neighbours(xs, i):
@@ -240,8 +249,9 @@ def pareto_frontier(
     out, so a starved stream with zero weight cannot poison the search.
     Integer ties break to the lexicographically smallest (k1, k2).
 
-    The exact evaluator finds the optimum for n up to EXACT_LIMIT; above it
-    the search is coarse-to-fine and may miss it. grid, the approx
+    The exact evaluator finds the optimum for n up to EXACT_LIMIT wherever
+    the rows' first argmins never decrease (see the module docstring); above
+    it the search is coarse-to-fine and may miss it. grid, the approx
     evaluator's ratio count per axis, lies in [1, GRID_LIMIT] and defaults
     to 512; the exact evaluator takes none. The approx ratios lie on the
     lattice k / (256 (grid + 1)). A point's ages are the search's kernel

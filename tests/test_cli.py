@@ -698,7 +698,7 @@ class TestSweep:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("param,values", [("k1", "2,2.5,3"), ("n", "10.7")])
+    @pytest.mark.parametrize("param,values", [("k1", "2,2.5,3"), ("n", "10.7"), ("n", "1e16")])
     def test_non_integral_threshold_rejected(self, scenario_file, tmp_path, capsys,
                                              param, values):
         out_path = tmp_path / "x.csv"
@@ -720,6 +720,24 @@ class TestSweep:
         with open(out_path, newline="") as f:
             rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == ["100.0", "1000.0"]
+
+    def test_sweep_n_beyond_float_precision(self, scenario_file, tmp_path):
+        # n reaches the exact forms as a Python int: 2^53 + 1 is not rounded
+        # to 2^53, and 2^63 - 1, which eval accepts, not up to 2^63.
+        doc = dict(SCENARIO, k1=1, k2=1, delay_I={"rate": 1.0, "shift": 0.0},
+                   delay_II={"rate": 2.0, "shift": 0.0})
+        out_path = tmp_path / "n.csv"
+        values = [2**53 + 1, 2**63 - 1]
+        rc = main(["sweep", scenario_file(doc), "--param", "n",
+                   "--values", ",".join(map(str, values)), "--out", str(out_path)])
+        assert rc == 0
+        with open(out_path, newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        expected = []
+        for n in values:
+            pair = age_pair(Scenario(n, 1, 1, ShiftedExp(1.0), ShiftedExp(2.0), MIX))
+            expected.append([str(n), repr(pair.age_I), repr(pair.age_II)])
+        assert rows == expected
 
     def test_sweep_n_to_a_trillion(self, scenario_file, tmp_path):
         from aoi_multicast.analytic import ScenarioApprox, StreamMix, age_pair

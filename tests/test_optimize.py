@@ -316,7 +316,7 @@ def full_grid_search(cycles, mix, axes, betas):
 
 
 class TestBlocks:
-    """The search, for all betas at once or in groups, finds the full grid's
+    """The search, in kernel calls of any cell budget, finds the full grid's
     first row-major argmin on the first grid and in every zoom round."""
 
     BETAS = [0.0, 0.1, 0.5, 0.9, 1.0]
@@ -338,12 +338,13 @@ class TestBlocks:
 
     def check(self, monkeypatch, template, cycles, axes, betas):
         want = full_grid_search(cycles, template.mix, axes, betas)
-        # Groups of one beta, of two, and of every beta.
-        for per_group in (1, 2, len(betas)):
-            monkeypatch.setattr(opt_mod, "_GROUP_CELLS",
-                                per_group * max(axes[0].size + axes[1].size, 33 * 33))
+        # One row interval per kernel call, with one segment per objective
+        # chunk and one beta per zoom call; the default budget; and every
+        # pending interval in one call, level by level, as every zoom grid.
+        for cells in (1, opt_mod._CELLS, 1 << 62):
+            monkeypatch.setattr(opt_mod, "_CELLS", cells)
             got = opt_mod._search(cycles, template.mix, axes, betas)
-            assert [x[:2] for x in got] == want, per_group
+            assert [x[:2] for x in got] == want, cells
 
     @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["at_will", "exogenous"])
     def test_random_templates_match_full_grid(self, monkeypatch, mode):
@@ -466,9 +467,10 @@ class TestBlocks:
         self.check(monkeypatch, tpl, *self.approx_axes(tpl, 16), [0.5])
 
     def test_memory_grows_with_grid_side_not_area(self):
-        # A level of the search holds O(betas * side) cells and bookkeeping;
-        # a grid four times as wide has sixteen times the cells, and a whole
-        # first grid would make the second peak 16 times the first.
+        # A kernel call holds at most _CELLS cells, or one grid row, plus
+        # O(betas * side) bookkeeping; a grid four times as wide has sixteen
+        # times the cells, and a whole first grid would make the second peak
+        # 16 times the first.
         tpl = asymmetric_template(mode=Exogenous(2.0))
         betas = [0.25, 0.5, 0.75]
         pareto_frontier(tpl, betas, evaluator="approx", grid=64)  # one-time allocations
@@ -482,6 +484,24 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 6 * peaks[0], peaks
+
+    def test_memory_does_not_grow_with_betas(self):
+        # A kernel call holds at most _CELLS objective cells at any number of
+        # betas. At grid 2048 three betas already fill calls, as their deeper
+        # levels hold 3 x (2048 + intervals) cells, so 99 betas add only their
+        # stack of column bounds.
+        tpl = asymmetric_template(mode=Exogenous(2.0))
+        pareto_frontier(tpl, [0.5], evaluator="approx", grid=64)  # one-time allocations
+        peaks = []
+        for betas in ([0.25, 0.5, 0.75], np.linspace(0.0, 1.0, 99)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                pareto_frontier(tpl, betas, evaluator="approx", grid=2048)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestOptimizeApprox:
@@ -572,9 +592,11 @@ class TestLemma1:
     def test_exact_grids_random_templates(self):
         # Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1
         # (proved in the docstring of analytic._renewal).
-        # Both ages are submodular: the mixed second difference is at most 0,
-        # so by Topkis' theorem each row's first argmin of any beta-weighted
-        # objective is non-decreasing in k1.
+        # On these ranges both ages are also submodular: the mixed second
+        # difference is at most 0. Outside them it may not be
+        # (test_submodularity_counterexample), so the row-minima search rests
+        # only on row argmins that never decrease, which TestBlocks checks
+        # against the full grid.
         for seed in range(60):
             rng = np.random.default_rng(seed)
 
@@ -593,6 +615,26 @@ class TestLemma1:
             for f in (age_I, age_II):
                 mixed = f[1:, 1:] + f[:-1, :-1] - f[1:, :-1] - f[:-1, 1:]
                 assert np.all(mixed <= 1e-13 * f[:-1, :-1]), tpl
+
+    def test_submodularity_counterexample(self):
+        # Rates 4.7 decades apart and a rare stream I: age_II's mixed second
+        # difference reaches +0.336 % of the age at (k1, k2) = (1, 60), and 20
+        # of the grid's cells exceed 1e-12 of it, so the objective is not a
+        # Monge array. Each beta's search still finds the full grid's argmin.
+        n = 61
+        tpl = ScenarioTemplate(ShiftedExp(0.010819784109084636), ShiftedExp(553.4379762509841),
+                               StreamMix(0.023454501766234846), AtWill(), n=n)
+        ks = np.arange(1, n + 1)
+        age_II = grid_ages(tpl, n, ks[:, None], ks[None, :])[1]
+        mixed = (age_II[1:, 1:] + age_II[:-1, :-1] - age_II[1:, :-1] - age_II[:-1, 1:]) / age_II[:-1, :-1]
+        assert np.count_nonzero(mixed > 1e-12) == 20
+        assert np.unravel_index(np.argmax(mixed), mixed.shape) == (0, 59)  # k1 = 1, k2 = 60
+        assert mixed.max() == pytest.approx(3.36e-3, rel=1e-3)
+        betas = [0.0, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6, 1.0]
+        want = full_grid_argmins(partial(_cycles, tpl, n), tpl.mix, ks, ks, betas)
+        for beta, (i1, i2) in zip(betas, want):
+            point, = pareto_frontier(tpl, [beta])
+            assert (point.k1, point.k2) == (ks[i1], ks[i2]), beta
 
     def test_asymmetric_laws(self):
         tpl = ScenarioTemplate(
