@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .orderstats import ShiftedExp, _check_integer, _check_number, os_moments
+from .orderstats import _N_MAX, ShiftedExp, _check_integer, _check_number, os_moments
 
 __all__ = [
     "Stream",
@@ -50,8 +50,6 @@ class StarvedStreamError(ValueError):
 
 # Age of a starved stream.
 INFINITE_AGE = math.inf
-# Largest receiver count: thresholds are held in int64 arrays.
-_N_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)

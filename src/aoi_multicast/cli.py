@@ -301,7 +301,8 @@ def _check_sweep_ratios(args) -> None:
 def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float | int):
     """age_pair of the scenario document with args.param set to value.
 
-    An n sweep with both ratios fixed sets k = max(1, round(alpha * n)).
+    An n sweep with both ratios fixed sets k = max(1, round(alpha * n)),
+    exact and a half to even, on alpha's shortest decimal: the ratio as typed.
     """
     param = args.param
     alphas = {"alpha1": args.alpha1, "alpha2": args.alpha2}
@@ -310,9 +311,10 @@ def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float | int
         return age_pair(_build("", template.with_alphas, **alphas))
     point = dict(doc, **{param: value})
     if param == "n" and None not in alphas.values():
+        from fractions import Fraction  # it loads decimal, 0.3 MiB that other verbs skip
         ratios = _build("", template.with_alphas, **alphas)
-        point.update(k1=max(1, round(ratios.alpha1 * point["n"])),
-                     k2=max(1, round(ratios.alpha2 * point["n"])))
+        point.update(k1=max(1, round(Fraction(repr(ratios.alpha1)) * point["n"])),
+                     k2=max(1, round(Fraction(repr(ratios.alpha2)) * point["n"])))
     point_template, k1, k2 = parse_scenario(point)
     return age_pair(point_template.with_thresholds(k1, k2))
 

@@ -30,13 +30,12 @@ from .analytic import (
     ScenarioApprox,
     StarvedStreamError,
     StreamMix,
-    _N_MAX,
     _check_ages,
     _check_fields,
     _cycles,
     pair_ages,
 )
-from .orderstats import ShiftedExp, _check_integer, _check_number
+from .orderstats import _N_MAX, ShiftedExp, _check_integer, _check_number
 
 __all__ = ["ScenarioTemplate", "ParetoPoint", "pareto_frontier"]
 

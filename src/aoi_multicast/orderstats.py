@@ -3,11 +3,13 @@
 The k-th smallest of n draws of shift + Exponential(rate) has mean
 shift + (H_n - H_m) / rate and variance (G_n - G_m) / rate^2, m = n - k,
 H_j = sum_{i<=j} 1/i, G_j = sum_{i<=j} 1/i^2. ``os_moments`` computes both
-for one k or an array in O(1) memory, split at M = 32. Below M it takes two
-rows of a constant table of the tails H_M - H_j and G_M - G_j, held to twice
-float precision so that their difference rounds correctly. Above M, from
-a = max(m, M) + 1/2 to b = max(n, M) + 1/2, it uses the digamma and trigamma
-series (Abramowitz & Stegun 6.3.18, 6.4.12) log1p(ba / a) + c(b) - c(a) and
+in O(1) memory for integers, not bools, 1 <= k <= n <= 2^63 - 1 (k one or
+an array), and their large-n limits at real ratios alpha in (0, 1); other
+input raises. It splits at M = 32. Below M it takes two rows of a constant
+table of the tails H_M - H_j and G_M - G_j, held to twice float precision so
+that their difference rounds correctly. Above M, from a = max(m, M) + 1/2 to
+b = max(n, M) + 1/2, it uses the digamma and trigamma series (Abramowitz &
+Stegun 6.3.18, 6.4.12) log1p(ba / a) + c(b) - c(a) and
 ba / (a b) - (e(a) - e(b)). ba = b - a = min(k, max(n - M, 0)) comes from
 the integers, since above 2^52 a and b round and their float difference
 loses k. Both parts are nonnegative, so nothing cancels: about 1e-15
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["ShiftedExp", "os_moments"]
+# Largest receiver count: thresholds are held in int64 arrays.
+_N_MAX = int(np.iinfo(np.int64).max)
 
 
 def _check_integer(name: str, v, at_least: int | None = None, at_most: int | None = None) -> int:
@@ -115,26 +119,22 @@ def _excess(t, L):
 
 
 def _check_order(k, n):
-    """(k, n) with k an int or an int64 array, every entry in [1, n]."""
-    if not isinstance(n, numbers.Integral):
+    """(k, n): k as an int64 array, 0-d for a scalar k, every entry in
+    [1, n], and n as an int in [1, _N_MAX]. Bools are not integers."""
+    k = np.asarray(k)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or k.dtype.kind not in "iu":
         raise TypeError("k and n must be integers")
-    if isinstance(k, numbers.Integral):
-        k = lo = hi = int(k)
-    else:
-        k = np.asarray(k)
-        if k.dtype.kind not in "iu":
-            raise TypeError("k and n must be integers")
-        k = k.astype(np.int64, copy=False)
-        lo, hi = k.min(), k.max()
-    if n < 1 or lo < 1 or hi > n:
-        flat = np.ravel(k)
-        first = flat[np.argmax((flat < 1) | (flat > n))]
-        raise ValueError(f"need 1 <= k <= n, got k={first}, n={n}")
-    return k, int(n)
+    n = _check_integer("n", n, 1, _N_MAX)
+    k = k.astype(np.int64, copy=False)
+    if (bad := (k < 1) | (k > n)).any():
+        raise ValueError(f"need 1 <= k <= n, got k={k[bad][0]}, n={n}")
+    return k, n
 
 
 def _check_alpha(alpha):
-    """alpha as a float64 scalar or array, every entry in (0, 1)."""
+    """alpha as a float64 scalar or array of a real dtype, every entry in (0, 1)."""
+    if (dtype := np.asarray(alpha).dtype).kind not in "iuf":
+        raise TypeError(f"alpha must be a real number or an array of them, got dtype {dtype}")
     a = np.asarray(alpha, dtype=np.float64)
     if not np.all((a > 0.0) & (a < 1.0)):
         raise ValueError(f"alpha must lie in the open interval (0, 1), got {alpha}")
@@ -144,18 +144,18 @@ def _check_alpha(alpha):
 def os_moments(d: ShiftedExp, x, n=None):
     """(mean, variance, mean_first_k) of the k-th smallest of n draws of d.
 
-    With n given, x is the order k (an int or an int array, 1 <= k <= n) and,
-    with m = n - k, the mean is shift + (H_n - H_m) / rate and the variance
-    (G_n - G_m) / rate^2. mean_first_k, the average of the k smallest
-    order-statistic means and so the expected delay of a delivered update
-    under earliest-k stopping, is shift + S / (k rate) with
-    S = sum_{i<=k} (H_n - H_{n-i}) = k - m (H_n - H_m) (Concrete Mathematics,
-    eq. 2.36). For m >= M that difference cancels; there ba = k, and with
-    t = k / a and the L = log1p(t) of H_n - H_m, S is summed as the
-    nonnegative a (t - L) + L / 2 + m (c(a) - c(n + 1/2)).
+    With n given, x is the order k (an int or an int array) and n an int,
+    neither a bool, with 1 <= k <= n <= 2^63 - 1. With m = n - k, the mean
+    is shift + (H_n - H_m) / rate and the variance (G_n - G_m) / rate^2.
+    mean_first_k, the average of the k smallest order-statistic means and so
+    the expected delay of a delivered update under earliest-k stopping, is
+    shift + S / (k rate), S = sum_{i<=k} (H_n - H_{n-i}) = k - m (H_n - H_m)
+    (Concrete Mathematics, eq. 2.36). For m >= M that difference cancels;
+    there ba = k, and with t = k / a and the L = log1p(t) of H_n - H_m, S is
+    summed as the nonnegative a (t - L) + L / 2 + m (c(a) - c(n + 1/2)).
 
-    With n None, x is the ratio alpha = k / n (a float or a float array in
-    (0, 1)) and the result is the large-n limit: the mean
+    With n None, x is the ratio alpha = k / n (a real number or an array of
+    them in (0, 1)) and the result is the large-n limit: the mean
     delta(alpha) = shift - log(1 - alpha) / rate, a variance of 0 (zeros of
     alpha's shape), and
     mean_first_k = shift + 1/rate + ((1 - alpha) / (alpha rate)) log(1 - alpha).

@@ -645,6 +645,34 @@ class TestExactToApproxConvergence:
             assert 1e-3 < scaled[0] < 10
             assert scaled[1:] == pytest.approx([scaled[0]] * 2, rel=0.02), scaled
 
+    @pytest.mark.parametrize("mode", [AtWill(), Exogenous(2.0)], ids=["atwill", "exo"])
+    def test_scaled_gap_holds_to_the_top_of_int64(self, mode):
+        # Per stream, n (exact - large-n) / large-n with the large-n form at
+        # k / n, so that rounding k does not enter: from n = 10^4 to 10^10 it
+        # keeps its value at 10^6 to 1e-3 (at 10^12 rounding moves it by about
+        # 2e-3, and nearer alpha = 0 or 1 the 1/n^2 term nears 1e-3 at 10^4).
+        # Far above 2^53 the gap, about c / n, is below an ulp, so the two
+        # forms, which share no harmonic sum, agree to 4 ulps.
+        mix = StreamMix(0.6)
+        rng = np.random.default_rng(6)
+        pairs = [(0.5, 0.5), (0.01, 0.9), *rng.uniform(0.1, 0.9, (3, 2)).tolist()]
+
+        def ages(n, a1, a2):
+            k1, k2 = round(a1 * n), round(a2 * n)
+            exact = age_pair(Scenario(n, k1, k2, REF["delay_I"], REF["delay_II"], mix, mode))
+            approx = age_pair(ScenarioApprox(k1 / n, k2 / n, REF["delay_I"], REF["delay_II"],
+                                             mix, mode))
+            return [(exact.age(t), approx.age(t)) for t in Stream]
+
+        for a1, a2 in pairs:
+            scaled = {n: [n * (e - a) / a for e, a in ages(n, a1, a2)]
+                      for n in (10**4, 10**6, 10**8, 10**10)}
+            for n, got in scaled.items():
+                assert got == pytest.approx(scaled[10**6], rel=1e-3), (a1, a2, n)
+            for n in (2**53 + 2, 10**17, 2**63 - 1):
+                for e, a in ages(n, a1, a2):
+                    assert abs(e - a) <= 4 * math.ulp(a), (a1, a2, n)
+
 
 # Shares, ratios and laws for the metamorphic properties; n reaches 10^12.
 scenarios = st.builds(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -559,8 +560,9 @@ SWEEP_CASES = [
     pytest.param("n", "5,10,1e3", (), SCENARIO,
                  lambda v: Scenario(int(v), 3, 5, D_I, D_II, MIX), id="n"),
     pytest.param("n", "1,3,1e2,1e7", ("--alpha1", "0.3", "--alpha2", "0.57"), SCENARIO,
-                 lambda v: Scenario(int(v), max(1, round(0.3 * v)), max(1, round(0.57 * v)),
-                                    D_I, D_II, MIX), id="n-fixed-alphas"),
+                 lambda v: Scenario(int(v), max(1, round(Fraction("0.3") * int(v))),
+                                    max(1, round(Fraction("0.57") * int(v))), D_I, D_II, MIX),
+                 id="n-fixed-alphas"),
     pytest.param("k1", "1,2,10", (), SCENARIO,
                  lambda v: Scenario(10, int(v), 5, D_I, D_II, MIX), id="k1"),
     pytest.param("k2", "1,5,10", (), SCENARIO,
@@ -739,6 +741,27 @@ class TestSweep:
             expected.append([str(n), repr(pair.age_I), repr(pair.age_II)])
         assert rows == expected
 
+    def test_sweep_n_thresholds_round_the_decimal_ratio(self, scenario_file, tmp_path,
+                                                        monkeypatch):
+        # k = max(1, round(alpha n)) on the ratio as typed, a half to even. The
+        # float product gives 85, ...365, ...992 and ...221760 at alpha = 0.57,
+        # and 11 at 0.07 * 150 = 10.5.
+        import aoi_multicast.cli as cli_mod
+        from aoi_multicast.analytic import AgePair
+
+        seen = []
+        monkeypatch.setattr(cli_mod, "age_pair",
+                            lambda s: seen.append((s.n, s.k1, s.k2)) or AgePair(1.0, 1.0))
+        values = [150, 2**53 + 1, 10**17 + 3, 2**63 - 1]
+        rc = main(["sweep", scenario_file(SCENARIO), "--param", "n",
+                   "--values", ",".join(map(str, values)), "--alpha1", "0.57", "--alpha2", "0.07",
+                   "--out", str(tmp_path / "n.csv")])
+        assert rc == 0
+        assert seen == [(150, 86, 10),
+                        (2**53 + 1, 5134103575202366, 630503947831870),
+                        (10**17 + 3, 57000000000000002, 7000000000000000),
+                        (2**63 - 1, 5257322061007222210, 645636042579834306)]
+
     def test_sweep_n_to_a_trillion(self, scenario_file, tmp_path):
         from aoi_multicast.analytic import ScenarioApprox, StreamMix, age_pair
         from aoi_multicast.orderstats import ShiftedExp
@@ -761,9 +784,10 @@ class TestSweep:
 
 # Modules a verb may load only when it needs them: numpy.ma never (numpy
 # imports it lazily, on the first np.unique of a process), numpy.random for
-# the simulator and the process pool for `--threads N > 1` with more than one
-# replication. scipy, which only the tests use, never.
-LAZY_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures.process", "scipy")
+# the simulator, the process pool for `--threads N > 1` with more than one
+# replication and decimal, which fractions loads, for an n sweep with fixed
+# ratios. scipy, which only the tests use, never.
+LAZY_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures.process", "decimal", "scipy")
 WIDE = dict(SCENARIO, n=10**6)  # above EXACT_LIMIT
 # A pool has at most one worker per allowed CPU, so with one CPU it runs serial.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else os.cpu_count() or 1
@@ -791,6 +815,8 @@ def test_cli_import_leaves_scipy_unloaded():
     (WIDE, ["pareto", "--betas", "0.25,0.5,0.75"], []),
     (SCENARIO, ["pareto", "--evaluator", "approx", "--grid", "64", "--betas", "0.5"], []),
     (SCENARIO, ["sweep", "--param", "p1", "--values", "0.5"], []),
+    (SCENARIO, ["sweep", "--param", "n", "--values", "10", "--alpha1", "0.3", "--alpha2", "0.5"],
+     ["decimal"]),
     (SCENARIO, ["simulate", "--cycles", "2000"], ["numpy.random"]),
     (SCENARIO, ["simulate", "--cycles", "2000", "--threads", "2", "--replications", "1"],
      ["numpy.random"]),
@@ -799,7 +825,7 @@ def test_cli_import_leaves_scipy_unloaded():
     (SCENARIO, ["validate", "--cycles", "2000", "--replications", "2", "--tolerance", "0.5"],
      ["numpy.random"]),
 ], ids=["eval", "eval_approx", "pareto_exhaustive", "pareto_coarse_to_fine", "pareto_approx",
-        "sweep", "simulate", "simulate_one_replication", "simulate_threads", "validate"])
+        "sweep", "sweep_n", "simulate", "simulate_one_replication", "simulate_threads", "validate"])
 def test_verb_loads_only_its_modules(scenario_file, tmp_path, doc, verb, expect):
     # Each verb in a fresh interpreter, as the installed script runs it.
     argv = [verb[0], scenario_file(doc), *verb[1:]]

@@ -636,6 +636,41 @@ class TestLemma1:
             point, = pareto_frontier(tpl, [beta])
             assert (point.k1, point.k2) == (ks[i1], ks[i2]), beta
 
+    def test_row_minima_where_submodularity_fails(self):
+        # Rates 2 to 8 decades apart, mostly zero shifts and p1 often near 0
+        # or 1: here one template in ten is not submodular (60 of these 600
+        # seeds), and the search must still find the full grid's argmin.
+        betas = [0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0]
+        violated = 0
+        for s in range(600):
+            rng = np.random.default_rng(50000 + s)
+
+            def log_uniform(lo, hi):
+                return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+            rates = [log_uniform(1e-4, 1e-1), log_uniform(1e1, 1e4)]
+            rng.shuffle(rates)
+            shifts = [0.0 if rng.uniform() < 0.7 else log_uniform(1e-6, 1e-2) for _ in range(2)]
+            side = rng.integers(3)  # p1 near 0, near 1, or in [0.1, 0.9]
+            p1 = rng.uniform(0.1, 0.9) if side == 2 else abs(side - log_uniform(1e-4, 0.1))
+            mode = Exogenous(log_uniform(1e-2, 1e4)) if s % 2 else AtWill()
+            n = int(rng.integers(2, 150))
+            tpl = ScenarioTemplate(*map(ShiftedExp, rates, shifts), StreamMix(p1), mode, n=n)
+            ks = np.arange(1, n + 1)
+            cycles = partial(_cycles, tpl, n)
+            age_I, age_II = grid_ages(tpl, n, ks[:, None], ks[None, :])
+            violated += any(np.any(f[1:, 1:] + f[:-1, :-1] - f[1:, :-1] - f[:-1, 1:]
+                                   > 1e-12 * f[:-1, :-1]) for f in (age_I, age_II))
+            want = full_grid_argmins(cycles, tpl.mix, ks, ks, betas)
+            got = opt_mod._search(cycles, tpl.mix, (ks, ks), betas)
+            for beta, (i1, i2), (k1, k2, objective, *_) in zip(betas, want, got):
+                if (k1, k2) != (ks[i1], ks[i2]):
+                    # At beta = 1, age_I can be flat in k2 to an ulp or two, so
+                    # a row's first argmin may fall by a rounding tie: there the
+                    # objectives are compared, not the cells.
+                    assert beta == 1.0 and objective == age_I.min(), (s, beta, tpl)
+        assert violated == 60
+
     def test_asymmetric_laws(self):
         tpl = ScenarioTemplate(
             ShiftedExp(1, 1), ShiftedExp(2, 0.5), StreamMix(0.8), AtWill()

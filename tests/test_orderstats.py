@@ -98,11 +98,20 @@ class TestOrderStatMoments:
         with pytest.raises(ValueError):
             os_moments(d, n + 1, n)[2]
 
-    @pytest.mark.parametrize("k,n", [(2.0, 7), (2, 7.0), (np.array([2.0, 3.0]), 7)],
-                             ids=["float-k", "float-n", "float-array-k"])
+    @pytest.mark.parametrize("k,n", [(2.0, 7), (2, 7.0), (np.array([2.0, 3.0]), 7), (True, 10),
+                                     (1, True), (np.array([True, False]), 10), (1, np.True_)],
+                             ids=["float-k", "float-n", "float-array-k", "bool-k", "bool-n",
+                                  "bool-array-k", "numpy-bool-n"])
     def test_non_integer_order_rejected(self, k, n):
         with pytest.raises(TypeError, match="^k and n must be integers$"):
             os_moments(ShiftedExp(1, 1), k, n)
+
+    @pytest.mark.parametrize("n", [0, 2**63, 2**64, 2**70])
+    def test_n_outside_int64_rejected(self, n):
+        # Beyond 2^63 - 1, n - k would no longer fit the int64 arithmetic.
+        bound = ">= 1" if n < 1 else f"<= {2**63 - 1}"
+        with pytest.raises(ValueError, match=f"^n must be {bound}, got {n}$"):
+            os_moments(ShiftedExp(1, 1), 1, n)
 
     def test_out_of_range_names_first_bad_k(self):
         d = ShiftedExp(1, 1)
@@ -179,10 +188,19 @@ class TestMeanFirstK:
         approx = os_moments(d, 0.5)[2]
         assert abs(exact - approx) / exact < 1e-2
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, 0, 1, np.array([0.5, 2])])
     def test_approx_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alpha must lie in the open interval"):
             os_moments(ShiftedExp(1, 1), alpha)[2]
+
+    @pytest.mark.parametrize("alpha", ["0.5", b"0.5", ["0.3", 0.4], np.array([0.5], dtype=object),
+                                       True, np.array([True]), 0.5 + 0j],
+                             ids=["str", "bytes", "str-list", "object-array", "bool", "bool-array",
+                                  "complex"])
+    def test_approx_rejects_non_real_alpha(self, alpha):
+        # Only integer and real dtypes are ratios; nothing is parsed or coerced.
+        with pytest.raises(TypeError, match="^alpha must be a real number or an array of them"):
+            os_moments(ShiftedExp(1, 1), alpha)
 
 
 class TestDeltaThreshold:
