@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .optimize import EXACT_LIMIT, ScenarioTemplate, pareto_frontier
 from .orderstats import ShiftedExp, _check_integer
 from .sim import DEFAULT_SEED, SimConfig, simulate
 
-__all__ = ["main", "run", "SchemaError", "load_scenario_file"]
+__all__ = ["main", "run", "SchemaError"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,11 +48,10 @@ _SCENARIO_KEYS = {"n", "k1", "k2", "delay_I", "delay_II", "p1", "mode", "mu"}
 
 
 class SchemaError(Exception):
-    """Scenario file violates the schema; `key` names the offending field."""
+    """Scenario file violates the schema; the message starts with the offending key."""
 
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
-        self.key = key
 
 
 def _get(doc: dict, key: str):
@@ -84,11 +84,12 @@ def _delay(doc: dict, key: str) -> ShiftedExp:
 
 
 def parse_scenario(doc: dict, need_thresholds: bool = True):
-    """Validate a scenario document and build (template, k1, k2).
+    """Validate a scenario document and build (template, scenario).
 
     The JSON structure and keys are checked here, each value's type and range
-    by the dataclasses. k1/k2 are None when absent and not required; any
-    that are given are checked.
+    by the dataclasses. k1/k2 are required when need_thresholds is set; any
+    that are given are checked. scenario is the template at the document's
+    k1 and k2, or None unless both are given.
     """
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "scenario document must be a JSON object")
@@ -114,10 +115,9 @@ def parse_scenario(doc: dict, need_thresholds: bool = True):
 
     template = _build("", ScenarioTemplate, delay_I, delay_II, mix, mode, n)
     given = {key: _get(doc, key) for key in ("k1", "k2") if need_thresholds or key in doc}
-    if given:
-        # An absent threshold stands in as 1, which every n >= 1 admits.
-        _build("", template.with_thresholds, **{"k1": 1, "k2": 1, **given})
-    return template, given.get("k1"), given.get("k2")
+    # An absent threshold stands in as 1, which every n >= 1 admits.
+    scenario = given and _build("", template.with_thresholds, **{"k1": 1, "k2": 1, **given})
+    return template, scenario if len(given) == 2 else None
 
 
 def _load_json(path: str):
@@ -130,10 +130,6 @@ def _load_json(path: str):
         raise SchemaError("<file>", f"invalid JSON: {e}")
 
 
-def load_scenario_file(path: str, need_thresholds: bool = True):
-    return parse_scenario(_load_json(path), need_thresholds=need_thresholds)
-
-
 def _cell(v):
     """v for JSON or CSV, which both write a float as its repr: "infinite" for
     an infinite float."""
@@ -144,7 +140,7 @@ def _cell(v):
 
 
 def _cmd_eval(args) -> int:
-    template, k1, k2 = load_scenario_file(args.scenario, need_thresholds=not args.approx)
+    template, scenario = parse_scenario(_load_json(args.scenario), need_thresholds=not args.approx)
     if args.approx:
         for key in ("alpha1", "alpha2"):
             if getattr(args, key) is None:
@@ -154,7 +150,6 @@ def _cmd_eval(args) -> int:
         for key in ("alpha1", "alpha2"):
             if getattr(args, key) is not None:
                 raise SchemaError(key, "used only with --approx")
-        scenario = template.with_thresholds(k1, k2)
     pair = age_pair(scenario)
     print(json.dumps({"age_I": _cell(pair.age_I), "age_II": _cell(pair.age_II)}))
     return EXIT_OK
@@ -166,35 +161,22 @@ def _sim_config(args, scenario: Scenario) -> SimConfig:
 
 
 def _cmd_simulate(args) -> int:
-    template, k1, k2 = load_scenario_file(args.scenario)
-    cfg = _sim_config(args, template.with_thresholds(k1, k2))
+    cfg = _sim_config(args, parse_scenario(_load_json(args.scenario))[1])
     t0 = time.perf_counter()
     res = simulate(cfg, threads=args.threads)
     wall = time.perf_counter() - t0
     # Wall time goes to stderr so stdout stays byte-identical across
     # repeated runs with the same seed.
     print(f"wall_time_s: {wall:.3f}", file=sys.stderr)
-    print(
-        json.dumps(
-            {
-                "age_I": _cell(res.age_I_hat),
-                "age_II": _cell(res.age_II_hat),
-                "se_I": res.se_I,
-                "se_II": res.se_II,
-                "deliveries_I": res.deliveries_I,
-                "deliveries_II": res.deliveries_II,
-                "sim_time": res.sim_time,
-            }
-        )
-    )
+    print(json.dumps({key.removesuffix("_hat"): _cell(v)
+                      for key, v in dataclasses.asdict(res).items()}))
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
     if not 0.0 < args.tolerance < math.inf:
         raise SchemaError("tolerance", f"must be a finite number > 0, got {args.tolerance}")
-    template, k1, k2 = load_scenario_file(args.scenario)
-    scenario = template.with_thresholds(k1, k2)
+    _, scenario = parse_scenario(_load_json(args.scenario))
     exact = age_pair(scenario)
     sim = simulate(_sim_config(args, scenario), threads=args.threads)
 
@@ -265,7 +247,7 @@ def _write_table(path: str, header, rows) -> None:
 
 
 def _cmd_pareto(args) -> int:
-    template, _, _ = load_scenario_file(args.scenario, need_thresholds=False)
+    template, _ = parse_scenario(_load_json(args.scenario), need_thresholds=False)
     betas = (list(np.linspace(0.0, 1.0, 33)) if args.betas is None
              else _float_list("betas", args.betas))
     frontier = pareto_frontier(template, betas, evaluator=args.evaluator, grid=args.grid)
@@ -315,13 +297,12 @@ def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float | int
         ratios = _build("", template.with_alphas, **alphas)
         point.update(k1=max(1, round(Fraction(repr(ratios.alpha1)) * point["n"])),
                      k2=max(1, round(Fraction(repr(ratios.alpha2)) * point["n"])))
-    point_template, k1, k2 = parse_scenario(point)
-    return age_pair(point_template.with_thresholds(k1, k2))
+    return age_pair(parse_scenario(point)[1])
 
 
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.scenario)
-    template, _, _ = parse_scenario(doc, need_thresholds=False)
+    template, _ = parse_scenario(doc, need_thresholds=False)
     values = _float_list("values", args.values)
     if args.param in ("n", "k1", "k2"):
         values = [_integer(args.param, tok) for tok in args.values.split(",") if tok.strip()]

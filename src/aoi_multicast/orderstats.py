@@ -120,15 +120,19 @@ def _excess(t, L):
 
 def _check_order(k, n):
     """(k, n): k as an int64 array, 0-d for a scalar k, every entry in
-    [1, n], and n as an int in [1, _N_MAX]. Bools are not integers."""
+    [1, n], and n as an int in [1, _N_MAX]. Bools are not integers. numpy
+    holds Python ints beyond int64 and uint64 in an object array, compared
+    exactly; an integer k is compared with n as an int64 or uint64 of k's
+    kind, since numpy 1 compares a uint64 scalar with a Python int in float64."""
     k = np.asarray(k)
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or k.dtype.kind not in "iu":
+    ints = k.dtype.kind in "iu" or k.dtype == object and all(type(v) is int for v in k.flat)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not ints:
         raise TypeError("k and n must be integers")
     n = _check_integer("n", n, 1, _N_MAX)
-    k = k.astype(np.int64, copy=False)
-    if (bad := (k < 1) | (k > n)).any():
+    hi = n if k.dtype == object else np.uint64(n) if k.dtype.kind == "u" else np.int64(n)
+    if (bad := (k < 1) | (k > hi)).any():
         raise ValueError(f"need 1 <= k <= n, got k={k[bad][0]}, n={n}")
-    return k, n
+    return k.astype(np.int64, copy=False), n
 
 
 def _check_alpha(alpha):

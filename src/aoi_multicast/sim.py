@@ -276,12 +276,12 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     else:
         outs = [_sim_worker(a) for a in args]
 
-    ages, ses, deliveries = {}, {}, {}
+    per_stream = []  # (age, se, deliveries) of each stream
     for i, stream in enumerate((Stream.TYPE_I, Stream.TYPE_II)):
         per_rep = [o[i][0] for o in outs]
-        deliveries[stream] = sum(o[i][1] for o in outs)
+        deliveries = sum(o[i][1] for o in outs)
         if cfg.scenario.mix.prob(stream) <= 0:  # starved: never delivered
-            ages[stream], ses[stream] = INFINITE_AGE, 0.0
+            per_stream.append((INFINITE_AGE, 0.0, deliveries))
             continue
         if any(a is None for a in per_rep):
             raise RuntimeError(
@@ -289,17 +289,11 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
                 "increase cycles"
             )
         vals = np.asarray(per_rep, dtype=np.float64)
-        ages[stream] = float(vals.mean())
-        ses[stream] = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-        if not np.isfinite([ages[stream], ses[stream]]).all():
+        age = float(vals.mean())
+        se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+        if not np.isfinite([age, se]).all():
             raise RuntimeError(f"the simulated age of stream {stream.value} overflows")
+        per_stream.append((age, se, deliveries))
 
-    return SimResult(
-        age_I_hat=ages[Stream.TYPE_I],
-        age_II_hat=ages[Stream.TYPE_II],
-        se_I=ses[Stream.TYPE_I],
-        se_II=ses[Stream.TYPE_II],
-        deliveries_I=deliveries[Stream.TYPE_I],
-        deliveries_II=deliveries[Stream.TYPE_II],
-        sim_time=float(sum(o[2] for o in outs)),
-    )
+    (age_I, se_I, n_I), (age_II, se_II, n_II) = per_stream
+    return SimResult(age_I, age_II, se_I, se_II, n_I, n_II, float(sum(o[2] for o in outs)))

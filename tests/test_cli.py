@@ -319,6 +319,23 @@ class TestSimulate:
             tol = max(3 * sim[se_key], 0.01 * exact[key])
             assert abs(sim[key] - exact[key]) <= tol
 
+    @pytest.mark.parametrize("doc", [SCENARIO, SINGLE_NODE], ids=["two_streams", "starved"])
+    def test_stdout_is_the_library_result(self, scenario_file, capsys, doc):
+        from aoi_multicast.sim import SimConfig, simulate
+
+        assert main(["simulate", scenario_file(doc), "--cycles", "5000", "--seed", "5",
+                     "--replications", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["age_I", "age_II", "se_I", "se_II", "deliveries_I",
+                             "deliveries_II", "sim_time"]
+        s = Scenario(doc["n"], doc["k1"], doc["k2"], ShiftedExp(**doc["delay_I"]),
+                     ShiftedExp(**doc["delay_II"]), StreamMix(doc["p1"]))
+        res = simulate(SimConfig(s, cycles=5000, seed=5, replications=3))
+        expect = [res.age_I_hat, res.age_II_hat, res.se_I, res.se_II, res.deliveries_I,
+                  res.deliveries_II, res.sim_time]
+        assert list(out.values()) == ["infinite" if v == math.inf else v for v in expect]
+        assert (out["age_II"] == "infinite") == (doc["p1"] == 1.0)
+
     @pytest.mark.parametrize("verb", ["simulate", "validate"])
     def test_warmup_option_gone(self, scenario_file, capsys, verb):
         rc = main([verb, scenario_file(SCENARIO), "--warmup", "10"])
@@ -522,6 +539,23 @@ def test_given_thresholds_range_checked(scenario_file, tmp_path, capsys, verb, p
     assert rc == 2
     assert captured.err.startswith(f"error: {key}: must ")
     assert captured.out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("key", ["k1", "k2"])
+def test_missing_threshold_rejected_where_used(scenario_file, tmp_path, capsys, key):
+    # Only the verbs that evaluate the document's own thresholds need them.
+    path = scenario_file({k: v for k, v in SCENARIO.items() if k != key})
+    out_path = tmp_path / "x.csv"
+    for verb in (["eval"], ["simulate", "--cycles", "2000"], ["validate", "--cycles", "2000"],
+                 ["sweep", "--param", "p1", "--values", "0.5"]):
+        rc = run_verb(verb, path, out_path)
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, ""), verb
+        assert captured.err == f"error: {key}: missing required key\n"
+        assert not out_path.exists()
+    for verb in (["pareto", "--betas", "0.5"],
+                 ["eval", "--approx", "--alpha1", "0.3", "--alpha2", "0.5"]):
+        assert run_verb(verb, path, out_path) == 0, verb
 
 
 @pytest.mark.parametrize("verb", [

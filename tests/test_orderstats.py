@@ -113,6 +113,18 @@ class TestOrderStatMoments:
         with pytest.raises(ValueError, match=f"^n must be {bound}, got {n}$"):
             os_moments(ShiftedExp(1, 1), 1, n)
 
+    @pytest.mark.parametrize("k,n,shown", [
+        (2**63, 2**63 - 1, 2**63),
+        (np.uint64(2**63), 10, 2**63),
+        (np.array([1, 2**63], dtype=np.uint64), 2**63 - 1, 2**63),
+        (2**64, 2**63 - 1, 2**64),
+        ([1, 2**64], 10, 2**64),
+    ], ids=["uint64-int", "uint64-scalar", "uint64-array", "object-int", "object-array"])
+    def test_k_beyond_int64_names_the_true_k(self, k, n, shown):
+        # numpy holds these as uint64 or object arrays; an int64 cast would wrap them.
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={shown}, n={n}$"):
+            os_moments(ShiftedExp(1.0), k, n)
+
     def test_out_of_range_names_first_bad_k(self):
         d = ShiftedExp(1, 1)
         ks = np.concatenate([np.arange(1, 1001), [0, 2000]])
