@@ -333,8 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_args.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim_args.add_argument("--replications", type=int, default=10)
     sim_args.add_argument("--threads", type=int, default=1,
-                          help="worker processes over replications, at most one per allowed "
-                               "CPU and pinned when one per CPU (default 1: serial)")
+                          help="forked worker processes over replications, at most one per "
+                               "allowed CPU and pinned when one per CPU; serial where os.fork "
+                               "is absent (default 1: serial)")
 
     p = sub.add_parser("eval", help="evaluate the closed-form ages")
     p.add_argument("scenario", help="scenario JSON file")

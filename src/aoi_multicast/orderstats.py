@@ -124,15 +124,16 @@ def _check_order(k, n):
     holds Python ints beyond int64 and uint64 in an object array, compared
     exactly; an integer k is compared with n as an int64 or uint64 of k's
     kind, since numpy 1 compares a uint64 scalar with a Python int in float64."""
-    k = np.asarray(k)
-    ints = k.dtype.kind in "iu" or k.dtype == object and all(type(v) is int for v in k.flat)
+    if (a := np.asarray(k)).dtype.kind == "f" and not isinstance(k, (np.ndarray, np.generic)):
+        a = np.asarray(k, dtype=object)  # numpy holds [-1, 2**63] as float64: re-read its ints
+    ints = a.dtype.kind in "iu" or a.dtype == object and all(type(v) is int for v in a.flat)
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not ints:
         raise TypeError("k and n must be integers")
     n = _check_integer("n", n, 1, _N_MAX)
-    hi = n if k.dtype == object else np.uint64(n) if k.dtype.kind == "u" else np.int64(n)
-    if (bad := (k < 1) | (k > hi)).any():
-        raise ValueError(f"need 1 <= k <= n, got k={k[bad][0]}, n={n}")
-    return k.astype(np.int64, copy=False), n
+    hi = n if a.dtype == object else np.uint64(n) if a.dtype.kind == "u" else np.int64(n)
+    if (bad := (a < 1) | (a > hi)).any():
+        raise ValueError(f"need 1 <= k <= n, got k={a[bad][0]}, n={n}")
+    return a.astype(np.int64, copy=False), n
 
 
 def _check_alpha(alpha):

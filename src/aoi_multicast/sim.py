@@ -39,6 +39,7 @@ independent reference and compare the two laws by two-sample tests.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,9 +235,44 @@ def _sim_worker(args) -> tuple:
     return (fold_I.age(), fold_I.count), (fold_II.age(), fold_II.count), end
 
 
-def _pin(cpus) -> None:
-    """Pool initializer: keep this worker on the CPU id it takes from `cpus`."""
-    os.sched_setaffinity(0, {cpus.get()})
+def _forked(args: list, workers: int, cpus) -> list:
+    """`_sim_worker` over `args` on `workers` forked children, child w taking
+    args[w::workers], pinned to cpus[w] unless cpus is None, and pickling its
+    results or exception into a pipe. No child outlives the call."""
+    live, parts = {}, []  # live: pid -> read end of its pipe, until reaped
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            if (pid := os.fork()) == 0:  # ends in os._exit: no atexit handler, no stdio flush
+                try:
+                    if cpus is not None:
+                        os.sched_setaffinity(0, {cpus[w]})
+                    out = [_sim_worker(a) for a in args[w::workers]]
+                except BaseException as exc:  # raised again in the parent
+                    out = exc
+                try:
+                    with open(wr, "wb") as f:
+                        f.write(pickle.dumps(out))
+                finally:
+                    os._exit(0)
+            live[pid] = open(r, "rb")
+            os.close(wr)
+        for pid in list(live):
+            data = live[pid].read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.pop(pid).close()
+            if code or not data:
+                how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise RuntimeError(f"simulation worker {pid} {how} without a result")
+            if isinstance(part := pickle.loads(data), BaseException):
+                raise part
+            parts.append(part)
+    finally:
+        for pid, f in live.items():  # the parent raised or was interrupted
+            f.close()
+            os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system
+            os.waitpid(pid, 0)
+    return [parts[i % workers][i // workers] for i in range(len(args))]
 
 
 def _spawn_seeds(cfg: SimConfig):
@@ -246,33 +282,21 @@ def _spawn_seeds(cfg: SimConfig):
 def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
     """Run all replications and merge their age estimates.
 
-    Replications own independent random streams spawned deterministically
-    from (seed, replication index); merging is a fixed-order reduction, so
-    parallel and serial runs produce identical results. One worker process
-    runs per replication, up to threads and the CPUs of the caller's
-    affinity mask (os.cpu_count() without sched_setaffinity); with one,
-    none is started. A pool that fills the mask pins each worker to its
-    own CPU, since the scheduler can keep forked workers on the parent's
-    CPU; a smaller pool runs unpinned, so concurrent ones do not all sit on
-    the mask's first CPUs.
+    Replications own random streams spawned from (seed, replication index)
+    and merge in a fixed order, so the result is the same at any thread
+    count. They run on min(threads, replications, allowed CPUs) forked
+    workers, or in the caller when that is 1 or os.fork is absent; the
+    allowed CPUs are the caller's affinity mask, or os.cpu_count() without
+    sched_setaffinity. Workers that fill the mask pin themselves one per CPU,
+    since the scheduler can keep them on the parent's CPU; fewer run unpinned.
     """
     threads = _check_integer("threads", threads, 1)
     args = [(cfg.scenario, cfg.cycles, ss) for ss in _spawn_seeds(cfg)]
     pinnable = hasattr(os, "sched_setaffinity")
     allowed = sorted(os.sched_getaffinity(0)) if pinnable else range(os.cpu_count() or 1)
     workers = min(threads, cfg.replications, len(allowed))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pin = {}
-        if pinnable and workers == len(allowed):
-            cpus = multiprocessing.SimpleQueue()  # default context, as the pool's
-            for cpu in allowed:
-                cpus.put(cpu)
-            pin = {"initializer": _pin, "initargs": (cpus,)}
-        with ProcessPoolExecutor(max_workers=workers, **pin) as ex:
-            outs = list(ex.map(_sim_worker, args))
+    if workers > 1 and hasattr(os, "fork"):
+        outs = _forked(args, workers, allowed if pinnable and workers == len(allowed) else None)
     else:
         outs = [_sim_worker(a) for a in args]
 

@@ -818,13 +818,13 @@ class TestSweep:
 
 # Modules a verb may load only when it needs them: numpy.ma never (numpy
 # imports it lazily, on the first np.unique of a process), numpy.random for
-# the simulator, the process pool for `--threads N > 1` with more than one
-# replication and decimal, which fractions loads, for an n sweep with fixed
-# ratios. scipy, which only the tests use, never.
-LAZY_MODULES = ("numpy.ma", "numpy.random", "concurrent.futures.process", "decimal", "scipy")
+# the simulator and decimal, which fractions loads, for an n sweep with fixed
+# ratios. `--threads N > 1` forks its workers itself, so no verb loads
+# multiprocessing or concurrent.futures; scipy, which only the tests use,
+# never.
+LAZY_MODULES = ("numpy.ma", "numpy.random", "multiprocessing", "concurrent.futures", "decimal",
+                "scipy")
 WIDE = dict(SCENARIO, n=10**6)  # above EXACT_LIMIT
-# A pool has at most one worker per allowed CPU, so with one CPU it runs serial.
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else os.cpu_count() or 1
 
 
 def _lazy_modules_after(statement):
@@ -855,7 +855,7 @@ def test_cli_import_leaves_scipy_unloaded():
     (SCENARIO, ["simulate", "--cycles", "2000", "--threads", "2", "--replications", "1"],
      ["numpy.random"]),
     (SCENARIO, ["simulate", "--cycles", "2000", "--threads", "2", "--replications", "2"],
-     ["numpy.random", "concurrent.futures.process"] if CPUS > 1 else ["numpy.random"]),
+     ["numpy.random"]),
     (SCENARIO, ["validate", "--cycles", "2000", "--replications", "2", "--tolerance", "0.5"],
      ["numpy.random"]),
 ], ids=["eval", "eval_approx", "pareto_exhaustive", "pareto_coarse_to_fine", "pareto_approx",

@@ -99,9 +99,11 @@ class TestOrderStatMoments:
             os_moments(d, n + 1, n)[2]
 
     @pytest.mark.parametrize("k,n", [(2.0, 7), (2, 7.0), (np.array([2.0, 3.0]), 7), (True, 10),
-                                     (1, True), (np.array([True, False]), 10), (1, np.True_)],
+                                     (1, True), (np.array([True, False]), 10), (1, np.True_),
+                                     ([2.0, 3], 7), ([1, 2**63, 0.5], 2**63 - 1)],
                              ids=["float-k", "float-n", "float-array-k", "bool-k", "bool-n",
-                                  "bool-array-k", "numpy-bool-n"])
+                                  "bool-array-k", "numpy-bool-n", "float-list-k",
+                                  "float-in-wide-list-k"])
     def test_non_integer_order_rejected(self, k, n):
         with pytest.raises(TypeError, match="^k and n must be integers$"):
             os_moments(ShiftedExp(1, 1), k, n)
@@ -119,9 +121,12 @@ class TestOrderStatMoments:
         (np.array([1, 2**63], dtype=np.uint64), 2**63 - 1, 2**63),
         (2**64, 2**63 - 1, 2**64),
         ([1, 2**64], 10, 2**64),
-    ], ids=["uint64-int", "uint64-scalar", "uint64-array", "object-int", "object-array"])
+        ([-1, 2**63], 10, -1),
+    ], ids=["uint64-int", "uint64-scalar", "uint64-array", "object-int", "object-array",
+            "float64-list"])
     def test_k_beyond_int64_names_the_true_k(self, k, n, shown):
-        # numpy holds these as uint64 or object arrays; an int64 cast would wrap them.
+        # numpy holds these as uint64, object or (a list of ints no integer dtype
+        # holds) float64 arrays; an int64 cast would wrap them, a float test reject them.
         with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={shown}, n={n}$"):
             os_moments(ShiftedExp(1.0), k, n)
 

@@ -1,8 +1,8 @@
-import concurrent.futures
 import functools
 import json
 import math
 import os
+import signal
 import time
 import tracemalloc
 
@@ -31,6 +31,7 @@ from oracles import replication_traces
 
 _sim_worker = sim_mod._sim_worker
 _affinity = getattr(os, "sched_getaffinity", None)  # unpatched, for the workers
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 def _placed_worker(directory, args):
@@ -334,32 +335,18 @@ class TestSimulate:
         (a,), (b,) = placed.values()
         assert a != b
 
+    @needs_fork
     def test_pool_has_at_most_one_worker_per_replication(self, monkeypatch):
         workers, cpus = [], []
 
-        class SerialPool:
-            """Records max_workers and the CPU ids handed to the workers, and
-            runs the jobs in this process without the initializer, which would
-            pin this process."""
+        def serial_fork(args, n_workers, pin):
+            """Records the worker count and the CPU ids the workers would pin
+            to, and runs the jobs in this process, which must stay unpinned."""
+            workers.append(n_workers)
+            cpus.append(pin)
+            return [_sim_worker(a) for a in args]
 
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                workers.append(max_workers)
-                if initializer is None:
-                    cpus.append(None)
-                else:
-                    queue, = initargs
-                    cpus.append([queue.get() for _ in range(max_workers)])
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return map(fn, args)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sim_mod, "_forked", serial_fork)
         if hasattr(os, "sched_setaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5})
         else:
@@ -381,6 +368,89 @@ class TestSimulate:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 7})
             assert simulate(cfg, threads=2) == serial
             assert cpus[-1] is None
+
+    def test_serial_where_fork_is_absent(self, monkeypatch):
+        # As on Windows: the replications run in the caller, with the same result.
+        cfg = SimConfig(mixed_scenario(), cycles=2_000, seed=21, replications=3)
+        serial = simulate(cfg, threads=1)
+        # Two allowed CPUs, so that threads=2 would fork two workers.
+        if hasattr(os, "sched_setaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5})
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sim_mod, "_forked", None)  # a call would raise
+        monkeypatch.delattr(os, "fork")
+        assert simulate(cfg, threads=2) == serial
+
+    def _fork_with(self, monkeypatch, worker, args=range(5), workers=2):
+        """sim._forked over `args`, with `worker` in place of `_sim_worker`."""
+        monkeypatch.setattr(sim_mod, "_sim_worker", worker)
+        return sim_mod._forked(list(args), workers, None)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    def test_forked_results_in_replication_order(self, monkeypatch):
+        # Child w runs args[w::workers], in a process of its own.
+        outs = self._fork_with(monkeypatch, lambda a: (a, os.getpid()), range(7), workers=3)
+        assert [a for a, _ in outs] == list(range(7))
+        pids = [pid for _, pid in outs]
+        assert os.getpid() not in pids
+        assert [len(set(pids[w::3])) for w in range(3)] == [1, 1, 1] and len(set(pids)) == 3
+        self._assert_no_child_left()
+
+    @needs_fork
+    def test_forked_child_exception_reaches_caller(self, monkeypatch):
+        def worker(a):
+            if a == 3:
+                raise ZeroDivisionError(f"replication {a} divided by zero")
+            return a
+
+        with pytest.raises(ZeroDivisionError, match="^replication 3 divided by zero$"):
+            self._fork_with(monkeypatch, worker)
+        self._assert_no_child_left()
+
+    @needs_fork
+    def test_forked_child_killed_raises(self, monkeypatch):
+        def worker(a):
+            if a == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return a
+
+        with pytest.raises(RuntimeError,
+                           match=r"^simulation worker \d+ killed by signal 9 without a result$"):
+            self._fork_with(monkeypatch, worker)
+        self._assert_no_child_left()
+
+    @needs_fork
+    def test_forked_child_bad_exit_raises(self, monkeypatch):
+        with pytest.raises(RuntimeError,
+                           match=r"^simulation worker \d+ exited with code 3 without a result$"):
+            self._fork_with(monkeypatch, lambda a: os._exit(3))
+        self._assert_no_child_left()
+
+    @needs_fork
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+    def test_interrupted_parent_kills_its_children(self, monkeypatch):
+        # The children sleep; a timer interrupts the parent while it reads
+        # their pipes, and it must kill and reap them rather than wait.
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                self._fork_with(monkeypatch, lambda a: time.sleep(60))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        self._assert_no_child_left()
 
     def test_tagged_index_irrelevant(self, monkeypatch):
         # The reference sampler agrees with itself whichever receiver it tags.
