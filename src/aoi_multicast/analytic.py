@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .orderstats import _N_MAX, ShiftedExp, _check_integer, _check_number, os_moments
+from .orderstats import _N_MAX, ShiftedExp, _check_integer, _check_number, _check_range, os_moments
 
 __all__ = [
     "Stream",
@@ -83,9 +83,7 @@ class StreamMix:
     p1: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", _check_number("p1", self.p1))
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
+        object.__setattr__(self, "p1", _check_range("p1", _check_number("p1", self.p1), 0, 1))
 
     @property
     def p2(self) -> float:
@@ -120,9 +118,7 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_integer("n", self.n, 1, _N_MAX))
         for name in ("k1", "k2"):
-            k = _check_integer(name, getattr(self, name))
-            if not 1 <= k <= self.n:
-                raise ValueError(f"{name} must lie in [1, {self.n}], got {k}")
+            k = _check_range(name, _check_integer(name, getattr(self, name)), 1, self.n)
             object.__setattr__(self, name, k)
         _check_fields(self)
 
@@ -146,9 +142,7 @@ class ScenarioApprox:
 
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2"):
-            a = _check_number(name, getattr(self, name))
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {a}")
+            a = _check_range(name, _check_number(name, getattr(self, name)), 0, 1, open=True)
             object.__setattr__(self, name, a)
         _check_fields(self)
 

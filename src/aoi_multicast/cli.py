@@ -35,7 +35,7 @@ from .analytic import (
     age_pair,
 )
 from .optimize import EXACT_LIMIT, ScenarioTemplate, pareto_frontier
-from .orderstats import ShiftedExp, _check_integer
+from .orderstats import ShiftedExp, _check_integer, _check_range
 from .sim import DEFAULT_SEED, SimConfig, simulate
 
 __all__ = ["main", "run", "SchemaError"]
@@ -174,8 +174,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if not 0.0 < args.tolerance < math.inf:
-        raise SchemaError("tolerance", f"must be a finite number > 0, got {args.tolerance}")
+    _build("", _check_range, "tolerance", args.tolerance, 0, math.inf, open=True)
     _, scenario = parse_scenario(_load_json(args.scenario))
     exact = age_pair(scenario)
     sim = simulate(_sim_config(args, scenario), threads=args.threads)

@@ -35,7 +35,7 @@ from .analytic import (
     _cycles,
     pair_ages,
 )
-from .orderstats import _N_MAX, ShiftedExp, _check_integer, _check_number
+from .orderstats import _N_MAX, ShiftedExp, _check_integer, _check_number, _check_range
 
 __all__ = ["ScenarioTemplate", "ParetoPoint", "pareto_frontier"]
 
@@ -83,13 +83,6 @@ class ParetoPoint:
     k2: int | None = None
     alpha1: float | None = None
     alpha2: float | None = None
-
-
-def _check_beta(beta: float) -> float:
-    beta = _check_number("beta", beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return beta
 
 
 def _check_starved_objective(mix: StreamMix, beta: float) -> None:
@@ -260,7 +253,7 @@ def pareto_frontier(
     Output is sorted by age_I ascending; duplicate optima (several betas
     landing on the same thresholds) are collapsed to one point.
     """
-    betas = [_check_beta(b) for b in betas]
+    betas = [_check_range("beta", _check_number("beta", b), 0, 1) for b in betas]
     if not betas:
         raise ValueError("betas must be nonempty")
     for b in betas:

@@ -30,8 +30,8 @@ _N_MAX = int(np.iinfo(np.int64).max)
 
 
 def _check_integer(name: str, v, at_least: int | None = None, at_most: int | None = None) -> int:
-    """v as an int in [at_least, at_most], where given: an int or numpy
-    integer, so bools and floats, integral or not, are rejected."""
+    """v as an int: an int or numpy integer, not a bool or float, integral or
+    not. Owns the integer type and bounds checked on one side, as ``n must be >= 1``."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {type(v).__name__}")
     v = int(v)
@@ -43,14 +43,26 @@ def _check_integer(name: str, v, at_least: int | None = None, at_most: int | Non
 
 
 def _check_number(name: str, v) -> float:
-    """v as a float: a real number that is not a bool. An integer beyond the
-    float range is reported as not finite."""
+    """v as a float: a real number that is not a bool. Owns the number type;
+    an integer beyond the float range is reported as not finite."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{name} must be a number, got {type(v).__name__}")
     try:
         return float(v)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
+
+
+def _check_range(name: str, v, lo, hi, open: bool = False):
+    """v unchanged when v, or each entry of an array v, lies in [lo, hi], or in
+    (lo, hi) when open; a NaN lies in none. Owns the interval rule of every
+    checked value, as in ``p1 must lie in [0, 1], got 1.5``, lo and hi as passed."""
+    inside = (lo < v) & (v < hi) if open else (lo <= v) & (v <= hi)
+    if inside is not True and not np.all(inside):  # np.all(True) alone takes 4 us
+        left, right = "()" if open else "[]"
+        got = v[~inside][0] if np.ndim(inside) else v  # an array's first entry outside
+        raise ValueError(f"{name} must lie in {left}{lo}, {hi}{right}, got {got}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -119,11 +131,12 @@ def _excess(t, L):
 
 
 def _check_order(k, n):
-    """(k, n): k as an int64 array, 0-d for a scalar k, every entry in
-    [1, n], and n as an int in [1, _N_MAX]. Bools are not integers. numpy
-    holds Python ints beyond int64 and uint64 in an object array, compared
-    exactly; an integer k is compared with n as an int64 or uint64 of k's
-    kind, since numpy 1 compares a uint64 scalar with a Python int in float64."""
+    """(k, n): k as an int64 array, 0-d for a scalar k, every entry in [1, n],
+    and n as an int in [1, _N_MAX]. Owns the order rule, whose message names n.
+    Bools are not integers. numpy holds Python ints beyond int64 and uint64 in
+    an object array, compared exactly; an integer k is compared with n as an
+    int64 or uint64 of k's kind, since numpy 1 compares a uint64 scalar with a
+    Python int in float64."""
     if (a := np.asarray(k)).dtype.kind == "f" and not isinstance(k, (np.ndarray, np.generic)):
         a = np.asarray(k, dtype=object)  # numpy holds [-1, 2**63] as float64: re-read its ints
     ints = a.dtype.kind in "iu" or a.dtype == object and all(type(v) is int for v in a.flat)
@@ -134,16 +147,6 @@ def _check_order(k, n):
     if (bad := (a < 1) | (a > hi)).any():
         raise ValueError(f"need 1 <= k <= n, got k={a[bad][0]}, n={n}")
     return a.astype(np.int64, copy=False), n
-
-
-def _check_alpha(alpha):
-    """alpha as a float64 scalar or array of a real dtype, every entry in (0, 1)."""
-    if (dtype := np.asarray(alpha).dtype).kind not in "iuf":
-        raise TypeError(f"alpha must be a real number or an array of them, got dtype {dtype}")
-    a = np.asarray(alpha, dtype=np.float64)
-    if not np.all((a > 0.0) & (a < 1.0)):
-        raise ValueError(f"alpha must lie in the open interval (0, 1), got {alpha}")
-    return a[()]
 
 
 def os_moments(d: ShiftedExp, x, n=None):
@@ -169,7 +172,9 @@ def os_moments(d: ShiftedExp, x, n=None):
     shift + (t - L) / (t rate). Both regimes take t - L from ``_excess``.
     """
     if n is None:
-        alpha = _check_alpha(x)
+        if (dtype := np.asarray(x).dtype).kind not in "iuf":
+            raise TypeError(f"alpha must be a real number or an array of them, got dtype {dtype}")
+        alpha = _check_range("alpha", np.asarray(x, dtype=np.float64), 0, 1, open=True)[()]
         L, t = -np.log1p(-alpha), alpha / (1.0 - alpha)
         return d.shift + L / d.rate, 0.0 * alpha, d.shift + _excess(t, L) / (t * d.rate)
     k, n = _check_order(x, n)

@@ -19,7 +19,7 @@ from aoi_multicast.analytic import (
     age_pair,
     s_moments,
 )
-from aoi_multicast.optimize import ScenarioTemplate
+from aoi_multicast.optimize import ScenarioTemplate, pareto_frontier
 from aoi_multicast.orderstats import ShiftedExp, os_moments
 from oracles import geometric_moments, grid_ages, os_second_moment, other, ybar_moments
 
@@ -121,6 +121,24 @@ BAD_SCALARS += [(f"{t}.{f}", bad, kind) for t in ("Scenario", "ScenarioApprox", 
                                      ("mode", 2.0, "an AtWill or Exogenous"))]
 
 
+# The bounded values that are not scenario fields: a pareto beta and an
+# os_moments ratio.
+RANGED = {
+    "beta": lambda v: pareto_frontier(
+        ScenarioTemplate(ShiftedExp(1), ShiftedExp(2), StreamMix(0.5), n=4), [v]),
+    "alpha": lambda v: os_moments(ShiftedExp(1), v),
+}
+# (field, value, the interval it must lie in, or None where it does): closed
+# ends pass and open ends fail, and NaN and both infinities fail everywhere.
+RANGE_CASES = ([(f, v, None) for f in ("p1", "beta") for v in (0, 1, 0.0, 1.0)]
+               + [(f, v, None) for f in ("k1", "k2") for v in (1, 10)]
+               + [(f, v, "[1, 10]") for f in ("k1", "k2") for v in (0, 11)]
+               + [(f, v, "[0, 1]") for f in ("p1", "beta")
+                  for v in (-0.5, 1.5, math.nan, math.inf, -math.inf)]
+               + [(f, v, "(0, 1)") for f in ("alpha1", "alpha2", "alpha")
+                  for v in (0, 1, 0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf)])
+
+
 class TestTypes:
     def test_stream_mix_validation(self):
         with pytest.raises(ValueError):
@@ -144,6 +162,20 @@ class TestTypes:
             ScenarioApprox(0.0, 0.5, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5))
         with pytest.raises(ValueError):
             ScenarioApprox(0.5, 1.0, ShiftedExp(1), ShiftedExp(1), StreamMix(0.5))
+
+    @pytest.mark.parametrize("field,value,interval", RANGE_CASES,
+                             ids=[f"{field}={value}" for field, value, _ in RANGE_CASES])
+    def test_one_interval_rule(self, field, value, interval):
+        # interval is None where the value lies in it, and a number is
+        # printed as the float it was checked as.
+        check = RANGED.get(field) or SCALARS[field]
+        if interval is None:
+            check(value)
+            return
+        got = value if field in ("k1", "k2") else float(value)
+        with pytest.raises(ValueError) as e:
+            check(value)
+        assert str(e.value) == f"{field} must lie in {interval}, got {got}"
 
     @pytest.mark.parametrize("field,bad,kind", BAD_SCALARS,
                              ids=[f"{bad}-{field}" for field, bad, _ in BAD_SCALARS])

@@ -100,6 +100,11 @@ SCHEMA_VIOLATIONS = [
     ({"p1": "x"}, "p1", "must be a number, got str"),
     ({"delay_I": 3}, "delay_I", "must be an object with keys rate, shift"),
     ({"delay_I": {"rate": 1.0, "shift": 1.0, "scale": 2.0}}, "delay_I.scale", "unknown key"),
+    ({"k2": 11}, "k2", "must lie in [1, 10], got 11"),
+    ({"k2": 0}, "k2", "must lie in [1, 10], got 0"),
+    ({"p1": math.nan}, "p1", "must lie in [0, 1], got nan"),
+    ({"p1": math.inf}, "p1", "must lie in [0, 1], got inf"),
+    ({"p1": -math.inf}, "p1", "must lie in [0, 1], got -inf"),
 ]
 
 
@@ -571,6 +576,38 @@ def test_bad_ratio_rejected(scenario_file, tmp_path, capsys, verb, alpha1):
     assert rc == 2
     assert captured.err.startswith("error: alpha1: must lie in (0, 1)")
     assert captured.out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("patch", [{"p1": 0}, {"p1": 1}, {"k1": 1, "k2": 10}],
+                         ids=["p1=0", "p1=1", "k=1,n"])
+def test_closed_ends_accepted(scenario_file, capsys, patch):
+    assert main(["eval", scenario_file(dict(SCENARIO, **patch))]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# pareto passes optimize's beta message through unkeyed, as the library words it.
+@pytest.mark.parametrize("verb,name,interval,inside", [
+    pytest.param(["eval", "--approx", "--alpha2=0.5", "--alpha1={}"], "alpha1:", "(0, 1)", (),
+                 id="alpha1"),
+    pytest.param(["eval", "--approx", "--alpha1=0.5", "--alpha2={}"], "alpha2:", "(0, 1)", (),
+                 id="alpha2"),
+    pytest.param(["pareto", "--betas=0.5,{}"], "beta", "[0, 1]", ("0", "1"), id="beta"),
+    pytest.param(["validate", "--cycles=2000", "--replications=2", "--tolerance={}"],
+                 "tolerance:", "(0, inf)", ("1",), id="tolerance"),
+])
+@pytest.mark.parametrize("value", ["0", "1", "nan", "inf", "-inf", "-0.5"])
+def test_option_interval_rule(scenario_file, tmp_path, capsys, verb, name, interval, inside,
+                              value):
+    # Each option's interval, at both ends, with NaN and both infinities: the
+    # same rule and message as the scenario's fields.
+    out_path = tmp_path / "x.csv"
+    rc = run_verb([arg.format(value) for arg in verb], scenario_file(SCENARIO), out_path)
+    captured = capsys.readouterr()
+    if value in inside:
+        assert rc == 0 and "error" not in captured.err
+    else:
+        assert rc == 2 and captured.out == "" and not out_path.exists()
+        assert captured.err == f"error: {name} must lie in {interval}, got {float(value)}\n"
 
 
 @pytest.mark.parametrize("verb", [["eval"], ["sweep", "--param", "p1", "--values", "0.5"]],

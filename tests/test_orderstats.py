@@ -207,8 +207,12 @@ class TestMeanFirstK:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, 0, 1, np.array([0.5, 2])])
     def test_approx_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValueError, match="^alpha must lie in the open interval"):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
             os_moments(ShiftedExp(1, 1), alpha)[2]
+
+    def test_approx_names_first_bad_alpha(self):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got 1.0$"):
+            os_moments(ShiftedExp(1, 1), [0.5, 1.0, math.nan])
 
     @pytest.mark.parametrize("alpha", ["0.5", b"0.5", ["0.3", 0.4], np.array([0.5], dtype=object),
                                        True, np.array([True]), 0.5 + 0j],
