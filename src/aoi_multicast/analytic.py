@@ -32,9 +32,7 @@ __all__ = [
     "Scenario",
     "ScenarioApprox",
     "AgePair",
-    "Moments2",
     "pair_ages",
-    "s_moments",
     "age_pair",
 ]
 
@@ -158,14 +156,6 @@ class AgePair:
         return self.age_I if stream is Stream.TYPE_I else self.age_II
 
 
-@dataclass(frozen=True)
-class Moments2:
-    """First and second moment of a nonnegative random quantity."""
-
-    m1: float
-    m2: float
-
-
 # -- the renewal kernel ------------------------------------------------------
 
 
@@ -237,8 +227,7 @@ def pair_ages(mix: StreamMix, c_I, c_II):
     """Ages of streams I and II on their ``_cycles`` c_I and c_II, which
     broadcast together; a starved stream's ages are +inf, where p = 0 makes
     E[S] and E[S^2] inf. The entry to ``_renewal`` for age_pair and the
-    optimizer's threshold grids; s_moments, which needs one stream's E[S]
-    and E[S^2], is the other."""
+    optimizer's threshold grids."""
     # Each triple is dropped before the next is computed, so no E[S] or
     # E[S^2] grid outlives its stream.
     with np.errstate(all="ignore"):
@@ -250,31 +239,11 @@ def _check_ages(mix: StreamMix, ages) -> None:
     not finite."""
     for stream, age in zip(Stream, ages):
         if mix.prob(stream) > 0 and not math.isfinite(age):
-            raise ValueError(f"age_{stream.value} is {float(age)}: the inputs overflow or "
-                             "underflow double precision")
-
-
-def _scenario_cycles(s: "Scenario | ScenarioApprox"):
-    """``_cycles`` of a scenario, at its thresholds or its ratios."""
-    x = (None, s.alpha1, s.alpha2) if isinstance(s, ScenarioApprox) else (s.n, s.k1, s.k2)
-    return _cycles(s, *x)
+            raise ValueError(f"age_{stream.value} must be finite, got {float(age)}: the inputs "
+                             "overflow or underflow double precision")
 
 
 # -- public API --------------------------------------------------------------
-
-
-def s_moments(s: "Scenario | ScenarioApprox", target: Stream) -> Moments2:
-    """Moments of the tagged-node inter-delivery time of the target stream.
-
-    Raises StarvedStreamError when the target stream has zero share, and
-    ValueError when its age overflows.
-    """
-    if s.mix.prob(target) <= 0:
-        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
-    with np.errstate(all="ignore"):
-        age, m1, m2 = _renewal(s.mix, target, *_scenario_cycles(s))
-    _check_ages(s.mix, [age if t is target else 0.0 for t in Stream])  # the other age is not computed
-    return Moments2(float(m1), float(m2))
 
 
 def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
@@ -282,7 +251,8 @@ def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
     a ScenarioApprox, in the scenario's generation mode. A starved stream
     maps to INFINITE_AGE, and the overflow of another stream's age raises
     ValueError."""
+    x = (None, s.alpha1, s.alpha2) if isinstance(s, ScenarioApprox) else (s.n, s.k1, s.k2)
     with np.errstate(all="ignore"):
-        ages = pair_ages(s.mix, *_scenario_cycles(s))
+        ages = pair_ages(s.mix, *_cycles(s, *x))
     _check_ages(s.mix, ages)
     return AgePair(*map(float, ages))

@@ -4,12 +4,14 @@ Scenario input is JSON, structured results go to stdout as JSON, and table
 outputs (pareto, sweep) are CSV files. All randomness is seed-explicit;
 the default seed is a fixed constant, never environment entropy.
 
-Every verb builds its scenarios through `parse_scenario`: it checks the JSON
-structure and keys, and the dataclasses check each value's type and range,
-so an error names the offending key (`delay_I.rate`, `alpha1`, ...).
-`sweep` sets the swept key in a copy of the document and parses each copy,
-so its values pass the same checks as the file; `--alpha1/--alpha2` must
-lie in (0, 1), and a ratio that `sweep` or `eval` does not use is an error.
+The CLI checks only the JSON structure and keys and the combinations of
+options; the library checks each value. `sweep` parses a copy of the
+document per value, with the swept key set, so its values pass the same
+checks as the file. A rejected value raises a ValueError whose message
+starts with its key, as in `p1 must lie in [0, 1], got 1.5`, or, for an
+unknown key, which may hold a space, whose arguments are (key, message).
+`main` alone prints it as `error: KEY: message`, and a RuntimeError, which
+reports a run's outcome, as `error: message`.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or schema error.
 """
@@ -38,7 +40,7 @@ from .optimize import EXACT_LIMIT, ScenarioTemplate, pareto_frontier
 from .orderstats import ShiftedExp, _check_integer, _check_range
 from .sim import DEFAULT_SEED, SimConfig, simulate
 
-__all__ = ["main", "run", "SchemaError"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,40 +49,27 @@ EXIT_USAGE = 2
 _SCENARIO_KEYS = {"n", "k1", "k2", "delay_I", "delay_II", "p1", "mode", "mu"}
 
 
-class SchemaError(Exception):
-    """Scenario file violates the schema; the message starts with the offending key."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
-
-
 def _get(doc: dict, key: str):
     """The value of doc at the last part of the dotted key path; JSON null is
     a value, not an absent key."""
     name = key.rpartition(".")[2]
     if name not in doc:
-        raise SchemaError(key, "missing required key")
+        raise ValueError(f"{key} missing required key")
     return doc[name]
-
-
-def _build(prefix: str, cls, *args, **kwargs):
-    """cls(*args, **kwargs), with its value check's ValueError, whose message
-    starts with the field name, raised as a SchemaError keyed by prefix + field."""
-    try:
-        return cls(*args, **kwargs)
-    except ValueError as e:
-        field, _, message = str(e).partition(" ")
-        raise SchemaError(prefix + field, message) from None
 
 
 def _delay(doc: dict, key: str) -> ShiftedExp:
     v = _get(doc, key)
     if not isinstance(v, dict):
-        raise SchemaError(key, "must be an object with keys rate, shift")
+        raise ValueError(f"{key} must be an object with keys rate, shift")
     extra = set(v) - {"rate", "shift"}
     if extra:
-        raise SchemaError(f"{key}.{sorted(extra)[0]}", "unknown key")
-    return _build(f"{key}.", ShiftedExp, _get(v, f"{key}.rate"), _get(v, f"{key}.shift"))
+        raise ValueError(f"{key}.{sorted(extra)[0]}", "unknown key")
+    rate, shift = _get(v, f"{key}.rate"), _get(v, f"{key}.shift")
+    try:
+        return ShiftedExp(rate, shift)
+    except ValueError as e:  # its message starts with the field name
+        raise ValueError(f"{key}.{e}") from None
 
 
 def parse_scenario(doc: dict, need_thresholds: bool = True):
@@ -92,31 +81,31 @@ def parse_scenario(doc: dict, need_thresholds: bool = True):
     k1 and k2, or None unless both are given.
     """
     if not isinstance(doc, dict):
-        raise SchemaError("<root>", "scenario document must be a JSON object")
+        raise ValueError("<root> scenario document must be a JSON object")
     extra = set(doc) - _SCENARIO_KEYS
     if extra:
-        raise SchemaError(sorted(extra)[0], "unknown key")
+        raise ValueError(sorted(extra)[0], "unknown key")
 
     # Required here, though a template may leave n out.
-    n = _build("", _check_integer, "n", _get(doc, "n"))
+    n = _check_integer("n", _get(doc, "n"))
     delay_I = _delay(doc, "delay_I")
     delay_II = _delay(doc, "delay_II")
-    mix = _build("", StreamMix, _get(doc, "p1"))
+    mix = StreamMix(_get(doc, "p1"))
 
     mode_name = _get(doc, "mode")
     if mode_name == "at_will":
         if "mu" in doc:
-            raise SchemaError("mu", "only valid with mode = exogenous")
+            raise ValueError("mu only valid with mode = exogenous")
         mode = AtWill()
     elif mode_name == "exogenous":
-        mode = _build("", Exogenous, _get(doc, "mu"))
+        mode = Exogenous(_get(doc, "mu"))
     else:
-        raise SchemaError("mode", f'must be "at_will" or "exogenous", got {mode_name!r}')
+        raise ValueError(f'mode must be "at_will" or "exogenous", got {mode_name!r}')
 
-    template = _build("", ScenarioTemplate, delay_I, delay_II, mix, mode, n)
+    template = ScenarioTemplate(delay_I, delay_II, mix, mode, n)
     given = {key: _get(doc, key) for key in ("k1", "k2") if need_thresholds or key in doc}
     # An absent threshold stands in as 1, which every n >= 1 admits.
-    scenario = given and _build("", template.with_thresholds, **{"k1": 1, "k2": 1, **given})
+    scenario = given and template.with_thresholds(**{"k1": 1, "k2": 1, **given})
     return template, scenario if len(given) == 2 else None
 
 
@@ -125,9 +114,9 @@ def _load_json(path: str):
         with open(path) as f:
             return json.load(f)
     except OSError as e:
-        raise SchemaError("<file>", str(e))
+        raise ValueError(f"<file> {e}")
     except ValueError as e:  # a JSONDecodeError, or an integer beyond Python's digit limit
-        raise SchemaError("<file>", f"invalid JSON: {e}")
+        raise ValueError(f"<file> invalid JSON: {e}")
 
 
 def _cell(v):
@@ -144,12 +133,12 @@ def _cmd_eval(args) -> int:
     if args.approx:
         for key in ("alpha1", "alpha2"):
             if getattr(args, key) is None:
-                raise SchemaError(key, "required with --approx")
-        scenario = _build("", template.with_alphas, args.alpha1, args.alpha2)
+                raise ValueError(f"{key} required with --approx")
+        scenario = template.with_alphas(args.alpha1, args.alpha2)
     else:
         for key in ("alpha1", "alpha2"):
             if getattr(args, key) is not None:
-                raise SchemaError(key, "used only with --approx")
+                raise ValueError(f"{key} used only with --approx")
     pair = age_pair(scenario)
     print(json.dumps({"age_I": _cell(pair.age_I), "age_II": _cell(pair.age_II)}))
     return EXIT_OK
@@ -174,7 +163,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _build("", _check_range, "tolerance", args.tolerance, 0, math.inf, open=True)
+    _check_range("tolerance", args.tolerance, 0, math.inf, open=True)
     _, scenario = parse_scenario(_load_json(args.scenario))
     exact = age_pair(scenario)
     sim = simulate(_sim_config(args, scenario), threads=args.threads)
@@ -217,9 +206,9 @@ def _float_list(key: str, spec: str) -> list[float]:
     try:
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
-        raise SchemaError(key, f"could not parse {spec!r} as comma-separated floats") from None
+        raise ValueError(f"{key} could not parse {spec!r} as comma-separated floats") from None
     if not values:
-        raise SchemaError(key, "need a nonempty comma-separated list")
+        raise ValueError(f"{key} need a nonempty comma-separated list")
     return values
 
 
@@ -232,16 +221,19 @@ def _integer(param: str, token: str) -> int:
         value = float(token)  # _float_list has parsed it
     if value.is_integer() and abs(value) < 2**53:
         return int(value)
-    raise SchemaError("values", f"{param} needs integers, got {token.strip()!r}; a float "
-                                "token must be integral and below 2^53")
+    raise ValueError(f"values {param} needs integers, got {token.strip()!r}; a float token "
+                     "must be integral and below 2^53")
 
 
 def _write_table(path: str, header, rows) -> None:
     """Write header and rows as CSV to path, and report the row count on stdout."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows([_cell(v) for v in row] for row in rows)
+    try:
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows([_cell(v) for v in row] for row in rows)
+    except OSError as e:
+        raise ValueError(f"out {e}") from None
     print(f"{len(rows)} rows")
 
 
@@ -270,13 +262,13 @@ def _check_sweep_ratios(args) -> None:
     param = args.param
     given = [key for key in ("alpha1", "alpha2") if getattr(args, key) is not None]
     if param in ("alpha1", "alpha2") and given in ([], [param]):
-        raise SchemaError(param, "sweeping one alpha requires fixing the other "
-                                 "via --alpha1/--alpha2")
+        raise ValueError(f"{param} sweeping one alpha requires fixing the other "
+                         "via --alpha1/--alpha2")
     for key in given:
         if param == "n" and len(given) == 1:
-            raise SchemaError(key, "a sweep over n takes --alpha1 and --alpha2 together")
+            raise ValueError(f"{key} a sweep over n takes --alpha1 and --alpha2 together")
         if param not in ("n", "alpha1", "alpha2") or key == param:
-            raise SchemaError(key, f"not used by a sweep over {param}")
+            raise ValueError(f"{key} not used by a sweep over {param}")
 
 
 def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float | int):
@@ -289,11 +281,11 @@ def _sweep_point(doc: dict, template: ScenarioTemplate, args, value: float | int
     alphas = {"alpha1": args.alpha1, "alpha2": args.alpha2}
     if param in alphas:
         alphas[param] = value
-        return age_pair(_build("", template.with_alphas, **alphas))
+        return age_pair(template.with_alphas(**alphas))
     point = dict(doc, **{param: value})
     if param == "n" and None not in alphas.values():
         from fractions import Fraction  # it loads decimal, 0.3 MiB that other verbs skip
-        ratios = _build("", template.with_alphas, **alphas)
+        ratios = template.with_alphas(**alphas)
         point.update(k1=max(1, round(Fraction(repr(ratios.alpha1)) * point["n"])),
                      k2=max(1, round(Fraction(repr(ratios.alpha2)) * point["n"])))
     return age_pair(parse_scenario(point)[1])
@@ -381,9 +373,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SchemaError, ValueError, RuntimeError) as e:
+    except ValueError as e:  # keyed as the module docstring says
+        key, message = e.args if len(e.args) == 2 else str(e).partition(" ")[::2]
+        print(f"error: {key}: {message}", file=sys.stderr)
+    except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 def run() -> None:

@@ -1,19 +1,28 @@
 """Moment formulas that only the tests use, kept here as oracles for the
-package's closed forms, and a replay of the simulator's deliveries."""
+package's closed forms, the closed-form kernel's inter-delivery moments,
+and a replay of the simulator's deliveries."""
 
 from typing import NamedTuple
 
 import numpy as np
 
 from aoi_multicast.analytic import (
-    Moments2,
+    ScenarioApprox,
     StarvedStreamError,
     Stream,
     _cycles,
+    _renewal,
     pair_ages,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_moments
 from aoi_multicast.sim import _blocks, _spawn_seeds, _StreamTrace
+
+
+class Moments2(NamedTuple):
+    """First and second moment of a nonnegative random quantity."""
+
+    m1: float
+    m2: float
 
 
 def other(stream: Stream) -> Stream:
@@ -31,6 +40,17 @@ def grid_ages(s, n, x1, x2):
     """Ages of streams I and II at thresholds x1 and x2, broadcast together:
     k of n receivers, or ratios alpha when n is None."""
     return pair_ages(s.mix, *_cycles(s, n, x1, x2))
+
+
+def s_moments(s, target: Stream) -> Moments2:
+    """E[S] and E[S^2] of the tagged receiver's inter-delivery time S of the
+    target stream, from the kernel that gives age_pair its ages, at the
+    thresholds of a Scenario or the ratios of a ScenarioApprox; both are inf
+    for a starved stream."""
+    x = (None, s.alpha1, s.alpha2) if isinstance(s, ScenarioApprox) else (s.n, s.k1, s.k2)
+    with np.errstate(all="ignore"):
+        _, m1, m2 = _renewal(s.mix, target, *_cycles(s, *x))
+    return Moments2(float(m1), float(m2))
 
 
 def full_grid_argmins(cycles, mix, x1, x2, betas):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -54,15 +55,15 @@ def run_verb(verb, scenario_path, out_path):
 # Inputs whose ages overflow in the closed-form kernel, with the error line.
 OVERFLOW_CASES = [
     pytest.param(["eval", "--approx", "--alpha1", "1e-320", "--alpha2", "0.5"], {},
-                 "error: age_I is inf", id="eval_approx"),
+                 "error: age_I: must be finite, got inf", id="eval_approx"),
     # At p1 = 1e-307 every cell's E[S^2] overflows, so every age_I is inf.
     pytest.param(["pareto", "--betas", "0.5"], {"n": 20, "p1": 1e-307},
-                 "error: age_I is inf", id="pareto"),
+                 "error: age_I: must be finite, got inf", id="pareto"),
     # Above rate 1.34e154 rate^2 overflows and the variance reads 0, but
     # E[S^2] is below the smallest normal double anyway: the age is inf.
     *(pytest.param(["eval"], {"delay_I": {"rate": rate, "shift": 0.0},
                               "delay_II": {"rate": rate, "shift": 0.0}},
-                   "error: age_I is inf", id=f"eval_underflow_{rate:g}")
+                   "error: age_I: must be finite, got inf", id=f"eval_underflow_{rate:g}")
       for rate in (1e160, 1e200)),
 ]
 
@@ -105,6 +106,9 @@ SCHEMA_VIOLATIONS = [
     ({"p1": math.nan}, "p1", "must lie in [0, 1], got nan"),
     ({"p1": math.inf}, "p1", "must lie in [0, 1], got inf"),
     ({"p1": -math.inf}, "p1", "must lie in [0, 1], got -inf"),
+    # An unknown key is named whole, spaces and all.
+    ({"a b": 1}, "a b", "unknown key"),
+    ({"delay_II": {"rate": 1.0, "shift": 1.0, "x y": 2}}, "delay_II.x y", "unknown key"),
 ]
 
 
@@ -236,7 +240,7 @@ class TestEval:
         "verb,patch,message",
         [
             # E[M - 1] E[Y] ~ n E[Y] / (p1 k1) is finite, but its square overflows.
-            pytest.param(["eval"], {"p1": 1e-300}, "error: age_I is inf", id="eval"),
+            pytest.param(["eval"], {"p1": 1e-300}, "error: age_I: must be finite, got inf", id="eval"),
             # 1/rate^2 is finite, but the squared gaps of the sawtooth area overflow.
             pytest.param(["simulate", "--cycles", "5000", "--replications", "3"],
                          {"delay_I": {"rate": 2e-154, "shift": 1.0}},
@@ -254,7 +258,7 @@ class TestEval:
         assert captured.out == ""
 
     @pytest.mark.parametrize("verb,patch,message", [
-        pytest.param(["eval"], {"p1": 1e-300}, "error: age_I is inf", id="eval"),
+        pytest.param(["eval"], {"p1": 1e-300}, "error: age_I: must be finite, got inf", id="eval"),
         *OVERFLOW_CASES,
     ])
     def test_overflow_prints_one_error_line(self, scenario_file, tmp_path, verb, patch, message):
@@ -363,7 +367,7 @@ class TestSimulate:
         rc = main(["simulate", scenario_file(SCENARIO), "--seed", "-1"])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err.startswith("error: seed must be >= 0, got -1")
+        assert captured.err == "error: seed: must be >= 0, got -1\n"
 
 
 class TestValidate:
@@ -527,7 +531,7 @@ class TestPareto:
                    "--grid", grid, "--out", str(out_path)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "" and not out_path.exists()
-        assert captured.err == f"error: grid is used only with evaluator 'approx', got {grid}\n"
+        assert captured.err == f"error: grid: is used only with evaluator 'approx', got {grid}\n"
 
 
 @pytest.mark.parametrize("verb", [
@@ -585,13 +589,12 @@ def test_closed_ends_accepted(scenario_file, capsys, patch):
     assert capsys.readouterr().err == ""
 
 
-# pareto passes optimize's beta message through unkeyed, as the library words it.
 @pytest.mark.parametrize("verb,name,interval,inside", [
     pytest.param(["eval", "--approx", "--alpha2=0.5", "--alpha1={}"], "alpha1:", "(0, 1)", (),
                  id="alpha1"),
     pytest.param(["eval", "--approx", "--alpha1=0.5", "--alpha2={}"], "alpha2:", "(0, 1)", (),
                  id="alpha2"),
-    pytest.param(["pareto", "--betas=0.5,{}"], "beta", "[0, 1]", ("0", "1"), id="beta"),
+    pytest.param(["pareto", "--betas=0.5,{}"], "beta:", "[0, 1]", ("0", "1"), id="beta"),
     pytest.param(["validate", "--cycles=2000", "--replications=2", "--tolerance={}"],
                  "tolerance:", "(0, inf)", ("1",), id="tolerance"),
 ])
@@ -608,6 +611,32 @@ def test_option_interval_rule(scenario_file, tmp_path, capsys, verb, name, inter
     else:
         assert rc == 2 and captured.out == "" and not out_path.exists()
         assert captured.err == f"error: {name} must lie in {interval}, got {float(value)}\n"
+
+
+# Values that the library or the file system rejects, each reported by main
+# as one line keyed by the value's name.
+@pytest.mark.parametrize("verb,patch,out,key", [
+    *(pytest.param([verb, f"--{option}={value}"], {}, "x.csv", option, id=f"{verb}-{option}")
+      for verb in ("simulate", "validate")
+      for option, value in (("cycles", 0), ("replications", 0), ("seed", -1), ("threads", 0))),
+    *(pytest.param(["pareto", "--evaluator=approx", f"--grid={grid}"], {}, "x.csv", "grid",
+                   id=f"grid-{grid}") for grid in (0, 40000)),
+    pytest.param(["pareto", "--betas=0.5"], {"p1": 1.0}, "x.csv", "beta", id="beta-starved"),
+    *(pytest.param(verb, {}, out, "out", id=f"{verb[0]}-out-{name}")
+      for verb in (["pareto", "--betas=0.5"], ["sweep", "--param=p1", "--values=0.5"])
+      for name, out in (("missing-directory", "absent/x.csv"), ("directory", "."))),
+])
+def test_rejected_value_prints_one_keyed_line(scenario_file, tmp_path, capsys, verb, patch, out,
+                                              key):
+    out_path = tmp_path / out
+    rc = run_verb(verb, scenario_file(dict(SCENARIO, **patch)), out_path)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert re.match(r"error: [^ :]+: ", captured.err) and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {key}: ")
+    if key == "out":  # the OSError, naming the path
+        assert captured.err.endswith(f": {str(out_path)!r}\n")
+    assert out_path.is_dir() if out == "." else not out_path.exists()
 
 
 @pytest.mark.parametrize("verb", [["eval"], ["sweep", "--param", "p1", "--values", "0.5"]],

@@ -109,7 +109,7 @@ class TestOptimizeExact:
 
     @pytest.mark.parametrize("call,error,message", [
         (lambda t: pareto_frontier(dataclasses.replace(t, mix=StreamMix(0.0)), [0.5]),
-         StarvedStreamError, "type I is starved"),
+         StarvedStreamError, r"^beta must be 0 when p1 = 0 starves type I, got 0\.5$"),
         (lambda t: pareto_frontier(dataclasses.replace(t, n=None), [0.5]),
          ValueError, "exact evaluator needs n"),
         (lambda t: pareto_frontier(t, [0.5], evaluator="bogus"),

@@ -16,17 +16,15 @@ from aoi_multicast.analytic import (
     INFINITE_AGE,
     AtWill,
     Exogenous,
-    Moments2,
     Scenario,
     ScenarioApprox,
     Stream,
     StreamMix,
     age_pair,
-    s_moments,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_moments
 from aoi_multicast.sim import SimConfig, simulate
-from oracles import replication_traces
+from oracles import Moments2, replication_traces, s_moments
 
 
 _sim_worker = sim_mod._sim_worker
