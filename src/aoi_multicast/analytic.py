@@ -5,11 +5,11 @@ broadcastable renewal kernel in two steps. ``_cycles`` gives each stream's
 cycle moments on its threshold axis: the order-statistic moments from
 ``orderstats.os_moments`` (harmonic sums at thresholds k, or their large-n
 limits at ratios alpha = k / n, where the completion time has zero
-variance) plus the idle gap, which is zero at will. ``_renewal`` turns both
-streams' cycle moments into age = mean delivered delay + E[S^2] / (2 E[S]),
-where S is the tagged receiver's inter-delivery time of the stream. Scalar
-calls and the optimizer's threshold grids run the same kernel, so a grid
-entry equals the scalar age bit for bit.
+variance) plus the idle gap, which is zero at will. ``_renewal`` turns one
+stream's and the other stream's cycle moments into its age = mean delivered
+delay + E[S^2] / (2 E[S]), where S is the tagged receiver's inter-delivery
+time of the stream. Scalar calls and the optimizer's threshold grids run the
+same kernel, so a grid entry equals the scalar age bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .orderstats import _N_MAX, ShiftedExp, _check_integer, _check_number, _chec
 
 __all__ = [
     "Stream",
-    "StarvedStreamError",
-    "INFINITE_AGE",
     "AtWill",
     "Exogenous",
     "StreamMix",
@@ -40,14 +38,6 @@ __all__ = [
 class Stream(Enum):
     TYPE_I = "I"
     TYPE_II = "II"
-
-
-class StarvedStreamError(ValueError):
-    """The requested stream has zero delivery probability; its age diverges."""
-
-
-# Age of a starved stream.
-INFINITE_AGE = math.inf
 
 
 @dataclass(frozen=True)
@@ -147,7 +137,7 @@ class ScenarioApprox:
 
 @dataclass(frozen=True)
 class AgePair:
-    """Both stream ages; a starved stream's age is INFINITE_AGE."""
+    """Both stream ages; a starved stream's age is math.inf."""
 
     age_I: float
     age_II: float
@@ -176,22 +166,22 @@ def _cycles(s, n, x1, x2):
                                               (x2, os_moments(s.delay_II, x2, n))))
 
 
-def _renewal(mix, target, c_I, c_II):
-    """(age, E[S], E[S^2]) of the target stream of mix on the ``_cycles``
-    c_I and c_II of streams I and II; every input broadcasts.
+def _renewal(p, po, c_t, c_o):
+    """Age of the target stream of share p, from its ``_cycles`` c_t and the
+    ``_cycles`` c_o of the other stream, of share po; every input broadcasts.
 
-    p and po are the target's and the other stream's shares. The tagged
-    receiver gets the target in a cycle with probability g = pq, so S is the
-    delivering cycle X plus M - 1 missed cycles Y, with M ~ Geometric(g). A
-    missed cycle carries the target with weight w_t = p (1 - q) and the
-    other stream with po, out of 1 - g, so s1 = E[M - 1] E[Y] and
-    s2 = E[M - 1] E[Y^2] are sums over those weights divided by g, and
-    E[(M - 1)(M - 2)] E[Y]^2 = 2 s1^2. Every term is nonnegative, so nothing
-    cancels. The age is +inf, never NaN, wherever m2 is not a finite normal
-    double: above that range m2 / (2 m1) is inf / inf, and below it m2 has
-    lost bits to underflow, or is 0 / 0 where m1 rounds to 0. With m2
-    finite, s1 <= sqrt(m2 / 2) keeps 2 m1 finite; as v <= e^2 holds for both
-    cycles (below), an m2 of at least the smallest normal keeps m1 > 0.
+    The tagged receiver gets the target in a cycle with probability g = pq,
+    so S is the delivering cycle X plus M - 1 missed cycles Y, with
+    M ~ Geometric(g). A missed cycle carries the target with weight
+    w_t = p (1 - q) and the other stream with po, out of 1 - g, so
+    s1 = E[M - 1] E[Y] and s2 = E[M - 1] E[Y^2] are sums over those weights
+    divided by g, and E[(M - 1)(M - 2)] E[Y]^2 = 2 s1^2. Every term is
+    nonnegative, so nothing cancels. The age is +inf, never NaN, wherever
+    m2 is not a finite normal double: above that range m2 / (2 m1) is
+    inf / inf, and below it m2 has lost bits to underflow, or is 0 / 0 where
+    m1 rounds to 0. With m2 finite, s1 <= sqrt(m2 / 2) keeps 2 m1 finite; as
+    v <= e^2 holds for both cycles (below), an m2 of at least the smallest
+    normal keeps m1 > 0.
 
     Lemma 1 at finite n: age_I never decreases in k2, nor age_II in k1, for
     exact and large-n ages in both modes. The other stream's threshold
@@ -210,9 +200,7 @@ def _renewal(mix, target, c_I, c_II):
     keeps it, and the large-n variance is 0. Where v_t exceeds e_t^2, D can
     be negative.
     """
-    first = target is Stream.TYPE_I
-    p, po = mix.prob(target), (mix.p2 if first else mix.p1)
-    (q, e_t, v_t, delivered), (_, e_o, v_o, _) = (c_I, c_II) if first else (c_II, c_I)
+    (q, e_t, v_t, delivered), (_, e_o, v_o, _) = c_t, c_o
     g = np.multiply(p, q)  # a float64 even for scalars, so x / 0 is inf, not an error
     w_t = p * (1.0 - q)
     s1 = (w_t * e_t + po * e_o) / g
@@ -220,7 +208,7 @@ def _renewal(mix, target, c_I, c_II):
     m1 = e_t + s1
     m2 = v_t + e_t * e_t + 2.0 * e_t * s1 + s2 + 2.0 * s1 * s1
     ok = (np.finfo(float).tiny <= m2) & (m2 < np.inf)
-    return delivered + np.where(ok, m2 / (2.0 * m1), np.inf), m1, m2
+    return delivered + np.where(ok, m2 / (2.0 * m1), np.inf)
 
 
 def pair_ages(mix: StreamMix, c_I, c_II):
@@ -228,10 +216,8 @@ def pair_ages(mix: StreamMix, c_I, c_II):
     broadcast together; a starved stream's ages are +inf, where p = 0 makes
     E[S] and E[S^2] inf. The entry to ``_renewal`` for age_pair and the
     optimizer's threshold grids."""
-    # Each triple is dropped before the next is computed, so no E[S] or
-    # E[S^2] grid outlives its stream.
     with np.errstate(all="ignore"):
-        return tuple(_renewal(mix, t, c_I, c_II)[0] for t in Stream)
+        return _renewal(mix.p1, mix.p2, c_I, c_II), _renewal(mix.p2, mix.p1, c_II, c_I)
 
 
 def _check_ages(mix: StreamMix, ages) -> None:
@@ -249,7 +235,7 @@ def _check_ages(mix: StreamMix, ages) -> None:
 def age_pair(s: "Scenario | ScenarioApprox") -> AgePair:
     """Both stream ages for a scenario: exact for a Scenario and large-n for
     a ScenarioApprox, in the scenario's generation mode. A starved stream
-    maps to INFINITE_AGE, and the overflow of another stream's age raises
+    maps to math.inf, and the overflow of another stream's age raises
     ValueError."""
     x = (None, s.alpha1, s.alpha2) if isinstance(s, ScenarioApprox) else (s.n, s.k1, s.k2)
     with np.errstate(all="ignore"):

@@ -38,7 +38,7 @@ from .analytic import (
 )
 from .optimize import EXACT_LIMIT, ScenarioTemplate, pareto_frontier
 from .orderstats import ShiftedExp, _check_integer, _check_range
-from .sim import DEFAULT_SEED, SimConfig, simulate
+from .sim import SimConfig, simulate
 
 __all__ = ["main", "run"]
 
@@ -125,6 +125,11 @@ def _cell(v):
     return "infinite" if isinstance(v, float) and math.isinf(v) else v
 
 
+def _print_fields(result) -> None:
+    """Print the fields of a result dataclass as one JSON object."""
+    print(json.dumps({key: _cell(v) for key, v in dataclasses.asdict(result).items()}))
+
+
 # -- commands ---------------------------------------------------------------
 
 
@@ -139,8 +144,7 @@ def _cmd_eval(args) -> int:
         for key in ("alpha1", "alpha2"):
             if getattr(args, key) is not None:
                 raise ValueError(f"{key} used only with --approx")
-    pair = age_pair(scenario)
-    print(json.dumps({"age_I": _cell(pair.age_I), "age_II": _cell(pair.age_II)}))
+    _print_fields(age_pair(scenario))
     return EXIT_OK
 
 
@@ -157,8 +161,7 @@ def _cmd_simulate(args) -> int:
     # Wall time goes to stderr so stdout stays byte-identical across
     # repeated runs with the same seed.
     print(f"wall_time_s: {wall:.3f}", file=sys.stderr)
-    print(json.dumps({key.removesuffix("_hat"): _cell(v)
-                      for key, v in dataclasses.asdict(res).items()}))
+    _print_fields(res)
     return EXIT_OK
 
 
@@ -320,9 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim_args = argparse.ArgumentParser(add_help=False)
     sim_args.add_argument("scenario", help="scenario JSON file")
-    sim_args.add_argument("--cycles", type=int, default=100_000)
-    sim_args.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sim_args.add_argument("--replications", type=int, default=10)
+    sim_args.add_argument("--cycles", type=int, default=SimConfig.cycles)
+    sim_args.add_argument("--seed", type=int, default=SimConfig.seed)
+    sim_args.add_argument("--replications", type=int, default=SimConfig.replications)
     sim_args.add_argument("--threads", type=int, default=1,
                           help="forked worker processes over replications, at most one per "
                                "allowed CPU and pinned when one per CPU; serial where os.fork "

@@ -28,7 +28,6 @@ from .analytic import (
     Mode,
     Scenario,
     ScenarioApprox,
-    StarvedStreamError,
     StreamMix,
     _check_ages,
     _check_fields,
@@ -87,9 +86,9 @@ class ParetoPoint:
 
 def _check_starved_objective(mix: StreamMix, beta: float) -> None:
     if mix.p1 >= 1.0 and beta < 1.0:
-        raise StarvedStreamError(f"beta must be 1 when p1 = 1 starves type II, got {beta}")
+        raise ValueError(f"beta must be 1 when p1 = 1 starves type II, got {beta}")
     if mix.p1 <= 0.0 and beta > 0.0:
-        raise StarvedStreamError(f"beta must be 0 when p1 = 0 starves type I, got {beta}")
+        raise ValueError(f"beta must be 0 when p1 = 0 starves type I, got {beta}")
 
 
 # -- grid search --------------------------------------------------------------

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import INFINITE_AGE, Exogenous, Scenario, Stream
+from .analytic import Exogenous, Scenario, Stream
 from .orderstats import ShiftedExp, _check_integer
 
 __all__ = [
@@ -81,8 +81,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    age_I_hat: float
-    age_II_hat: float
+    age_I: float
+    age_II: float
     se_I: float
     se_II: float
     deliveries_I: int
@@ -90,7 +90,7 @@ class SimResult:
     sim_time: float
 
     def age(self, stream: Stream) -> float:
-        return self.age_I_hat if stream is Stream.TYPE_I else self.age_II_hat
+        return self.age_I if stream is Stream.TYPE_I else self.age_II
 
     def se(self, stream: Stream) -> float:
         return self.se_I if stream is Stream.TYPE_I else self.se_II
@@ -228,9 +228,11 @@ def _sim_worker(args) -> tuple:
     scenario, cycles, seed_seq = args
     rng = np.random.default_rng(seed_seq)
     folds = {Stream.TYPE_I: _AreaFold(), Stream.TYPE_II: _AreaFold()}
-    for traces, end in _blocks(scenario, cycles, rng):
-        for stream, fold in folds.items():
-            fold.add(traces[stream])
+    # An area that overflows is inf or NaN here; simulate raises on it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for traces, end in _blocks(scenario, cycles, rng):
+            for stream, fold in folds.items():
+                fold.add(traces[stream])
     fold_I, fold_II = folds.values()
     return (fold_I.age(), fold_I.count), (fold_II.age(), fold_II.count), end
 
@@ -305,7 +307,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
         per_rep = [o[i][0] for o in outs]
         deliveries = sum(o[i][1] for o in outs)
         if cfg.scenario.mix.prob(stream) <= 0:  # starved: never delivered
-            per_stream.append((INFINITE_AGE, 0.0, deliveries))
+            per_stream.append((np.inf, 0.0, deliveries))
             continue
         if any(a is None for a in per_rep):
             raise RuntimeError(
@@ -313,8 +315,9 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
                 "increase cycles"
             )
         vals = np.asarray(per_rep, dtype=np.float64)
-        age = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            age = float(vals.mean())
+            se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
         if not np.isfinite([age, se]).all():
             raise RuntimeError(f"the simulated age of stream {stream.value} overflows")
         per_stream.append((age, se, deliveries))

@@ -1,17 +1,16 @@
 """Moment formulas that only the tests use, kept here as oracles for the
-package's closed forms, the closed-form kernel's inter-delivery moments,
+package's closed forms, the inter-delivery moments behind them,
 and a replay of the simulator's deliveries."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from aoi_multicast.analytic import (
     ScenarioApprox,
-    StarvedStreamError,
     Stream,
     _cycles,
-    _renewal,
     pair_ages,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_moments
@@ -44,13 +43,31 @@ def grid_ages(s, n, x1, x2):
 
 def s_moments(s, target: Stream) -> Moments2:
     """E[S] and E[S^2] of the tagged receiver's inter-delivery time S of the
-    target stream, from the kernel that gives age_pair its ages, at the
-    thresholds of a Scenario or the ratios of a ScenarioApprox; both are inf
-    for a starved stream."""
+    target stream, at the thresholds of a Scenario or the ratios of a
+    ScenarioApprox; both are inf for a starved stream.
+
+    S is the delivering cycle plus M - 1 missed cycles Y, M ~ Geometric(g)
+    with g = pq, summed here as a compound geometric from the ``_cycles``
+    moments: the miss probability r = po + p (1 - q) is 1 - g without its
+    cancellation, E[M - 1] = r / g and E[(M - 1)(M - 2)] = 2 (r / g)^2.
+    """
     x = (None, s.alpha1, s.alpha2) if isinstance(s, ScenarioApprox) else (s.n, s.k1, s.k2)
-    with np.errstate(all="ignore"):
-        _, m1, m2 = _renewal(s.mix, target, *_cycles(s, *x))
-    return Moments2(float(m1), float(m2))
+    c_I, c_II = _cycles(s, *x)
+    (q, e_t, v_t, _), (_, e_o, v_o, _) = (
+        [float(v) for v in c] for c in ((c_I, c_II) if target is Stream.TYPE_I else (c_II, c_I)))
+    p, po = s.mix.prob(target), s.mix.prob(other(target))
+    g, w_t = p * q, p * (1.0 - q)
+    r = po + w_t
+    if g == 0:
+        return Moments2(math.inf, math.inf)
+    if r == 0:
+        return Moments2(e_t, v_t + e_t * e_t)
+    ey = (w_t * e_t + po * e_o) / r
+    ey2 = (w_t * (v_t + e_t * e_t) + po * (v_o + e_o * e_o)) / r
+    misses = r / g  # E[M - 1]
+    pairs = 2.0 * misses * misses  # E[(M - 1)(M - 2)]
+    return Moments2(e_t + misses * ey,
+                    v_t + e_t * e_t + 2.0 * e_t * misses * ey + misses * ey2 + pairs * ey * ey)
 
 
 def full_grid_argmins(cycles, mix, x1, x2, betas):
@@ -76,7 +93,7 @@ def int_axis(lo, hi):
 def geometric_moments(p: float) -> Moments2:
     """Moments of a geometric retry count with success probability p on {1, 2, ...}."""
     if p <= 0:
-        raise StarvedStreamError(f"success probability must be > 0, got {p}")
+        raise ValueError(f"success probability must be > 0, got {p}")
     if p > 1:
         raise ValueError(f"success probability must be <= 1, got {p}")
     return Moments2(1.0 / p, (2.0 - p) / (p * p))
@@ -99,7 +116,7 @@ def ybar_moments(s, target) -> MissedCycleMoments:
     """
     p, po = s.mix.prob(target), s.mix.prob(other(target))
     if p <= 0:
-        raise StarvedStreamError(f"stream {target.value} is starved (p = 0)")
+        raise ValueError(f"stream {target.value} is starved (p = 0)")
     (e_t, v_t, _), (e_o, v_o, _) = (os_moments(s.delay(x), s.threshold(x), s.n)
                                     for x in (target, other(target)))
     q = s.threshold(target) / s.n

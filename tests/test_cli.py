@@ -67,6 +67,9 @@ OVERFLOW_CASES = [
       for rate in (1e160, 1e200)),
 ]
 
+# 1/rate^2 is finite, but the squared gaps of the sawtooth area overflow.
+SIM_OVERFLOW = {"delay_I": {"rate": 2e-154, "shift": 1.0}}
+
 EVERY_VERB = pytest.mark.parametrize("verb", [
     ["eval"],
     ["pareto", "--betas", "0.5"],
@@ -241,11 +244,8 @@ class TestEval:
         [
             # E[M - 1] E[Y] ~ n E[Y] / (p1 k1) is finite, but its square overflows.
             pytest.param(["eval"], {"p1": 1e-300}, "error: age_I: must be finite, got inf", id="eval"),
-            # 1/rate^2 is finite, but the squared gaps of the sawtooth area overflow.
-            pytest.param(["simulate", "--cycles", "5000", "--replications", "3"],
-                         {"delay_I": {"rate": 2e-154, "shift": 1.0}},
-                         "error: the simulated age of stream I", id="simulate",
-                         marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+            pytest.param(["simulate", "--cycles", "5000", "--replications", "3"], SIM_OVERFLOW,
+                         "error: the simulated age of stream I", id="simulate"),
             *OVERFLOW_CASES,
         ],
     )
@@ -260,6 +260,9 @@ class TestEval:
     @pytest.mark.parametrize("verb,patch,message", [
         pytest.param(["eval"], {"p1": 1e-300}, "error: age_I: must be finite, got inf", id="eval"),
         *OVERFLOW_CASES,
+        *(pytest.param(["simulate", "--cycles", "5000", "--replications", "3", "--threads", t],
+                       SIM_OVERFLOW, "error: the simulated age of stream I overflows",
+                       id=f"simulate_threads{t}") for t in ("1", "2")),
     ])
     def test_overflow_prints_one_error_line(self, scenario_file, tmp_path, verb, patch, message):
         # In a fresh interpreter, with the default warning filters: the
@@ -340,7 +343,7 @@ class TestSimulate:
         s = Scenario(doc["n"], doc["k1"], doc["k2"], ShiftedExp(**doc["delay_I"]),
                      ShiftedExp(**doc["delay_II"]), StreamMix(doc["p1"]))
         res = simulate(SimConfig(s, cycles=5000, seed=5, replications=3))
-        expect = [res.age_I_hat, res.age_II_hat, res.se_I, res.se_II, res.deliveries_I,
+        expect = [res.age_I, res.age_II, res.se_I, res.se_II, res.deliveries_I,
                   res.deliveries_II, res.sim_time]
         assert list(out.values()) == ["infinite" if v == math.inf else v for v in expect]
         assert (out["age_II"] == "infinite") == (doc["p1"] == 1.0)
@@ -362,6 +365,21 @@ class TestSimulate:
         assert rc == 2
         assert "threads" in captured.err
         assert captured.out == ""
+
+    def test_options_default_to_simconfig(self, scenario_file, monkeypatch, capsys):
+        import aoi_multicast.cli as cli_mod
+        from aoi_multicast.sim import SimConfig, SimResult
+
+        seen = []
+
+        def record(cfg, threads=1):
+            seen.append(cfg)
+            return SimResult(1.0, 1.0, 0.0, 0.0, 2, 2, 1.0)
+
+        monkeypatch.setattr(cli_mod, "simulate", record)
+        assert main(["simulate", scenario_file(SCENARIO)]) == 0
+        scenario = Scenario(10, 3, 5, ShiftedExp(1.0, 1.0), ShiftedExp(2.0, 0.5), StreamMix(0.6))
+        assert seen == [SimConfig(scenario)]
 
     def test_negative_seed_rejected(self, scenario_file, capsys):
         rc = main(["simulate", scenario_file(SCENARIO), "--seed", "-1"])
@@ -611,6 +629,26 @@ def test_option_interval_rule(scenario_file, tmp_path, capsys, verb, name, inter
     else:
         assert rc == 2 and captured.out == "" and not out_path.exists()
         assert captured.err == f"error: {name} must lie in {interval}, got {float(value)}\n"
+
+
+# A token that argparse cannot read as its option's number type is a usage
+# error, printed by argparse with its usage block rather than as a keyed line.
+@pytest.mark.parametrize("verb,option", [
+    *((["simulate", f"--{option}={token}"], option) for option, token in
+      (("cycles", "1e5"), ("seed", "1.5"), ("replications", "ten"), ("threads", "2.0"))),
+    (["validate", "--tolerance=1%"], "tolerance"),
+    (["pareto", "--evaluator=approx", "--grid=5e2"], "grid"),
+    *((["eval", "--approx", *pair], option) for option, pair in
+      (("alpha1", ("--alpha1=half", "--alpha2=0.5")), ("alpha2", ("--alpha1=0.5", "--alpha2=x")))),
+    *((["sweep", "--param=n", "--values=10", *pair], option) for option, pair in
+      (("alpha1", ("--alpha1=half", "--alpha2=0.5")), ("alpha2", ("--alpha1=0.5", "--alpha2=x")))),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unparsable_number_is_a_usage_error(scenario_file, tmp_path, capsys, verb, option):
+    rc = run_verb(verb, scenario_file(SCENARIO), tmp_path / "x.csv")
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert f"error: argument --{option}: invalid " in captured.err
 
 
 # Values that the library or the file system rejects, each reported by main

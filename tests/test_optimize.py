@@ -11,7 +11,6 @@ import aoi_multicast.optimize as opt_mod
 from aoi_multicast.analytic import (
     AtWill,
     Exogenous,
-    StarvedStreamError,
     StreamMix,
     _cycles,
     age_pair,
@@ -100,7 +99,8 @@ class TestOptimizeExact:
         tpl = ScenarioTemplate(
             ShiftedExp(1, 1), ShiftedExp(1, 1), StreamMix(1.0), AtWill(), n=20
         )
-        with pytest.raises(StarvedStreamError):
+        with pytest.raises(ValueError,
+                           match=r"^beta must be 1 when p1 = 1 starves type II, got 0\.5$"):
             pareto_frontier(tpl, [0.5])
 
     def test_bad_beta_rejected(self):
@@ -109,7 +109,7 @@ class TestOptimizeExact:
 
     @pytest.mark.parametrize("call,error,message", [
         (lambda t: pareto_frontier(dataclasses.replace(t, mix=StreamMix(0.0)), [0.5]),
-         StarvedStreamError, r"^beta must be 0 when p1 = 0 starves type I, got 0\.5$"),
+         ValueError, r"^beta must be 0 when p1 = 0 starves type I, got 0\.5$"),
         (lambda t: pareto_frontier(dataclasses.replace(t, n=None), [0.5]),
          ValueError, "exact evaluator needs n"),
         (lambda t: pareto_frontier(t, [0.5], evaluator="bogus"),

@@ -36,7 +36,7 @@ def test_readme_library_example_runs(capsys):
     exec(compile(example, str(README), "exec"), scope)
     age_line, result_line = capsys.readouterr().out.splitlines()
     assert float(age_line) == aoi_multicast.age_pair(scope["s"]).age_I
-    assert result_line.startswith("SimResult(age_I_hat=")
+    assert result_line.startswith("SimResult(age_I=")
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
