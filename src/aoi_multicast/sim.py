@@ -26,11 +26,11 @@ the time average over whole inter-delivery intervals estimates the
 renewal-reward ratio that the closed forms evaluate. What bias is left is
 the O(1/N) bias of a ratio over N intervals, which no warmup removes.
 
-A replication runs in fixed-size blocks of cycles, so its memory does not
-grow with the cycle count. The age fold carries, per stream, the first
-and last delivery time, the last reset age, the area and the delivery
-count, and the sawtooth interval that crosses into a block starts at the
-carried last delivery.
+A replication runs in fixed-size blocks of cycles, drawn into buffers that
+it allocates once, so its memory does not grow with the cycle count. The
+age fold carries, per stream, the first and last delivery time, the last
+reset age, the area and the delivery count, and the sawtooth interval that
+crosses into a block starts at the carried last delivery.
 
 The tests keep the direct sampler (n delays, then the k-th smallest) as an
 independent reference and compare the two laws by two-sample tests.
@@ -38,13 +38,14 @@ independent reference and compare the two laws by two-sample tests.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Exogenous, Scenario, Stream
+from .analytic import Exogenous, Scenario, Stream, _cycles
 from .orderstats import ShiftedExp, _check_integer
 
 __all__ = [
@@ -56,9 +57,12 @@ __all__ = [
 
 DEFAULT_SEED = 20190813
 
-# Cycles per block: a block's per-cycle arrays (about 2.4 MiB) stay in L2
-# cache, and a replication's memory is bounded by one block.
-_BLOCK = 1 << 15
+# Cycles per block. A replication keeps 4 float64 and 3 bool rows of a block,
+# and a block adds at most 3 blocks of ranks, indices and gathers: its traced
+# peak is 5.8-6.2 blocks (0.73-0.77 MiB) on the benchmark's scenarios and at
+# most 7.5 (0.94 MiB), inside a core's 2 MiB L2. 2^13 ran slower, from each
+# block's fixed cost of numpy calls.
+_BLOCK = 1 << 14
 # Largest k drawn by the Renyi sum. Each of its columns costs about 13 ns
 # per cycle; at n = 100 (2-vCPU host) the sum takes 110 ns at k = 6 and
 # 124 ns at k = 7, against 114 ns for the Gamma branch.
@@ -96,96 +100,91 @@ class SimResult:
         return self.se_I if stream is Stream.TYPE_I else self.se_II
 
 
-@dataclass
-class _StreamTrace:
-    delivery_times: np.ndarray  # tagged-node delivery instants
-    delivery_cycles: np.ndarray  # cycle indices of those deliveries
-    reset_ages: np.ndarray  # own link delay of each delivered packet
-    type_cycles: int  # cycles carrying this stream's type
+def _sample_stream(d: ShiftedExp, k: int, n: int, rng: np.random.Generator,
+                   span, own, hit, e, mask) -> None:
+    """Draw span.size cycles of one stream as seen by the tagged receiver.
 
-
-def _sample_stream(d: ShiftedExp, k: int, n: int, m: int, rng: np.random.Generator):
-    """Draw m cycles of one stream as seen by the tagged receiver.
-
-    Returns (kth, own, hit): the completion time X_(k), the receiver's own
-    delay, and whether it was among the first k. `own` is meaningful only
-    where `hit` is set.
+    Fills span with the completion time X_(k), hit with whether the
+    receiver's own delay was among the first k, and own, where hit is set,
+    with that delay less the shift, which only the deliveries read. e and
+    mask, of the same size, are scratch.
     """
-    rank = rng.integers(n, size=m)
-    hit = rank < k
+    rank = rng.integers(n, size=span.size)
+    np.less(rank, k, out=hit)
     if k <= _RENYI_MAX_K:
         # Column j adds the spacing E_j / ((n - j + 1) rate); `own` takes it while
         # j <= rank + 1 (rank counts from 0), so it ends at X_(rank + 1) bit for bit.
-        span = rng.standard_exponential(m)
+        rng.standard_exponential(out=span)
         span *= 1.0 / (n * d.rate)
-        own = span.copy()
-        e = np.empty(m)
+        np.copyto(own, span)
         for j in range(2, k + 1):
             rng.standard_exponential(out=e)
             e *= 1.0 / ((n - j + 1) * d.rate)
             span += e
-            e *= rank >= j - 1
+            e *= np.greater_equal(rank, j - 1, out=mask)
             own += e
     else:
         # log1p(G_k / G_{n-k+1}) = -log(1 - U_(k)), free of cancellation at k = 1 and n.
-        span = rng.standard_gamma(k, m)
-        span /= rng.standard_gamma(n - k + 1, m)
+        rng.standard_gamma(k, out=span)
+        span /= rng.standard_gamma(n - k + 1, out=e)
         np.log1p(span, out=span)
         span /= d.rate
-        below = np.flatnonzero(rank < k - 1)
-        own = span.copy()
-        w = rng.random(below.size)
-        own[below] = -np.log1p(w * np.expm1(-d.rate * span[below])) / d.rate
+        np.copyto(own, span)
+        below = np.flatnonzero(np.less(rank, k - 1, out=mask))
+        w = rng.random(out=e[:below.size])
+        x = np.take(span, below)  # -log1p(w expm1(-rate x)) / rate, in place
+        x *= -d.rate
+        np.expm1(x, out=x)
+        x *= w
+        np.log1p(x, out=x)
+        x /= -d.rate
+        own[below] = x
     span += d.shift
-    own += d.shift
-    return span, own, hit
 
 
-def _blocks(scenario: Scenario, cycles: int, rng: np.random.Generator):
-    """Draw one replication in blocks of `_BLOCK` cycles.
+def _blocks(scenario: Scenario, cycles: int, rng: np.random.Generator, deliver) -> float:
+    """Draw one replication in blocks of `_BLOCK` cycles; return its end time.
 
-    Yields, per block, the {stream: _StreamTrace} of its deliveries (times
-    from the start of the replication, cycle indices from its first cycle)
-    and the time at which the block ends.
+    Every block reuses buffers allocated once. After a block, for stream i
+    (0 for type I, 1 for type II), it calls deliver(i, cyc, hit, t, a, w):
+    `cyc` indexes the block's type-i cycles and `hit` flags those that
+    delivered to the receiver, `t` and `a` are the deliveries' times from
+    the start of the replication and the own delays that reset the age,
+    and `w` is scratch of t's size. The arrays are views that the next
+    block overwrites.
     """
-    n = scenario.n
+    starts, draw, span, own = np.empty((4, min(_BLOCK, cycles) + 1))
+    on, hit, mask = np.empty((3, min(_BLOCK, cycles)), bool)
     end = 0.0
     for first in range(0, cycles, _BLOCK):
         size = min(_BLOCK, cycles - first)
-        is_type_I = rng.random(size) < scenario.mix.p1
-        idx = {Stream.TYPE_I: np.flatnonzero(is_type_I),
-               Stream.TYPE_II: np.flatnonzero(~is_type_I)}
-        # starts[i] is the start of cycle first + i, starts[size] the block's end.
-        starts = np.empty(size + 1)
-        durations = starts[1:]
-        drawn = {}
-        for stream in (Stream.TYPE_I, Stream.TYPE_II):
-            kth, own, hit = _sample_stream(
-                scenario.delay(stream), scenario.threshold(stream), n,
-                idx[stream].size, rng,
-            )
-            durations[idx[stream]] = kth
-            drawn[stream] = own, hit
+        np.less(rng.random(out=draw[:size]), scenario.mix.p1, out=on[:size])
+        m = int(np.count_nonzero(on[:size]))
+        parts = slice(0, m), slice(m, size)  # each stream's cycles in span, own and hit
+        for stream, p in zip(Stream, parts):
+            _sample_stream(scenario.delay(stream), scenario.threshold(stream), scenario.n,
+                           rng, span[p], own[p], hit[p], draw[p], mask[p])
+        # starts[c] is the start of cycle first + c, starts[size] the block's end.
+        s = starts[:size + 1]
+        cycs = np.flatnonzero(on[:size]), np.flatnonzero(~on[:size])
+        for cyc, p in zip(cycs, parts):
+            s[1:][cyc] = span[p]
         if isinstance(scenario.mode, Exogenous):
-            gap = rng.standard_exponential(size)
+            gap = rng.standard_exponential(out=draw[:size])
             gap *= 1.0 / scenario.mode.mu
-            durations += gap
-        starts[0] = end
-        np.cumsum(starts, out=starts)
-        end = float(starts[-1])
-
-        traces = {}
-        for stream, (own, hit) in drawn.items():
-            sel = np.flatnonzero(hit)
-            cyc = idx[stream][sel]
-            reset = own[sel]
-            traces[stream] = _StreamTrace(
-                delivery_times=starts[cyc] + reset,
-                delivery_cycles=cyc + first,
-                reset_ages=reset,
-                type_cycles=idx[stream].size,
-            )
-        yield traces, end
+            s[1:] += gap
+        s[0] = end
+        np.cumsum(s, out=s)
+        end = float(s[-1])
+        for i, (stream, cyc, p) in enumerate(zip(Stream, cycs, parts)):
+            sel = np.flatnonzero(hit[p])  # in range, so "clip" only spares a copy of out
+            a = np.take(own[p], sel, out=span[:sel.size], mode="clip")
+            a += scenario.delay(stream).shift
+            t = np.take(s, cyc[sel], out=draw[:sel.size], mode="clip")
+            t += a
+            deliver(i, cyc, hit[p], t, a, own[p][:sel.size])
+        del cycs, cyc, sel  # not held through the next block's draws
+    return end
 
 
 @dataclass
@@ -195,46 +194,58 @@ class _AreaFold:
     Between deliveries the age grows with slope 1 from the reset level, so
     each interval adds a rectangle plus a triangle, summed exactly; the
     interval that crosses into a block starts at the carried last delivery.
+    The area is kept in units of 2^j times time, with 2^j near the mean
+    cycle length, so that it is finite wherever the age is; scaling by a
+    power of two is exact for normal floats.
     """
 
+    j: int = 0
     first: float = 0.0
     last: float = 0.0
     last_age: float = 0.0
     area: float = 0.0
     count: int = 0
 
-    def add(self, trace: _StreamTrace) -> None:
-        t, a = trace.delivery_times, trace.reset_ages
+    def add(self, t, a, w) -> None:
+        """Fold one block's delivery times t and reset ages a, overwriting
+        them and the scratch w of their size."""
         if t.size == 0:
             return
+        s = math.ldexp(1.0, -self.j)
         if self.count:
             gap = float(t[0]) - self.last
-            self.area += gap * self.last_age + 0.5 * gap * gap
+            self.area += gap * s * self.last_age + 0.5 * s * gap * gap
         else:
             self.first = float(t[0])
-        dt = np.diff(t)
-        self.area += float(np.sum(dt * a[:-1] + 0.5 * dt * dt))
         self.last, self.last_age = float(t[-1]), float(a[-1])
         self.count += t.size
+        # sum(dt a + 0.5 dt dt) / 2^j over the block's intervals, in place.
+        dt = np.subtract(t[1:], t[:-1], out=w[:-1])
+        a, t = a[:-1], t[:-1]
+        a *= s
+        a *= dt
+        np.multiply(dt, 0.5 * s, out=t)
+        t *= dt
+        a += t
+        self.area += float(np.sum(a))
 
     def age(self) -> "float | None":
         """Time-averaged age between the first and last delivery; None below two."""
         if self.count < 2:
             return None
-        return self.area / (self.last - self.first)
+        return math.ldexp(self.area / (self.last - self.first), self.j)
 
 
 def _sim_worker(args) -> tuple:
     scenario, cycles, seed_seq = args
-    rng = np.random.default_rng(seed_seq)
-    folds = {Stream.TYPE_I: _AreaFold(), Stream.TYPE_II: _AreaFold()}
     # An area that overflows is inf or NaN here; simulate raises on it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for traces, end in _blocks(scenario, cycles, rng):
-            for stream, fold in folds.items():
-                fold.add(traces[stream])
-    fold_I, fold_II = folds.values()
-    return (fold_I.age(), fold_I.count), (fold_II.age(), fold_II.count), end
+        (_, e_I, *_), (_, e_II, *_) = _cycles(scenario, scenario.n, scenario.k1, scenario.k2)
+        j = math.frexp(scenario.mix.p1 * e_I + scenario.mix.p2 * e_II)[1]
+        folds = _AreaFold(j), _AreaFold(j)
+        end = _blocks(scenario, cycles, np.random.default_rng(seed_seq),
+                      lambda i, cyc, hit, t, a, w: folds[i].add(t, a, w))
+    return *((fold.age(), fold.count) for fold in folds), end
 
 
 def _forked(args: list, workers: int, cpus) -> list:

@@ -14,7 +14,7 @@ from aoi_multicast.analytic import (
     pair_ages,
 )
 from aoi_multicast.orderstats import ShiftedExp, os_moments
-from aoi_multicast.sim import _blocks, _spawn_seeds, _StreamTrace
+import aoi_multicast.sim as sim
 
 
 class Moments2(NamedTuple):
@@ -129,16 +129,34 @@ def ybar_moments(s, target) -> MissedCycleMoments:
     return MissedCycleMoments(float(m1), float(m2), False)
 
 
+class StreamTrace(NamedTuple):
+    """One stream's deliveries to the tagged receiver over a replication."""
+
+    delivery_times: np.ndarray  # tagged-node delivery instants
+    delivery_cycles: np.ndarray  # cycle indices of those deliveries
+    reset_ages: np.ndarray  # own link delay of each delivered packet
+    type_cycles: int  # cycles carrying this stream's type
+
+
 def replication_traces(cfg):
-    """Each replication's {stream: _StreamTrace}, its blocks concatenated.
+    """Each replication's {stream: StreamTrace}, its blocks concatenated.
 
     Replays `sim._blocks` from the seeds that `simulate` spawns, so the
-    deliveries are those that `simulate(cfg)` folds.
+    deliveries are those that `simulate(cfg)` folds. The delivery cycles
+    come from each block's cycle indices and hit flags, not from the
+    indices the pass itself gathers.
     """
-    fields = ("delivery_times", "delivery_cycles", "reset_ages")
-    for ss in _spawn_seeds(cfg):
-        blocks = [t for t, _ in _blocks(cfg.scenario, cfg.cycles, np.random.default_rng(ss))]
-        yield {stream: _StreamTrace(
-            *(np.concatenate([getattr(b[stream], f) for b in blocks]) for f in fields),
-            type_cycles=sum(b[stream].type_cycles for b in blocks),
-        ) for stream in (Stream.TYPE_I, Stream.TYPE_II)}
+    for ss in sim._spawn_seeds(cfg):
+        blocks = [], []  # per stream: (times, cycles, resets, type cycles) of each block
+
+        def keep(i, cyc, hit, t, a, w):
+            first = len(blocks[i]) * sim._BLOCK
+            blocks[i].append((t.copy(), first + cyc[hit], a.copy(), hit.size))
+
+        sim._blocks(cfg.scenario, cfg.cycles, np.random.default_rng(ss), keep)
+        traces = {}
+        for stream, parts in zip(Stream, blocks):
+            times, cycles, resets, counts = zip(*parts)
+            traces[stream] = StreamTrace(np.concatenate(times), np.concatenate(cycles),
+                                         np.concatenate(resets), sum(counts))
+        yield traces

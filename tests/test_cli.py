@@ -67,8 +67,12 @@ OVERFLOW_CASES = [
       for rate in (1e160, 1e200)),
 ]
 
-# 1/rate^2 is finite, but the squared gaps of the sawtooth area overflow.
-SIM_OVERFLOW = {"delay_I": {"rate": 2e-154, "shift": 1.0}}
+# 1/rate^2 is finite, and the ages are about 6e153, so the squared gaps of
+# the sawtooth area overflow unless the simulator scales its time unit.
+TINY_RATE = {"delay_I": {"rate": 2e-154, "shift": 1.0}}
+# At p1 = 0.05 the replications' ages of stream I are about 2.5e155 and
+# differ by about 5e154, so the squares in their standard error overflow.
+SIM_OVERFLOW = dict(p1=0.05, delay_I=TINY_RATE["delay_I"], delay_II=TINY_RATE["delay_I"])
 
 EVERY_VERB = pytest.mark.parametrize("verb", [
     ["eval"],
@@ -275,6 +279,24 @@ class TestEval:
                                *argv], env=env, capture_output=True, text=True)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulate_at_a_tiny_rate_matches_eval(self, scenario_file, threads):
+        # In a fresh interpreter, with the default warning filters: no
+        # overflow, no warning, and ages within max(1 %, 3 se) of eval's.
+        path = scenario_file(dict(SCENARIO, **TINY_RATE))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = {}
+        for verb in (["eval"], ["simulate", "--cycles", "5000", "--replications", "3",
+                                "--threads", threads]):
+            done = subprocess.run([sys.executable, "-c", "from aoi_multicast.cli import run; run()",
+                                   verb[0], path, *verb[1:]], env=env, capture_output=True, text=True)
+            assert done.returncode == 0 and done.stderr.count("\n") <= 1, done.stderr
+            out[verb[0]] = json.loads(done.stdout)
+        for key in ("I", "II"):
+            exact, got = out["eval"][f"age_{key}"], out["simulate"][f"age_{key}"]
+            assert exact > 1e153
+            assert abs(got - exact) <= max(0.01 * exact, 3 * out["simulate"][f"se_{key}"])
 
     @pytest.mark.parametrize("n", [2**52, 2**63 - 1])
     def test_receiver_counts_beyond_float_integers(self, scenario_file, capsys, n):

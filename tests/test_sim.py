@@ -66,6 +66,15 @@ def _reference_stream(d, k, n, m, rng, tagged_index=0):
     return kth, own, own <= kth
 
 
+def _sample(d, k, n, m, rng):
+    """`sim._sample_stream` on fresh buffers: (X_(k), own delay, hit), the
+    own delay shifted as the deliveries read it."""
+    span, own, e = np.zeros((3, m))
+    hit, mask = np.zeros((2, m), bool)
+    sim_mod._sample_stream(d, k, n, rng, span, own, hit, e, mask)
+    return span, own + d.shift, hit
+
+
 def variance(m: Moments2) -> float:
     return m.m2 - m.m1 * m.m1
 
@@ -96,7 +105,7 @@ class TestSampler:
     @pytest.mark.parametrize("n,k", SAMPLER_CASES)
     def test_matches_reference(self, d, n, k):
         m = 20_000
-        fast = sim_mod._sample_stream(d, k, n, m, np.random.default_rng([n, k, 1]))
+        fast = _sample(d, k, n, m, np.random.default_rng([n, k, 1]))
         ref = _reference_stream(d, k, n, m, np.random.default_rng([n, k, 2]))
         for kth, own, hit in (fast, ref):
             assert kth.shape == own.shape == hit.shape == (m,)
@@ -114,7 +123,7 @@ class TestSampler:
         # open: given a hit, X_(k) - own follows the reference law, and the
         # receiver is the k-th itself (own == X_(k)) with probability 1/k.
         m = 20_000
-        fast = sim_mod._sample_stream(d, k, n, m, np.random.default_rng([n, k, 3]))
+        fast = _sample(d, k, n, m, np.random.default_rng([n, k, 3]))
         ref = _reference_stream(d, k, n, m, np.random.default_rng([n, k, 4]))
         gaps, kth_own = [], []
         for kth, own, hit in (fast, ref):
@@ -128,14 +137,14 @@ class TestSampler:
     def test_concentrates_at_huge_n(self):
         d = DELAY_I
         rng = np.random.default_rng(5)
-        kth, own, hit = sim_mod._sample_stream(d, 3 * 10**11, 10**12, 10, rng)
+        kth, own, hit = _sample(d, 3 * 10**11, 10**12, 10, rng)
         assert np.all(np.isfinite(kth)) and np.all(np.isfinite(own[hit]))
         # X_(k) concentrates at shift + log(1 / (1 - alpha)) / rate
         assert kth == pytest.approx(d.shift + math.log(1 / 0.7) / d.rate, rel=1e-4)
 
     def test_first_of_a_trillion(self):
         d, n = DELAY_I, 10**12
-        kth, own, hit = sim_mod._sample_stream(d, 1, n, 10_000, np.random.default_rng(6))
+        kth, own, hit = _sample(d, 1, n, 10_000, np.random.default_rng(6))
         # X_(1) - shift ~ Exp(n rate): mean 1 / (n rate), resolved to 1e-4 at shift 1
         scaled = (kth - d.shift) * n * d.rate
         assert np.all(scaled > 0) and np.all(np.isfinite(scaled))
@@ -164,11 +173,13 @@ class TestBlocks:
     @pytest.mark.parametrize("block", [1000, sim_mod._BLOCK])
     def test_fold_matches_one_shot_area(self, monkeypatch, block):
         monkeypatch.setattr(sim_mod, "_BLOCK", block)
-        # Stream II delivers about once per block, so some blocks have none.
+        # Stream II delivers about 3 times per block, so some blocks have none,
+        # and the last block is half full: a fold or a block that read a
+        # buffer's tail, left over from the block before, would show here.
         n, k2 = 10, 1
-        s = Scenario(n, 3, k2, DELAY_I, DELAY_II, StreamMix(1 - n / (k2 * block)),
+        s = Scenario(n, 3, k2, DELAY_I, DELAY_II, StreamMix(1 - 3 * n / (k2 * block)),
                      Exogenous(2.0))
-        cfg = SimConfig(s, cycles=10 * block, seed=71, replications=3)
+        cfg = SimConfig(s, cycles=5 * block // 2, seed=71, replications=6)
         empty_blocks = 0
         for ss, traces in zip(sim_mod._spawn_seeds(cfg), replication_traces(cfg)):
             folded = sim_mod._sim_worker((s, cfg.cycles, ss))
@@ -176,10 +187,9 @@ class TestBlocks:
                 trace = traces[stream]
                 assert folded[i][1] == trace.delivery_times.size
                 assert folded[i][0] == pytest.approx(_time_average_age(trace), rel=1e-12)
-            blocks = sim_mod._blocks(s, cfg.cycles, np.random.default_rng(ss))
-            counts = [b[Stream.TYPE_II].delivery_times.size for b, _ in blocks]
-            assert sum(counts) >= 2
-            empty_blocks += counts.count(0)
+            cycles_II = traces[Stream.TYPE_II].delivery_cycles
+            assert cycles_II.size >= 2
+            empty_blocks += 3 - np.unique(cycles_II // block).size
         assert empty_blocks > 0
 
     def test_counts_whole_cycles(self, monkeypatch):
@@ -208,6 +218,33 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    # Each case's blocks of transients, from the formulas below, rounded up.
+    @pytest.mark.parametrize("s,extra", [
+        (Scenario(5, 2, 3, DELAY_I, DELAY_II, StreamMix(0.9), Exogenous(2.0)), 2),  # 1.72
+        (Scenario(100, 34, 50, DELAY_I, DELAY_II, StreamMix(0.6), AtWill()), 1.5),  # 1.41
+        (Scenario(20, 20, 1, DELAY_I, DELAY_II, StreamMix(1.0), AtWill()), 3),  # 3
+    ], ids=["narrow", "wide", "every_cycle_delivers"])
+    def test_working_set_is_bounded(self, s, extra):
+        # A replication keeps 4 float64 rows of _BLOCK + 1 (starts, draw, span,
+        # own) and 3 bool rows (3/8 of a float64 block). A stream of p _BLOCK
+        # cycles adds, in float64 blocks, while it draws: p for its int64
+        # ranks, plus 1/2 for numpy's 8192-element cast buffer at k <= 6, or
+        # 2 p (k - 1) / n for the indices and delays below rank k - 1 above
+        # it; and while it delivers: 1 for both streams' int64 cycle indices
+        # plus 2 p k / n for its delivery indices and delivery cycles.
+        # 1/4 covers Python objects.
+        c = 4 + 3 / 8 + extra + 1 / 4
+        seed = np.random.SeedSequence(75)
+        sim_mod._sim_worker((s, sim_mod._BLOCK, seed))  # one-time allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim_mod._sim_worker((s, 5 * sim_mod._BLOCK // 2, seed))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= c * sim_mod._BLOCK * 8, peak / (sim_mod._BLOCK * 8)
 
 
 class TestRenewal:
@@ -311,6 +348,10 @@ class TestSimulate:
         serial = simulate(uneven, threads=1)
         for threads in (2, 3):
             assert simulate(uneven, threads=threads) == serial
+        # Exogenous, over 2.5 blocks, the last one half full.
+        blocks = SimConfig(mixed_scenario(Exogenous(2.0)), cycles=5 * sim_mod._BLOCK // 2,
+                           seed=22, replications=3)
+        assert simulate(blocks, threads=2) == simulate(blocks, threads=1)
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -454,11 +495,11 @@ class TestSimulate:
         s = mixed_scenario()
         ages = []
         for seed, tagged in ((31, 0), (32, 7)):
-            monkeypatch.setattr(
-                sim_mod,
-                "_sample_stream",
-                lambda d, k, n, m, rng, t=tagged: _reference_stream(d, k, n, m, rng, t),
-            )
+            def reference(d, k, n, rng, span, own, hit, e, mask, t=tagged):
+                span[:], own[:], hit[:] = _reference_stream(d, k, n, span.size, rng, t)
+                own -= d.shift  # the pass adds the shift back at the deliveries
+
+            monkeypatch.setattr(sim_mod, "_sample_stream", reference)
             ages.append(simulate(SimConfig(s, cycles=100_000, seed=seed, replications=8)))
         a, b = ages
         joint = math.hypot(a.se_I, b.se_I)
