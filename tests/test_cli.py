@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from aoi_multicast import sim
 from aoi_multicast.analytic import Exogenous, Scenario, ScenarioApprox, StreamMix, age_pair
 from aoi_multicast.cli import main
 from aoi_multicast.optimize import EXACT_LIMIT
@@ -71,8 +73,15 @@ OVERFLOW_CASES = [
 # the sawtooth area overflow unless the simulator scales its time unit.
 TINY_RATE = {"delay_I": {"rate": 2e-154, "shift": 1.0}}
 # At p1 = 0.05 the replications' ages of stream I are about 2.5e155 and
-# differ by about 5e154, so the squares in their standard error overflow.
+# differ by about 5e154, so the squares in their standard error overflow
+# unless the simulator scales the ages, and the closed forms overflow.
 SIM_OVERFLOW = dict(p1=0.05, delay_I=TINY_RATE["delay_I"], delay_II=TINY_RATE["delay_I"])
+# The inputs' checks admit no scenario whose replication ages overflow in the
+# simulator's scaled time unit. In plain time units, SIM_OVERFLOW's sawtooth
+# areas, and so its replication ages, overflow; this statement, run before
+# the CLI, folds the areas so.
+UNSCALED_FOLD = "import aoi_multicast.sim as s; F = s._AreaFold; s._AreaFold = lambda j: F(0)"
+RUN = "from aoi_multicast.cli import run; run()"
 
 EVERY_VERB = pytest.mark.parametrize("verb", [
     ["eval"],
@@ -249,12 +258,14 @@ class TestEval:
             # E[M - 1] E[Y] ~ n E[Y] / (p1 k1) is finite, but its square overflows.
             pytest.param(["eval"], {"p1": 1e-300}, "error: age_I: must be finite, got inf", id="eval"),
             pytest.param(["simulate", "--cycles", "5000", "--replications", "3"], SIM_OVERFLOW,
-                         "error: the simulated age of stream I", id="simulate"),
+                         "error: the simulated age of stream I overflows", id="simulate"),
             *OVERFLOW_CASES,
         ],
     )
-    def test_overflowing_age_rejected(self, scenario_file, tmp_path, capsys,
+    def test_overflowing_age_rejected(self, scenario_file, tmp_path, capsys, monkeypatch,
                                       verb, patch, message):
+        if verb[0] == "simulate":  # as UNSCALED_FOLD does
+            monkeypatch.setattr(sim, "_AreaFold", lambda j, fold=sim._AreaFold: fold(0))
         rc = run_verb(verb, scenario_file(dict(SCENARIO, **patch)), tmp_path / "x.csv")
         captured = capsys.readouterr()
         assert rc == 2
@@ -274,9 +285,10 @@ class TestEval:
         argv = [verb[0], scenario_file(dict(SCENARIO, **patch)), *verb[1:]]
         if verb[0] == "pareto":
             argv += ["--out", str(tmp_path / "x.csv")]
+        code = f"{UNSCALED_FOLD}; {RUN}" if verb[0] == "simulate" else RUN
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run([sys.executable, "-c", "from aoi_multicast.cli import run; run()",
-                               *argv], env=env, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
 
@@ -289,14 +301,32 @@ class TestEval:
         out = {}
         for verb in (["eval"], ["simulate", "--cycles", "5000", "--replications", "3",
                                 "--threads", threads]):
-            done = subprocess.run([sys.executable, "-c", "from aoi_multicast.cli import run; run()",
-                                   verb[0], path, *verb[1:]], env=env, capture_output=True, text=True)
+            done = subprocess.run([sys.executable, "-c", RUN, verb[0], path, *verb[1:]],
+                                  env=env, capture_output=True, text=True)
             assert done.returncode == 0 and done.stderr.count("\n") <= 1, done.stderr
             out[verb[0]] = json.loads(done.stdout)
         for key in ("I", "II"):
             exact, got = out["eval"][f"age_{key}"], out["simulate"][f"age_{key}"]
             assert exact > 1e153
             assert abs(got - exact) <= max(0.01 * exact, 3 * out["simulate"][f"se_{key}"])
+
+    def test_simulate_where_the_closed_forms_overflow(self, scenario_file, capsys):
+        # The ages of SIM_OVERFLOW and their standard errors are finite, within
+        # max(1 %, 3 se) of eval's. eval overflows there, so it runs in time
+        # units of 2^-512, which scale every age by 2^512 and no bit else.
+        doc = dict(SCENARIO, **SIM_OVERFLOW)
+        assert main(["simulate", scenario_file(doc), "--cycles", "5000",
+                     "--replications", "3"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        scaled = {key: {"rate": math.ldexp(doc[key]["rate"], 512),
+                        "shift": math.ldexp(doc[key]["shift"], -512)}
+                  for key in ("delay_I", "delay_II")}
+        assert main(["eval", scenario_file(dict(doc, **scaled))]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        for key in ("I", "II"):
+            ex = math.ldexp(exact[f"age_{key}"], 512)
+            assert ex > 1e153 and 0 < got[f"se_{key}"] < math.inf
+            assert abs(got[f"age_{key}"] - ex) <= max(0.01 * ex, 3 * got[f"se_{key}"])
 
     @pytest.mark.parametrize("n", [2**52, 2**63 - 1])
     def test_receiver_counts_beyond_float_integers(self, scenario_file, capsys, n):
@@ -1003,9 +1033,47 @@ def test_module_entry_point_matches_run(scenario_file, extra, code):
     via_module, via_run = (
         subprocess.run([sys.executable, *prefix, *argv], env=env,
                        capture_output=True, text=True)
-        for prefix in (["-m", "aoi_multicast.cli"],
-                       ["-c", "from aoi_multicast.cli import run; run()"])
+        for prefix in (["-m", "aoi_multicast.cli"], ["-c", RUN])
     )
     assert via_module.returncode == via_run.returncode == code
     assert via_module.stdout == via_run.stdout
     assert via_module.stdout.startswith('{"age_I"') if code == 0 else via_module.stderr
+
+
+def test_run_freezes_the_import_heap_and_main_does_not(scenario_file):
+    # run() freezes what the imports made, so the collections at exit skip
+    # it; the count is read by an atexit hook, which runs before them.
+    code = f"import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count())); {RUN}"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, "eval", scenario_file(SCENARIO)],
+                          env=env, check=True, capture_output=True, text=True)
+    assert int(done.stdout.splitlines()[-1]) >= 10_000
+    assert main(["eval", scenario_file(SCENARIO)]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("verb,code", [
+    (["pareto", "--betas", "0,0.5,1", "--out"], 0),
+    (["validate", "--cycles", "2000", "--replications", "2", "--tolerance", "1e-6"], 1),
+    (["eval", "--approx"], 2),
+    (["simulate", "--cycles", "2000", "--replications", "3", "--threads", "2"], 0),
+], ids=["pareto_out", "validate_fail", "usage_error", "simulate_threads2"])
+def test_run_exits_as_main(scenario_file, tmp_path, capsys, verb, code):
+    # run() in a fresh interpreter, which freezes the import heap, gives
+    # main()'s exit code, stdout, stderr (wall time aside) and CSV bytes.
+    out = tmp_path / "out.csv"
+    argv = [verb[0], scenario_file(SCENARIO), *verb[1:]]
+    if argv[-1] == "--out":
+        argv.append(str(out))
+
+    def outcome(rc, stdout, stderr):
+        csv_bytes = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return rc, stdout, re.sub(r"wall_time_s: .*\n", "", stderr), csv_bytes
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", RUN, *argv], env=env,
+                          capture_output=True, text=True)
+    via_run = outcome(done.returncode, done.stdout, done.stderr)
+    assert via_run == outcome(main(argv), *capsys.readouterr())
+    assert via_run[0] == code and (via_run[3] is not None) == (verb[0] == "pareto")
